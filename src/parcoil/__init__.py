@@ -14,6 +14,7 @@ from .coil import (
     LinearTestProblem,
     RampSchedule,
     axial_field,
+    coil_jacobian,
     coil_rhs,
     critical_current_density,
     hts_resistivity,
@@ -61,6 +62,7 @@ __all__ = [
     "LinearTestProblem",
     "RampSchedule",
     "axial_field",
+    "coil_jacobian",
     "coil_rhs",
     "critical_current_density",
     "hts_resistivity",

@@ -28,6 +28,7 @@ __all__ = [
     "critical_current_density",
     "source_current",
     "coil_rhs",
+    "coil_jacobian",
     "axial_field",
     "linear_test_rhs",
     "CoilProblem",
@@ -137,8 +138,10 @@ def hts_resistivity(j: float, j_c: float, e_c: float, n: float) -> float:
     p = n - 1.0
     if p == 0.0:
         return e_c / j_c
-    with np.errstate(over="ignore"):
-        return float((e_c / j_c) * np.float64(abs(j) / j_c) ** p)
+    try:
+        return (e_c / j_c) * (abs(j) / j_c) ** p
+    except OverflowError:
+        return math.inf
 
 
 def critical_current_density(t: float, params: CoilParams) -> float:
@@ -175,6 +178,42 @@ def coil_rhs(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> np.n
     return np.array([di_theta, d_temp])
 
 
+def coil_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> np.ndarray:
+    """Closed-form Jacobian of :func:`coil_rhs` with respect to ``[I_theta, T]``.
+
+    With ``r = r_hts`` the power law gives ``d(r*I)/dI = n*r`` and
+    ``d(r*I^2)/dI = (n+1)*r*I``; on the linear part of J_c(T),
+    ``dr/dT = n*r / (T_c - T)``, and zero where J_c is clipped.
+    """
+    i_theta = float(s[0])
+    temp = float(s[1])
+    i_radial = source_current(t, ramp) - i_theta
+
+    j_c = critical_current_density(temp, params)
+    r_hts = (
+        hts_resistivity(i_theta / params.a_hts, j_c, params.e_c, params.n)
+        * params.length
+        / params.a_hts
+    )
+    frac = (params.t_c - temp) / (params.t_c - params.t_op)
+    dr_dtemp = params.n * r_hts / (params.t_c - temp) if JC_REL_FLOOR < frac < 1.0 else 0.0
+
+    inv_l = 1.0 / params.inductance
+    inv_c = 1.0 / params.heat_capacity
+    return np.array(
+        [
+            [
+                -(params.r_contact + params.n * r_hts) * inv_l,
+                -i_theta * dr_dtemp * inv_l,
+            ],
+            [
+                (-2.0 * params.r_contact * i_radial + (params.n + 1.0) * r_hts * i_theta) * inv_c,
+                (i_theta * i_theta * dr_dtemp - params.cooling) * inv_c,
+            ],
+        ]
+    )
+
+
 def axial_field(s: State, params: CoilParams) -> float:
     """Central axial flux density B_z = field_constant * I_theta (T)."""
     return params.field_constant * float(s[0])
@@ -202,6 +241,9 @@ class CoilProblem(Problem):
 
     def rhs(self, t: float, u: State) -> np.ndarray:
         return coil_rhs(t, u, self.params, self.ramp)
+
+    def jacobian(self, t: float, u: State) -> np.ndarray:
+        return coil_jacobian(t, u, self.params, self.ramp)
 
     def max_temperature(self, u: State) -> float:
         return float(u[1])
@@ -240,6 +282,9 @@ class LinearTestProblem(Problem):
 
     def rhs(self, t: float, u: State) -> np.ndarray:
         return linear_test_rhs(t, u, self.rate)
+
+    def jacobian(self, t: float, u: State) -> np.ndarray:
+        return self.rate * np.eye(self.dimension)
 
     def max_temperature(self, u: State) -> float:
         return float(np.max(u))

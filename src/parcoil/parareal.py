@@ -16,8 +16,10 @@ requested tolerance.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,37 +136,75 @@ def pr_error(boundary_states, fine_states, problem: Problem) -> float:
     )
 
 
-def _fine_window_task(args):
-    """Worker body for one window; returns plain arrays for cheap pickling."""
-    problem, t_a, t_b, u_start, tol, j = args
-    counters = StepCounters()
-    wall0 = time.perf_counter()
-    traj = adaptive_integrate(problem, t_a, t_b, u_start, tol, counters)
-    wall = time.perf_counter() - wall0
-    return j, np.asarray(traj.times), np.asarray(traj.states), counters.nr_iterations, wall
+def _fine_batches(costs, n_batches: int) -> list[list[int]]:
+    """Deal window indices into at most ``n_batches`` batches of similar total cost.
+
+    Longest-first list scheduling: windows in order of decreasing cost
+    (ties by index) each join the batch with the least cost so far (ties
+    by batch index).  Equal costs deal the windows round-robin.  Empty
+    batches are dropped.
+    """
+    if n_batches < 1:
+        raise ValueError("need at least one batch")
+    loads = [0] * min(n_batches, len(costs))
+    batches: list[list[int]] = [[] for _ in loads]
+    for i in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
+        b = loads.index(min(loads))
+        batches[b].append(i)
+        loads[b] += costs[i]
+    return [batch for batch in batches if batch]
 
 
-def _run_fine_loop(problem, boundaries, u_bounds, tol, executor, k):
-    """Solve every window concurrently; results gathered by window index."""
+def _fine_batch_task(args):
+    """Worker body: solve a batch of windows; returns plain arrays for cheap pickling."""
+    problem, tol, k, windows = args
+    results = []
+    for j, t_a, t_b, u_start in windows:
+        counters = StepCounters()
+        wall0 = time.perf_counter()
+        try:
+            traj = adaptive_integrate(problem, t_a, t_b, u_start, tol, counters)
+        except IntegrationFailed as exc:
+            raise IntegrationFailed(
+                f"fine propagator failed in window {j} during iteration {k}: {exc}"
+            ) from exc
+        wall = time.perf_counter() - wall0
+        results.append((j, traj.times, traj.states, counters.nr_iterations, wall))
+    return results
+
+
+def _run_fine_loop(problem, boundaries, u_bounds, tol, executor, n_workers, k, costs):
+    """Solve every window in one batch per worker; results gathered by window index.
+
+    ``costs`` (one per window, e.g. the previous iteration's fine Newton
+    counts) balance the batches.  Without a pool the single batch runs
+    in this process.
+    """
     n = len(boundaries) - 1
-    tasks = [
-        (problem, float(boundaries[j - 1]), float(boundaries[j]), u_bounds[j - 1], tol, j)
+    batches = _fine_batches(costs, n_workers)
+    windows = [
+        (j, float(boundaries[j - 1]), float(boundaries[j]), u_bounds[j - 1])
         for j in range(1, n + 1)
     ]
+    tasks = [(problem, tol, k, [windows[i] for i in batch]) for batch in batches]
     trajs: list[Trajectory | None] = [None] * n
     nr = [0] * n
     wall = [0.0] * n
+    run = map if executor is None else executor.map
+    done = 0
     try:
-        if executor is None:
-            results = map(_fine_window_task, tasks)
-        else:
-            results = executor.map(_fine_window_task, tasks)
-        for j, times, states, nr_j, wall_j in results:
-            trajs[j - 1] = Trajectory(times, states)
-            nr[j - 1] = nr_j
-            wall[j - 1] = wall_j
-    except IntegrationFailed as exc:
-        raise IntegrationFailed(f"fine propagator failed during iteration {k}: {exc}") from exc
+        for batch_results in run(_fine_batch_task, tasks):
+            for j, times, states, nr_j, wall_j in batch_results:
+                trajs[j - 1] = Trajectory(times, states)
+                nr[j - 1] = nr_j
+                wall[j - 1] = wall_j
+            done += 1
+    except BrokenProcessPool as exc:
+        pending = sorted(i + 1 for batch in batches[done:] for i in batch)
+        raise IntegrationFailed(
+            f"a fine worker process died during iteration {k} "
+            f"while windows {pending} were unfinished: {exc}"
+        ) from exc
     return trajs, nr, wall
 
 
@@ -229,7 +269,15 @@ def run_parareal(
     time_f: list[list[float]] = []
     nr_f: list[list[int]] = []
 
-    executor = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
+    executor = None
+    if n_workers > 1:
+        try:
+            pickle.dumps(problem)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise IntegrationFailed(
+                f"the problem cannot be sent to worker processes (run with one worker): {exc}"
+            ) from exc
+        executor = ProcessPoolExecutor(max_workers=n_workers)
     try:
         fine_trajs = None
         u_fine = None
@@ -263,8 +311,17 @@ def run_parareal(
                 time_g.append(g_wall_row)
                 nr_g.append(g_nr_row)
 
+            # Batches balance on the last iteration's fine work; the first
+            # iteration has none, and equal costs deal windows round-robin.
             fine_trajs, nr_row, wall_row = _run_fine_loop(
-                problem, boundaries, u_bounds, cfg.fine_tol, executor, k
+                problem,
+                boundaries,
+                u_bounds,
+                cfg.fine_tol,
+                executor,
+                n_workers,
+                k,
+                nr_f[-1] if nr_f else [1] * n,
             )
             nr_f.append(nr_row)
             time_f.append(wall_row)
@@ -277,7 +334,8 @@ def run_parareal(
                 break
     finally:
         if executor is not None:
-            executor.shutdown()
+            # Pending batches are dropped on any exception, Ctrl-C included.
+            executor.shutdown(cancel_futures=True)
 
     trajectory = _stitch(fine_trajs)
     report = PararealReport(

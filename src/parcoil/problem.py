@@ -25,6 +25,9 @@ __all__ = [
 # A state is a read-only float64 vector; the alias documents intent.
 State = np.ndarray
 
+# Forward-difference perturbation scale for the default Jacobian.
+FD_EPS = 1e-7
+
 
 def as_state(values) -> State:
     """Copy ``values`` into a read-only float64 vector.
@@ -135,6 +138,23 @@ class Problem(ABC):
     @abstractmethod
     def rhs(self, t: float, u: State) -> np.ndarray:
         """Time derivative of the state at time ``t``."""
+
+    def jacobian(self, t: float, u: State) -> np.ndarray:
+        """Jacobian ``d rhs / d u`` at ``(t, u)`` as a ``(dim, dim)`` array.
+
+        Default: forward differences with per-component perturbation
+        ``1e-7 * max(|u_i|, 1)`` (deterministic).  Problems with a closed
+        form override this; the Newton solver calls it once per iteration.
+        """
+        dim = u.size
+        f0 = self.rhs(t, u)
+        jac = np.empty((dim, dim))
+        for i in range(dim):
+            delta = FD_EPS * max(abs(float(u[i])), 1.0)
+            up = u.copy()
+            up[i] += delta
+            jac[:, i] = (self.rhs(t, up) - f0) / delta
+        return jac
 
     @abstractmethod
     def max_temperature(self, u: State) -> float:

@@ -18,6 +18,7 @@ temperature component is insensitive to the remaining error.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -38,8 +39,6 @@ __all__ = [
     "fixed_integrate",
 ]
 
-# Forward-difference perturbation scale for the Jacobian.
-FD_EPS = 1e-7
 # Step-size controller safety factor (elementary order-1 controller).
 SAFETY = 0.9
 # Relative floor on the error estimate inside the controller.
@@ -94,19 +93,43 @@ class IntegrationFailed(Exception):
 
 
 def newton_jacobian(problem: Problem, t: float, u: State) -> np.ndarray:
-    """Forward finite-difference Jacobian of ``problem.rhs`` at ``(t, u)``.
+    """Jacobian of ``problem.rhs`` at ``(t, u)`` for the Newton matrix.
 
-    Per-component perturbation ``1e-7 * max(|u_i|, 1)``; deterministic.
+    Delegates to :meth:`Problem.jacobian`: closed form where the problem
+    supplies one, forward differences otherwise.
     """
-    dim = u.size
-    f0 = problem.rhs(t, u)
-    jac = np.empty((dim, dim))
-    for i in range(dim):
-        delta = FD_EPS * max(abs(float(u[i])), 1.0)
-        up = u.copy()
-        up[i] += delta
-        jac[:, i] = (problem.rhs(t, up) - f0) / delta
-    return jac
+    return problem.jacobian(t, u)
+
+
+def _all_finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _newton_update(dt: float, jac: np.ndarray, r: np.ndarray, iters: int) -> np.ndarray:
+    """Solve ``(I - dt*jac) du = -r`` for the Newton update ``du``.
+
+    Two-component systems use the closed-form inverse on Python floats,
+    which costs a fraction of a LAPACK call; other sizes go through
+    LAPACK.  Raises :class:`StepFailed` on a non-finite Jacobian or a
+    singular matrix.
+    """
+    if r.size != 2:
+        if not np.all(np.isfinite(jac)):
+            raise StepFailed("non-finite Jacobian", iters)
+        try:
+            return np.linalg.solve(np.eye(r.size) - dt * jac, -r)
+        except np.linalg.LinAlgError as exc:
+            raise StepFailed(f"singular Newton matrix: {exc}", iters) from exc
+    entries = jac.ravel().tolist()
+    if not _all_finite(entries):
+        raise StepFailed("non-finite Jacobian", iters)
+    a, b, c, d = entries
+    m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
+    det = m00 * m11 - m01 * m10
+    if det == 0.0:
+        raise StepFailed("singular Newton matrix: zero determinant", iters)
+    r0, r1 = r.tolist()
+    return np.array([(m01 * r1 - m11 * r0) / det, (m10 * r0 - m00 * r1) / det])
 
 
 def implicit_euler_step(
@@ -123,7 +146,8 @@ def implicit_euler_step(
     Starts from ``guess``; converged when the max-temperature change
     between subsequent iterates is below ``tol.tol_nr`` and the residual
     norm has decreased from its initial value.  Raises :class:`StepFailed`
-    on non-finite iterates or when the iteration budget is exhausted.
+    on non-finite residuals, Jacobians or iterates, on a singular Newton
+    matrix, or when the iteration budget is exhausted.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -131,50 +155,42 @@ def implicit_euler_step(
         raise ValueError("guess and u_prev must have the same dimension")
 
     t_new = t + dt
-    eye = np.eye(u_prev.size)
     u = np.array(guess, dtype=float)
-
-    def residual(v):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return v - u_prev - dt * problem.rhs(t_new, v)
-
-    r = residual(u)
-    if not np.all(np.isfinite(r)):
-        raise StepFailed("non-finite residual at the initial guess", 0)
-    r0_norm = float(np.linalg.norm(r))
-    # A very good predictor leaves the initial residual at rounding noise,
-    # where a strict decrease is unattainable; residuals at or below this
-    # scale-aware floor count as converged.
-    r_floor = 1e-14 * (1.0 + float(np.linalg.norm(u_prev)))
-
     iters = 0
-    try:
-        for _ in range(tol.nr_max_iters):
-            iters += 1
-            with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow inside rhs or the Jacobian surfaces as a non-finite value,
+    # which the checks below turn into StepFailed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            r = u - u_prev - dt * problem.rhs(t_new, u)
+            r_list = r.tolist()
+            if not _all_finite(r_list):
+                raise StepFailed("non-finite residual at the initial guess", 0)
+            r0_norm = math.hypot(*r_list)
+            # A very good predictor leaves the initial residual at rounding
+            # noise, where a strict decrease is unattainable; residuals at or
+            # below this scale-aware floor count as converged.
+            r_floor = 1e-14 * (1.0 + math.hypot(*u_prev.tolist()))
+            temp = problem.max_temperature(u)
+            for _ in range(tol.nr_max_iters):
+                iters += 1
                 jac = newton_jacobian(problem, t_new, u)
-            if not np.all(np.isfinite(jac)):
-                raise StepFailed("non-finite Jacobian", iters)
-            try:
-                du = np.linalg.solve(eye - dt * jac, -r)
-            except np.linalg.LinAlgError as exc:
-                raise StepFailed(f"singular Newton matrix: {exc}", iters) from exc
-            u_new = u + du
-            if not np.all(np.isfinite(u_new)):
-                raise StepFailed("non-finite Newton iterate", iters)
-            r_new = residual(u_new)
-            if not np.all(np.isfinite(r_new)):
-                raise StepFailed("non-finite residual", iters)
-            dt_max_temp = abs(problem.max_temperature(u_new) - problem.max_temperature(u))
-            r_new_norm = float(np.linalg.norm(r_new))
-            if dt_max_temp < tol.tol_nr and (r_new_norm < r0_norm or r_new_norm <= r_floor):
-                u_new.setflags(write=False)
-                return u_new
-            u, r = u_new, r_new
-        raise StepFailed(f"no convergence within {tol.nr_max_iters} iterations", iters)
-    finally:
-        if counters is not None:
-            counters.nr_iterations += iters
+                u_new = u + _newton_update(dt, jac, r, iters)
+                if not _all_finite(u_new.tolist()):
+                    raise StepFailed("non-finite Newton iterate", iters)
+                r = u_new - u_prev - dt * problem.rhs(t_new, u_new)
+                r_list = r.tolist()
+                if not _all_finite(r_list):
+                    raise StepFailed("non-finite residual", iters)
+                temp_new = problem.max_temperature(u_new)
+                r_norm = math.hypot(*r_list)
+                if abs(temp_new - temp) < tol.tol_nr and (r_norm < r0_norm or r_norm <= r_floor):
+                    u_new.setflags(write=False)
+                    return u_new
+                u, temp = u_new, temp_new
+            raise StepFailed(f"no convergence within {tol.nr_max_iters} iterations", iters)
+        finally:
+            if counters is not None:
+                counters.nr_iterations += iters
 
 
 def predict(history, t_next: float) -> State:

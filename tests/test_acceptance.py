@@ -30,6 +30,7 @@ from parcoil import (
     speedup,
     window_boundary_indices,
 )
+from parcoil.parareal import _fine_batches
 
 TOL_PR = 10e-3  # 10 mK
 FINE = StepperTolerances(tol_nr=1e-4, tol_t=1e-4, dt_init=0.1, dt_min=1e-9, dt_max=2.0)
@@ -279,6 +280,24 @@ def test_criterion_10_worker_count_determinism(coil, coil_cells):
         "criterion 10 (worker-count determinism)",
         ok,
         f"workers 1 vs N byte-identical for N in {WINDOW_COUNTS}",
+    )
+
+
+def test_batched_fine_loop_determinism(coil, coil_cells):
+    """Two workers, several windows per batch, cost order unlike window order."""
+    cells, _ = coil_cells
+    ok = True
+    for n in (8, 16):
+        cfg = PararealConfig(n_windows=n, tol_pr=TOL_PR, fine_tol=FINE, coarse_tol=COARSE)
+        two = run_parareal(coil, 0.0, 200.0, coil.initial_state(), cfg, n_workers=2)
+        batches = _fine_batches(two[1].nr_f_per_window_per_iter[0], 2)
+        ok = ok and all(len(batch) > 1 for batch in batches)
+        ok = ok and any(batch != sorted(batch) for batch in batches)
+        ok = ok and _report_fingerprint(*cells[n]) == _report_fingerprint(*two)
+    check(
+        "batched fine loop (worker-count determinism)",
+        ok,
+        "workers 1 vs 2 byte-identical for N in (8, 16)",
     )
 
 

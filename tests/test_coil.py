@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parcoil import (
     CoilParams,
     CoilProblem,
+    LinearTestProblem,
     RampSchedule,
     as_state,
     axial_field,
@@ -30,6 +33,10 @@ class TestHtsResistivity:
     def test_quadratic_index(self):
         j_c, e_c = 1e8, 1e-4
         assert hts_resistivity(2 * j_c, j_c, e_c, 2.0) == pytest.approx(2 * e_c / j_c, rel=1e-14)
+
+    def test_overflow_yields_inf(self):
+        # (1e300)^24 overflows a float; the power law must report inf, not raise
+        assert hts_resistivity(1e300, 1.0, 1e-4, 25.0) == math.inf
 
     def test_collapsed_critical_surface(self):
         with pytest.raises(ValueError):
@@ -162,3 +169,62 @@ class TestCoilParamsValidation:
     def test_rejects_inverted_temperatures(self):
         with pytest.raises(ValueError):
             CoilParams(t_c=70.0, t_op=77.0)
+
+
+def central_difference_jacobian(problem, t, u, rel=1e-7):
+    dim = u.size
+    jac = np.empty((dim, dim))
+    for i in range(dim):
+        delta = rel * max(abs(float(u[i])), 1.0)
+        up, dn = np.array(u, dtype=float), np.array(u, dtype=float)
+        up[i] += delta
+        dn[i] -= delta
+        jac[:, i] = (problem.rhs(t, up) - problem.rhs(t, dn)) / (2 * delta)
+    return jac
+
+
+# (temperature range in K, |I_theta| / I_c(T) range); temperatures keep
+# 0.05 K from the J_c clamp at t_op and 0.5 K from T_c, where the
+# difference quotient would straddle a kink or the n=25 pole of dr/dT.
+REGIMES = {
+    "superconducting": ((77.05, 88.0), (0.0, 0.95)),
+    "flux_flow": ((77.05, 88.0), (1.0, 1.3)),
+    "near_t_c": ((89.0, 91.5), (0.3, 1.3)),
+}
+
+
+class TestCoilJacobian:
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        temp_frac=st.floats(0.0, 1.0),
+        load_frac=st.floats(0.0, 1.0),
+        negative=st.booleans(),
+        t=st.floats(0.0, 200.0),
+    )
+    def test_matches_central_difference(self, regime, temp_frac, load_frac, negative, t):
+        (t_lo, t_hi), (x_lo, x_hi) = REGIMES[regime]
+        temp = t_lo + temp_frac * (t_hi - t_lo)
+        i_c = critical_current_density(temp, PARAMS) * PARAMS.a_hts
+        i_theta = (x_lo + load_frac * (x_hi - x_lo)) * i_c * (-1.0 if negative else 1.0)
+        problem = CoilProblem()
+        u = as_state([i_theta, temp])
+        analytic = problem.jacobian(t, u)
+        reference = central_difference_jacobian(problem, t, u)
+        # rounding of the quotient scales with each row's largest entry
+        atol = 1e-7 * np.abs(analytic).max(axis=1, keepdims=True)
+        assert np.all(np.abs(analytic - reference) <= atol + 1e-5 * np.abs(reference))
+
+    @pytest.mark.parametrize("temp", [PARAMS.t_op - 5.0, PARAMS.t_c + 1.0])
+    def test_zero_temperature_slope_where_jc_is_clipped(self, temp):
+        jac = CoilProblem().jacobian(10.0, as_state([100.0, temp]))
+        assert jac[0, 1] == 0.0
+        assert jac[1, 1] == -PARAMS.cooling / PARAMS.heat_capacity
+
+
+class TestLinearJacobian:
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, 2.5])
+    def test_rate_times_identity(self, rate):
+        problem = LinearTestProblem(rate, (1.0, 2.0, 3.0))
+        jac = problem.jacobian(0.7, problem.initial_state())
+        assert np.array_equal(jac, rate * np.eye(3))

@@ -1,9 +1,14 @@
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parcoil import (
+    IntegrationFailed,
     LinearTestProblem,
     PararealConfig,
     PartitionError,
@@ -17,6 +22,7 @@ from parcoil import (
     run_parareal,
     window_boundary_indices,
 )
+from parcoil.parareal import _fine_batches
 
 LIN_FINE = StepperTolerances(tol_nr=1e-8, tol_t=1e-4, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
 LIN_COARSE = StepperTolerances(tol_nr=1e-8, tol_t=5e-3, dt_init=0.1, dt_min=1e-12, dt_max=0.5)
@@ -193,3 +199,73 @@ class TestRunParareal:
         assert len(report.boundary_states) == 4
         assert report.err_per_iter[-1] < cfg.tol_pr
         assert report.m_coarse_steps >= 3
+
+
+class TestFineBatches:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        costs=st.lists(st.integers(0, 10_000), min_size=1, max_size=64),
+        n_batches=st.integers(1, 12),
+    )
+    def test_every_window_in_exactly_one_batch(self, costs, n_batches):
+        batches = _fine_batches(costs, n_batches)
+        assert 1 <= len(batches) <= n_batches
+        assert all(batches)
+        assert sorted(i for batch in batches for i in batch) == list(range(len(costs)))
+        # longest-first list scheduling stays within one window of the mean load
+        loads = [sum(costs[i] for i in batch) for batch in batches]
+        assert max(loads) <= sum(costs) / len(batches) + max(costs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 64), n_batches=st.integers(1, 12), cost=st.integers(0, 100))
+    def test_equal_costs_give_equal_batches(self, n, n_batches, cost):
+        batches = _fine_batches([cost] * n, n_batches)
+        sizes = [len(batch) for batch in batches]
+        assert max(sizes) - min(sizes) <= 1
+        if cost > 0:
+            assert batches == [list(range(b, n, len(batches))) for b in range(len(batches))]
+
+    def test_longest_first(self):
+        # costs 5, 4 open the batches; 2 joins the lighter one, then 1 does
+        assert _fine_batches([1, 5, 2, 4], 2) == [[1, 0], [3, 2]]
+
+
+class DiesInWorker(LinearTestProblem):
+    """Linear decay whose rhs kills any process but the one that built it."""
+
+    def __init__(self):
+        super().__init__(-1.0, (1.0,))
+        self.owner = os.getpid()
+
+    def rhs(self, t, u):
+        if os.getpid() != self.owner:
+            os._exit(3)
+        return super().rhs(t, u)
+
+
+class Unpicklable(LinearTestProblem):
+    def __init__(self):
+        super().__init__(-1.0, (1.0,))
+        self.lock = threading.Lock()
+
+
+class TestFineLoopFailures:
+    CFG = PararealConfig(n_windows=4, tol_pr=1e-5, fine_tol=LIN_FINE, coarse_tol=LIN_COARSE)
+
+    def test_fine_failure_names_window_and_iteration(self):
+        hopeless = StepperTolerances(tol_nr=1e-8, tol_t=1e-13, dt_init=0.1, dt_min=0.05, dt_max=0.5)
+        cfg = PararealConfig(n_windows=4, tol_pr=1e-5, fine_tol=hopeless, coarse_tol=LIN_COARSE)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        with pytest.raises(IntegrationFailed, match=r"window 1 during iteration 1"):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
+
+    def test_worker_crash_is_integration_failure(self):
+        problem = DiesInWorker()
+        unfinished = r"died during iteration 1 while windows \[1, 2, 3, 4\]"
+        with pytest.raises(IntegrationFailed, match=unfinished):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+
+    def test_unpicklable_problem_is_integration_failure(self):
+        problem = Unpicklable()
+        with pytest.raises(IntegrationFailed, match="cannot be sent to worker processes"):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)

@@ -7,6 +7,7 @@ from parcoil import (
     CoilProblem,
     IntegrationFailed,
     LinearTestProblem,
+    Problem,
     RampSchedule,
     StepCounters,
     StepFailed,
@@ -15,6 +16,7 @@ from parcoil import (
     as_state,
     estimate_lte,
     fixed_integrate,
+    hts_resistivity,
     implicit_euler_step,
     newton_jacobian,
     predict,
@@ -51,7 +53,97 @@ class TestNewtonJacobian:
         assert np.allclose(fd, cd, rtol=1e-4, atol=1e-8)
 
 
+class CubicDecay(Problem):
+    """``d_t u = -u**3`` componentwise, without a closed-form Jacobian."""
+
+    dimension = 2
+    component_names = ("a", "b")
+
+    def rhs(self, t, u):
+        return -(u**3)
+
+    def max_temperature(self, u):
+        return float(np.max(u))
+
+    def initial_state(self):
+        return as_state([1.0, 2.0])
+
+
+class PowerSaturation(Problem):
+    """``d_t u = 1 - u**299`` through the power law; u = 0 is a good start.
+
+    From ``u_prev = 0`` the first Newton iterate is ``u = dt``, so steps with
+    ``dt > 10.7`` overflow the power term.
+    """
+
+    dimension = 1
+    component_names = ("u",)
+
+    def rhs(self, t, u):
+        return np.array([1.0 - hts_resistivity(float(u[0]), 1.0, 1.0, 300.0)])
+
+    def max_temperature(self, u):
+        return float(u[0])
+
+    def initial_state(self):
+        return as_state([0.0])
+
+
+def forward_difference_reference(problem, t, u, eps=1e-7):
+    f0 = problem.rhs(t, u)
+    jac = np.empty((u.size, u.size))
+    for i in range(u.size):
+        delta = eps * max(abs(float(u[i])), 1.0)
+        up = u.copy()
+        up[i] += delta
+        jac[:, i] = (problem.rhs(t, up) - f0) / delta
+    return jac
+
+
+class TestDefaultJacobian:
+    def test_problem_without_jacobian_gets_forward_difference(self):
+        problem = CubicDecay()
+        u = as_state([1.5, -0.5])
+        reference = forward_difference_reference(problem, 0.0, u)
+        assert np.array_equal(newton_jacobian(problem, 0.0, u), reference)
+
+    def test_default_jacobian_drives_newton(self):
+        # implicit Euler on -u^3 still converges through the difference quotient
+        problem = CubicDecay()
+        u0 = problem.initial_state()
+        u = implicit_euler_step(problem, 0.0, 0.1, u0, u0, TIGHT)
+        residual = u - u0 - 0.1 * problem.rhs(0.1, u)
+        assert np.max(np.abs(residual)) < 1e-9
+
+
+class TestOverflow:
+    def test_overflow_is_a_failed_step(self):
+        problem = PowerSaturation()
+        u0 = problem.initial_state()
+        with pytest.raises(StepFailed, match="non-finite residual") as info:
+            implicit_euler_step(problem, 0.0, 16.0, u0, u0, TIGHT)
+        assert info.value.iterations == 1
+
+    def test_adaptive_halves_after_overflow(self):
+        problem = PowerSaturation()
+        tol = StepperTolerances(tol_nr=1e-9, tol_t=10.0, dt_init=16.0, dt_min=1e-6, dt_max=16.0)
+        counters = StepCounters()
+        traj = adaptive_integrate(problem, 0.0, 20.0, problem.initial_state(), tol, counters)
+        assert counters.steps_rejected >= 1
+        assert traj.times[1] <= 8.0
+        assert traj.t_end == 20.0
+        assert traj.terminal_state[0] == pytest.approx(1.0, abs=1e-6)
+
+
 class TestImplicitEulerStep:
+    @pytest.mark.parametrize("u0", [(1.0,), (1.0, 1.0)])
+    def test_singular_newton_matrix_fails(self, u0):
+        # 1 - dt*rate = 0: the Newton matrix has a zero determinant
+        growth = LinearTestProblem(2.0, u0)
+        u_prev = growth.initial_state()
+        with pytest.raises(StepFailed, match="singular"):
+            implicit_euler_step(growth, 0.0, 0.5, u_prev, u_prev, TIGHT)
+
     def test_linear_closed_form(self):
         # u = u_prev / (1 - rate*dt) for the scalar linear problem
         u = implicit_euler_step(DECAY, 0.0, 0.5, as_state([1.0]), as_state([1.0]), TIGHT)
