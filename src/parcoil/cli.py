@@ -7,7 +7,7 @@ count reproduces all non-wall-clock columns byte-identically.
 
 Exit codes: 0 success (and convergence), 1 configuration error,
 2 partitioning/integration failure, 3 Parareal did not converge within
-the iteration cap (outputs are still written).
+the iteration cap (outputs are still written), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the run configuration file")
         cmd.add_argument("--out", help="output directory (overrides the config)")
         cmd.add_argument("--workers", type=int, help="worker count for the fine loop")
-        cmd.add_argument("--seed", type=int, help="ignored; runs have no stochastic components")
         if name == "parareal":
             cmd.add_argument(
                 "--with-baseline",
@@ -302,6 +301,9 @@ def main(argv=None) -> int:
     except IntegrationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

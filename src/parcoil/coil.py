@@ -147,8 +147,11 @@ def hts_resistivity(j: float, j_c: float, e_c: float, n: float) -> float:
 def critical_current_density(t: float, params: CoilParams) -> float:
     """Linear-in-temperature J_c with a relative floor above T_c (A/m^2)."""
     frac = (params.t_c - t) / (params.t_c - params.t_op)
-    frac = min(1.0, max(JC_REL_FLOOR, frac))
-    return params.j_c0 * frac
+    # Comparisons rather than min/max calls: this runs in every rhs and
+    # Jacobian evaluation.
+    if frac >= 1.0:
+        return params.j_c0
+    return params.j_c0 * (frac if frac > JC_REL_FLOOR else JC_REL_FLOOR)
 
 
 def source_current(t: float, ramp: RampSchedule) -> float:
@@ -161,10 +164,9 @@ def source_current(t: float, ramp: RampSchedule) -> float:
     return i_prev
 
 
-def coil_rhs(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> np.ndarray:
-    """Time derivative of ``[I_theta, T]`` for the coil surrogate."""
-    i_theta = float(s[0])
-    temp = float(s[1])
+def coil_rhs(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tuple[float, float]:
+    """Time derivative of ``(I_theta, T)`` for the coil surrogate."""
+    i_theta, temp = s
     i_radial = source_current(t, ramp) - i_theta
 
     j = i_theta / params.a_hts
@@ -175,18 +177,17 @@ def coil_rhs(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> np.n
     p_contact = params.r_contact * i_radial * i_radial
     p_hts = r_hts * i_theta * i_theta
     d_temp = (p_contact + p_hts - params.cooling * (temp - params.t_op)) / params.heat_capacity
-    return np.array([di_theta, d_temp])
+    return (di_theta, d_temp)
 
 
-def coil_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> np.ndarray:
-    """Closed-form Jacobian of :func:`coil_rhs` with respect to ``[I_theta, T]``.
+def coil_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tuple:
+    """Closed-form Jacobian rows of :func:`coil_rhs` with respect to ``(I_theta, T)``.
 
     With ``r = r_hts`` the power law gives ``d(r*I)/dI = n*r`` and
     ``d(r*I^2)/dI = (n+1)*r*I``; on the linear part of J_c(T),
     ``dr/dT = n*r / (T_c - T)``, and zero where J_c is clipped.
     """
-    i_theta = float(s[0])
-    temp = float(s[1])
+    i_theta, temp = s
     i_radial = source_current(t, ramp) - i_theta
 
     j_c = critical_current_density(temp, params)
@@ -200,17 +201,12 @@ def coil_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) ->
 
     inv_l = 1.0 / params.inductance
     inv_c = 1.0 / params.heat_capacity
-    return np.array(
-        [
-            [
-                -(params.r_contact + params.n * r_hts) * inv_l,
-                -i_theta * dr_dtemp * inv_l,
-            ],
-            [
-                (-2.0 * params.r_contact * i_radial + (params.n + 1.0) * r_hts * i_theta) * inv_c,
-                (i_theta * i_theta * dr_dtemp - params.cooling) * inv_c,
-            ],
-        ]
+    return (
+        (-(params.r_contact + params.n * r_hts) * inv_l, -i_theta * dr_dtemp * inv_l),
+        (
+            (-2.0 * params.r_contact * i_radial + (params.n + 1.0) * r_hts * i_theta) * inv_c,
+            (i_theta * i_theta * dr_dtemp - params.cooling) * inv_c,
+        ),
     )
 
 
@@ -219,9 +215,9 @@ def axial_field(s: State, params: CoilParams) -> float:
     return params.field_constant * float(s[0])
 
 
-def linear_test_rhs(t: float, s: State, rate: float) -> np.ndarray:
+def linear_test_rhs(t: float, s: State, rate: float) -> tuple[float, ...]:
     """Derivative of the linear test system: ``rate * s`` componentwise."""
-    return rate * np.asarray(s, dtype=float)
+    return tuple([rate * x for x in s])
 
 
 class CoilProblem(Problem):
@@ -239,10 +235,10 @@ class CoilProblem(Problem):
     def component_names(self) -> tuple[str, ...]:
         return ("I_theta_A", "T_K")
 
-    def rhs(self, t: float, u: State) -> np.ndarray:
+    def rhs(self, t: float, u: State) -> tuple[float, float]:
         return coil_rhs(t, u, self.params, self.ramp)
 
-    def jacobian(self, t: float, u: State) -> np.ndarray:
+    def jacobian(self, t: float, u: State) -> tuple:
         return coil_jacobian(t, u, self.params, self.ramp)
 
     def max_temperature(self, u: State) -> float:
@@ -271,6 +267,8 @@ class LinearTestProblem(Problem):
     def __init__(self, rate: float = -1.0, u0=(1.0,)):
         self.rate = float(rate)
         self._u0 = as_state(u0)
+        n = self._u0.size
+        self._jacobian = tuple(tuple(self.rate * float(i == j) for j in range(n)) for i in range(n))
 
     @property
     def dimension(self) -> int:
@@ -280,14 +278,14 @@ class LinearTestProblem(Problem):
     def component_names(self) -> tuple[str, ...]:
         return tuple(f"u_{i}" for i in range(self._u0.size))
 
-    def rhs(self, t: float, u: State) -> np.ndarray:
+    def rhs(self, t: float, u: State) -> tuple[float, ...]:
         return linear_test_rhs(t, u, self.rate)
 
-    def jacobian(self, t: float, u: State) -> np.ndarray:
-        return self.rate * np.eye(self.dimension)
+    def jacobian(self, t: float, u: State) -> tuple:
+        return self._jacobian
 
     def max_temperature(self, u: State) -> float:
-        return float(np.max(u))
+        return float(max(u))
 
     def initial_state(self) -> State:
         return self._u0

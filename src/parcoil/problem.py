@@ -1,15 +1,19 @@
 """Abstract time-dependent ODE problem and the state/trajectory data model.
 
-A solver state is a plain 1-D ``numpy`` vector of floats (mixed units:
-amperes for currents, kelvin for temperatures; the layout is owned by the
-concrete problem).  Time is never stored in the state itself, it travels
-with :class:`Trajectory` entries.  States and trajectories are treated as
-immutable values so they can be handed to concurrent workers freely.
+A solver state is a sequence of floats (mixed units: amperes for
+currents, kelvin for temperatures; the layout is owned by the concrete
+problem): a tuple of Python floats inside the propagators, which is what
+:class:`Problem` methods receive there, and a row of a read-only ``numpy``
+array in a :class:`Trajectory`.  Time is never stored in the state itself,
+it travels with :class:`Trajectory` entries.  States and trajectories are
+treated as immutable values so they can be handed to concurrent workers
+freely.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +26,15 @@ __all__ = [
     "Problem",
 ]
 
-# A state is a read-only float64 vector; the alias documents intent.
-State = np.ndarray
+# A state is a sequence of floats: a tuple inside the propagators, a
+# read-only float64 vector from ``as_state`` or a trajectory row outside.
+State = Sequence[float]
 
 # Forward-difference perturbation scale for the default Jacobian.
 FD_EPS = 1e-7
 
 
-def as_state(values) -> State:
+def as_state(values) -> np.ndarray:
     """Copy ``values`` into a read-only float64 vector.
 
     Raises ``ValueError`` if the input is not 1-D or contains NaN/Inf:
@@ -44,7 +49,7 @@ def as_state(values) -> State:
     return arr
 
 
-def state_linear_combination(a: float, x: State, b: float, y: State) -> State:
+def state_linear_combination(a: float, x: np.ndarray, b: float, y: np.ndarray) -> np.ndarray:
     """Return ``a*x + b*y`` componentwise.
 
     Plain multiply-multiply-add floating point, no FMA contraction.  A
@@ -103,14 +108,14 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def state(self, i: int) -> State:
+    def state(self, i: int) -> np.ndarray:
         return self.states[i]
 
     @property
-    def terminal_state(self) -> State:
+    def terminal_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def state_at_time(self, t: float) -> State:
+    def state_at_time(self, t: float) -> np.ndarray:
         """State at an exact grid time ``t`` (bitwise membership)."""
         i = int(np.searchsorted(self.times, t))
         if i >= self.times.size or self.times[i] != t:
@@ -136,25 +141,24 @@ class Problem(ABC):
         """Column labels for serialized trajectories, one per component."""
 
     @abstractmethod
-    def rhs(self, t: float, u: State) -> np.ndarray:
-        """Time derivative of the state at time ``t``."""
+    def rhs(self, t: float, u: State) -> Sequence[float]:
+        """Time derivative of the state at time ``t``, one float per component."""
 
-    def jacobian(self, t: float, u: State) -> np.ndarray:
-        """Jacobian ``d rhs / d u`` at ``(t, u)`` as a ``(dim, dim)`` array.
+    def jacobian(self, t: float, u: State) -> Sequence[Sequence[float]]:
+        """Jacobian ``d rhs / d u`` at ``(t, u)`` as ``dim`` rows of ``dim`` floats.
 
         Default: forward differences with per-component perturbation
         ``1e-7 * max(|u_i|, 1)`` (deterministic).  Problems with a closed
         form override this; the Newton solver calls it once per iteration.
         """
-        dim = u.size
         f0 = self.rhs(t, u)
-        jac = np.empty((dim, dim))
-        for i in range(dim):
-            delta = FD_EPS * max(abs(float(u[i])), 1.0)
-            up = u.copy()
-            up[i] += delta
-            jac[:, i] = (self.rhs(t, up) - f0) / delta
-        return jac
+        columns = []
+        for i, x in enumerate(u):
+            delta = FD_EPS * max(abs(x), 1.0)
+            up = list(u)
+            up[i] = x + delta
+            columns.append([(f - f_0) / delta for f, f_0 in zip(self.rhs(t, tuple(up)), f0)])
+        return tuple(zip(*columns))
 
     @abstractmethod
     def max_temperature(self, u: State) -> float:

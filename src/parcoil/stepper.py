@@ -14,11 +14,17 @@ Newton convergence follows the max-temperature criterion (absolute change
 between subsequent iterates below ``tol_nr``) combined with a residual
 decrease check, which guards against false triggers on states whose
 temperature component is insensitive to the remaining error.
+
+Inside the propagators a state is a tuple of Python floats: on a few
+components that is cheaper than numpy and performs the same IEEE
+operations.  Each propagator converts its start state once and builds one
+:class:`Trajectory` from the accepted tuples.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -92,8 +98,8 @@ class IntegrationFailed(Exception):
     """A propagator could not reach the end of its interval."""
 
 
-def newton_jacobian(problem: Problem, t: float, u: State) -> np.ndarray:
-    """Jacobian of ``problem.rhs`` at ``(t, u)`` for the Newton matrix.
+def newton_jacobian(problem: Problem, t: float, u: State):
+    """Jacobian rows of ``problem.rhs`` at ``(t, u)`` for the Newton matrix.
 
     Delegates to :meth:`Problem.jacobian`: closed form where the problem
     supplies one, forward differences otherwise.
@@ -105,7 +111,13 @@ def _all_finite(values) -> bool:
     return all(map(math.isfinite, values))
 
 
-def _newton_update(dt: float, jac: np.ndarray, r: np.ndarray, iters: int) -> np.ndarray:
+def _residual(problem: Problem, t: float, dt: float, u: State, u_prev: State) -> tuple:
+    """Implicit Euler residual ``u - u_prev - dt*rhs(t, u)`` componentwise."""
+    f = problem.rhs(t, u)
+    return tuple([a - b - dt * c for a, b, c in zip(u, u_prev, f, strict=True)])
+
+
+def _newton_update(dt: float, jac, r: tuple, iters: int) -> tuple:
     """Solve ``(I - dt*jac) du = -r`` for the Newton update ``du``.
 
     Two-component systems use the closed-form inverse on Python floats,
@@ -113,23 +125,27 @@ def _newton_update(dt: float, jac: np.ndarray, r: np.ndarray, iters: int) -> np.
     LAPACK.  Raises :class:`StepFailed` on a non-finite Jacobian or a
     singular matrix.
     """
-    if r.size != 2:
-        if not np.all(np.isfinite(jac)):
-            raise StepFailed("non-finite Jacobian", iters)
-        try:
-            return np.linalg.solve(np.eye(r.size) - dt * jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise StepFailed(f"singular Newton matrix: {exc}", iters) from exc
-    entries = jac.ravel().tolist()
-    if not _all_finite(entries):
+    if len(r) != 2:
+        # Overflow in the matrix surfaces as a non-finite iterate, which
+        # the caller turns into StepFailed.
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = np.array(jac, dtype=float)
+            if not np.all(np.isfinite(jac)):
+                raise StepFailed("non-finite Jacobian", iters)
+            try:
+                du = np.linalg.solve(np.eye(len(r)) - dt * jac, -np.array(r))
+            except np.linalg.LinAlgError as exc:
+                raise StepFailed(f"singular Newton matrix: {exc}", iters) from exc
+        return tuple(du.tolist())
+    (a, b), (c, d) = jac
+    if not _all_finite((a, b, c, d)):
         raise StepFailed("non-finite Jacobian", iters)
-    a, b, c, d = entries
     m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
     det = m00 * m11 - m01 * m10
     if det == 0.0:
         raise StepFailed("singular Newton matrix: zero determinant", iters)
-    r0, r1 = r.tolist()
-    return np.array([(m01 * r1 - m11 * r0) / det, (m10 * r0 - m00 * r1) / det])
+    r0, r1 = r
+    return ((m01 * r1 - m11 * r0) / det, (m10 * r0 - m00 * r1) / det)
 
 
 def implicit_euler_step(
@@ -143,54 +159,55 @@ def implicit_euler_step(
 ) -> State:
     """Solve ``u - u_prev - dt*rhs(t+dt, u) = 0`` by Newton-Raphson.
 
-    Starts from ``guess``; converged when the max-temperature change
-    between subsequent iterates is below ``tol.tol_nr`` and the residual
-    norm has decreased from its initial value.  Raises :class:`StepFailed`
-    on non-finite residuals, Jacobians or iterates, on a singular Newton
-    matrix, or when the iteration budget is exhausted.
+    ``u_prev`` and ``guess`` are sequences of floats (tuples inside the
+    propagators); the solution comes back as a tuple of floats.  Starts
+    from ``guess``; converged when the max-temperature change between
+    subsequent iterates is below ``tol.tol_nr`` and the residual norm has
+    decreased from its initial value.  Raises :class:`StepFailed` on
+    non-finite residuals, Jacobians or iterates, on an ``ArithmeticError``
+    (a float overflow or division by zero) inside ``rhs`` or the Jacobian,
+    on a singular Newton matrix, or when the iteration budget is exhausted.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if guess.shape != u_prev.shape:
+    if len(guess) != len(u_prev):
         raise ValueError("guess and u_prev must have the same dimension")
 
     t_new = t + dt
-    u = np.array(guess, dtype=float)
+    u = guess
     iters = 0
-    # Overflow inside rhs or the Jacobian surfaces as a non-finite value,
-    # which the checks below turn into StepFailed.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            r = u - u_prev - dt * problem.rhs(t_new, u)
-            r_list = r.tolist()
-            if not _all_finite(r_list):
-                raise StepFailed("non-finite residual at the initial guess", 0)
-            r0_norm = math.hypot(*r_list)
-            # A very good predictor leaves the initial residual at rounding
-            # noise, where a strict decrease is unattainable; residuals at or
-            # below this scale-aware floor count as converged.
-            r_floor = 1e-14 * (1.0 + math.hypot(*u_prev.tolist()))
-            temp = problem.max_temperature(u)
-            for _ in range(tol.nr_max_iters):
-                iters += 1
-                jac = newton_jacobian(problem, t_new, u)
-                u_new = u + _newton_update(dt, jac, r, iters)
-                if not _all_finite(u_new.tolist()):
-                    raise StepFailed("non-finite Newton iterate", iters)
-                r = u_new - u_prev - dt * problem.rhs(t_new, u_new)
-                r_list = r.tolist()
-                if not _all_finite(r_list):
-                    raise StepFailed("non-finite residual", iters)
-                temp_new = problem.max_temperature(u_new)
-                r_norm = math.hypot(*r_list)
-                if abs(temp_new - temp) < tol.tol_nr and (r_norm < r0_norm or r_norm <= r_floor):
-                    u_new.setflags(write=False)
-                    return u_new
-                u, temp = u_new, temp_new
-            raise StepFailed(f"no convergence within {tol.nr_max_iters} iterations", iters)
-        finally:
-            if counters is not None:
-                counters.nr_iterations += iters
+    try:
+        r = _residual(problem, t_new, dt, u, u_prev)
+        if not _all_finite(r):
+            raise StepFailed("non-finite residual at the initial guess", 0)
+        r0_norm = math.hypot(*r)
+        # A very good predictor leaves the initial residual at rounding
+        # noise, where a strict decrease is unattainable; residuals at or
+        # below this scale-aware floor count as converged.
+        r_floor = 1e-14 * (1.0 + math.hypot(*u_prev))
+        temp = problem.max_temperature(u)
+        for _ in range(tol.nr_max_iters):
+            iters += 1
+            du = _newton_update(dt, newton_jacobian(problem, t_new, u), r, iters)
+            u_new = tuple(map(operator.add, u, du))
+            if not _all_finite(u_new):
+                raise StepFailed("non-finite Newton iterate", iters)
+            r = _residual(problem, t_new, dt, u_new, u_prev)
+            if not _all_finite(r):
+                raise StepFailed("non-finite residual", iters)
+            temp_new = problem.max_temperature(u_new)
+            r_norm = math.hypot(*r)
+            if abs(temp_new - temp) < tol.tol_nr and (r_norm < r0_norm or r_norm <= r_floor):
+                return u_new
+            u, temp = u_new, temp_new
+        raise StepFailed(f"no convergence within {tol.nr_max_iters} iterations", iters)
+    except ArithmeticError as exc:
+        # Python floats raise where numpy returned inf or nan; both are a
+        # failed evaluation of this step, not a crash.
+        raise StepFailed(f"arithmetic error in rhs or Jacobian: {exc}", iters) from exc
+    finally:
+        if counters is not None:
+            counters.nr_iterations += iters
 
 
 def predict(history, t_next: float) -> State:
@@ -203,15 +220,15 @@ def predict(history, t_next: float) -> State:
     if len(history) == 0:
         raise ValueError("predict needs at least one history entry")
     if len(history) == 1:
-        return np.array(history[0][1], dtype=float)
+        return history[0][1]
     (t0, u0), (t1, u1) = history[-2], history[-1]
     w = (t_next - t1) / (t1 - t0)
-    return u1 + w * (u1 - u0)
+    return tuple([b + w * (b - a) for a, b in zip(u0, u1)])
 
 
 def estimate_lte(problem: Problem, u_solved: State, u_predicted: State) -> float:
     """Local truncation error proxy: |max_T(solved) - max_T(predicted)| in K."""
-    if u_solved.shape != u_predicted.shape:
+    if len(u_solved) != len(u_predicted):
         raise ValueError("state dimension mismatch")
     return abs(problem.max_temperature(u_solved) - problem.max_temperature(u_predicted))
 
@@ -245,17 +262,17 @@ def adaptive_integrate(
     """
     if not t_a < t_b:
         raise ValueError("need t_a < t_b")
-    if not np.all(np.isfinite(u_a)):
+    u = tuple(map(float, u_a))
+    if not _all_finite(u):
         raise ValueError("initial state contains non-finite entries")
 
     events = list(problem.forced_event_times(t_a, t_b))
-    times = [float(t_a)]
-    states = [np.array(u_a, dtype=float)]
-    history: deque = deque(maxlen=2)
-    history.append((float(t_a), states[0]))
-
     t = float(t_a)
-    u = states[0]
+    times = [t]
+    states = [u]
+    history: deque = deque(maxlen=2)
+    history.append((t, u))
+
     dt = tol.dt_init
     ev_idx = 0
 
@@ -301,10 +318,10 @@ def adaptive_integrate(
         history.append((t, u))
         if counters is not None:
             counters.steps_accepted += 1
-        dt = SAFETY * dt_step * np.sqrt(tol.tol_t / max(lte, LTE_FLOOR_REL * tol.tol_t))
+        dt = SAFETY * dt_step * math.sqrt(tol.tol_t / max(lte, LTE_FLOOR_REL * tol.tol_t))
         dt = min(tol.dt_max, max(tol.dt_min, dt))
 
-    return Trajectory(np.array(times), np.array(states))
+    return Trajectory(times, states)
 
 
 def fixed_integrate(
@@ -326,10 +343,11 @@ def fixed_integrate(
     if not np.all(np.diff(grid) > 0.0):
         raise ValueError("grid times must be strictly increasing")
 
-    states = [np.array(u_a, dtype=float)]
-    u = states[0]
-    for i in range(grid.size - 1):
-        t, dt = float(grid[i]), float(grid[i + 1] - grid[i])
+    times = grid.tolist()
+    u = tuple(map(float, u_a))
+    states = [u]
+    for t, t_next in zip(times, times[1:]):
+        dt = t_next - t
         try:
             u = implicit_euler_step(problem, t, dt, u, u, tol, counters)
         except StepFailed as exc:
@@ -340,4 +358,4 @@ def fixed_integrate(
         if counters is not None:
             counters.steps_accepted += 1
 
-    return Trajectory(grid, np.array(states))
+    return Trajectory(grid, states)

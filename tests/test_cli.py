@@ -3,6 +3,7 @@ import math
 import os
 import textwrap
 
+from parcoil import cli
 from parcoil.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -299,6 +300,26 @@ class TestStudy:
         assert all(r[-1] == "converged" for r in rows)
         assert all(int(r[3]) <= 4 for r in rows)
         assert all(float(r[4]) < 10.0 for r in rows)  # err_K below tol_pr in mK
+
+
+class TestInterrupt:
+    """Ctrl-C ends a command with exit 130 and one line on stderr, not a traceback."""
+
+    @staticmethod
+    def _interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    def test_sequential(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "adaptive_integrate", self._interrupt)
+        cfg = write_cfg(tmp_path, LINEAR_CFG)
+        assert main(["sequential", "--config", cfg, "--out", str(tmp_path / "o")]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+
+    def test_parareal(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_parareal", self._interrupt)
+        cfg = write_cfg(tmp_path, LINEAR_CFG)
+        assert main(["parareal", "--config", cfg, "--out", str(tmp_path / "o")]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
 
 
 class TestCsvFormatting:

@@ -179,7 +179,7 @@ def central_difference_jacobian(problem, t, u, rel=1e-7):
         up, dn = np.array(u, dtype=float), np.array(u, dtype=float)
         up[i] += delta
         dn[i] -= delta
-        jac[:, i] = (problem.rhs(t, up) - problem.rhs(t, dn)) / (2 * delta)
+        jac[:, i] = (np.asarray(problem.rhs(t, up)) - np.asarray(problem.rhs(t, dn))) / (2 * delta)
     return jac
 
 
@@ -209,7 +209,7 @@ class TestCoilJacobian:
         i_theta = (x_lo + load_frac * (x_hi - x_lo)) * i_c * (-1.0 if negative else 1.0)
         problem = CoilProblem()
         u = as_state([i_theta, temp])
-        analytic = problem.jacobian(t, u)
+        analytic = np.asarray(problem.jacobian(t, u))
         reference = central_difference_jacobian(problem, t, u)
         # rounding of the quotient scales with each row's largest entry
         atol = 1e-7 * np.abs(analytic).max(axis=1, keepdims=True)
@@ -217,7 +217,7 @@ class TestCoilJacobian:
 
     @pytest.mark.parametrize("temp", [PARAMS.t_op - 5.0, PARAMS.t_c + 1.0])
     def test_zero_temperature_slope_where_jc_is_clipped(self, temp):
-        jac = CoilProblem().jacobian(10.0, as_state([100.0, temp]))
+        jac = np.asarray(CoilProblem().jacobian(10.0, as_state([100.0, temp])))
         assert jac[0, 1] == 0.0
         assert jac[1, 1] == -PARAMS.cooling / PARAMS.heat_capacity
 

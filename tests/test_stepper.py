@@ -7,6 +7,7 @@ from parcoil import (
     CoilProblem,
     IntegrationFailed,
     LinearTestProblem,
+    PararealConfig,
     Problem,
     RampSchedule,
     StepCounters,
@@ -20,6 +21,7 @@ from parcoil import (
     implicit_euler_step,
     newton_jacobian,
     predict,
+    run_parareal,
 )
 
 DECAY = LinearTestProblem(-1.0, (1.0,))
@@ -33,13 +35,13 @@ def central_difference_jacobian(problem, t, u, delta=1e-6):
         up, dn = np.array(u, dtype=float), np.array(u, dtype=float)
         up[i] += delta
         dn[i] -= delta
-        jac[:, i] = (problem.rhs(t, up) - problem.rhs(t, dn)) / (2 * delta)
+        jac[:, i] = (np.asarray(problem.rhs(t, up)) - np.asarray(problem.rhs(t, dn))) / (2 * delta)
     return jac
 
 
 class TestNewtonJacobian:
     def test_linear_problem(self):
-        jac = newton_jacobian(DECAY, 0.3, as_state([2.0]))
+        jac = np.asarray(newton_jacobian(DECAY, 0.3, as_state([2.0])))
         assert jac[0, 0] == pytest.approx(-1.0, rel=1e-6)
 
     def test_zero_rhs(self):
@@ -60,7 +62,7 @@ class CubicDecay(Problem):
     component_names = ("a", "b")
 
     def rhs(self, t, u):
-        return -(u**3)
+        return tuple(-(x**3) for x in u)
 
     def max_temperature(self, u):
         return float(np.max(u))
@@ -89,14 +91,34 @@ class PowerSaturation(Problem):
         return as_state([0.0])
 
 
+class PowerBlowup(Problem):
+    """``d_t u = 1 - u**400`` on Python floats, where ``**`` raises past u = 5.9.
+
+    From ``u_prev = 0`` the first Newton iterate is ``u = dt``, so steps with
+    ``dt > 5.9`` raise ``OverflowError`` inside ``rhs``.
+    """
+
+    dimension = 1
+    component_names = ("u",)
+
+    def rhs(self, t, u):
+        return (1.0 - u[0] ** 400,)
+
+    def max_temperature(self, u):
+        return u[0]
+
+    def initial_state(self):
+        return as_state([0.0])
+
+
 def forward_difference_reference(problem, t, u, eps=1e-7):
-    f0 = problem.rhs(t, u)
+    f0 = np.asarray(problem.rhs(t, u))
     jac = np.empty((u.size, u.size))
     for i in range(u.size):
         delta = eps * max(abs(float(u[i])), 1.0)
         up = u.copy()
         up[i] += delta
-        jac[:, i] = (problem.rhs(t, up) - f0) / delta
+        jac[:, i] = (np.asarray(problem.rhs(t, up)) - f0) / delta
     return jac
 
 
@@ -112,7 +134,7 @@ class TestDefaultJacobian:
         problem = CubicDecay()
         u0 = problem.initial_state()
         u = implicit_euler_step(problem, 0.0, 0.1, u0, u0, TIGHT)
-        residual = u - u0 - 0.1 * problem.rhs(0.1, u)
+        residual = u - u0 - 0.1 * np.asarray(problem.rhs(0.1, u))
         assert np.max(np.abs(residual)) < 1e-9
 
 
@@ -133,6 +155,103 @@ class TestOverflow:
         assert traj.times[1] <= 8.0
         assert traj.t_end == 20.0
         assert traj.terminal_state[0] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestArithmeticError:
+    def test_float_overflow_in_rhs_is_a_failed_step(self):
+        with pytest.raises(StepFailed, match="arithmetic error") as info:
+            implicit_euler_step(PowerBlowup(), 0.0, 16.0, (0.0,), (0.0,), TIGHT)
+        assert info.value.iterations == 1
+
+    def test_adaptive_halves_after_float_overflow(self):
+        problem = PowerBlowup()
+        tol = StepperTolerances(tol_nr=1e-9, tol_t=10.0, dt_init=16.0, dt_min=1e-6, dt_max=16.0)
+        counters = StepCounters()
+        traj = adaptive_integrate(problem, 0.0, 20.0, problem.initial_state(), tol, counters)
+        assert counters.steps_rejected >= 1
+        assert traj.times[1] <= 8.0
+        assert traj.t_end == 20.0
+        assert traj.terminal_state[0] == pytest.approx(1.0, abs=1e-6)
+
+
+def is_float_tuple(u):
+    return type(u) is tuple and all(type(x) is float for x in u)
+
+
+class RecordsStates:
+    """Notes, per method, whether each state the problem receives is a tuple of floats."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = {"rhs": [], "jacobian": [], "max_temperature": []}
+
+    def rhs(self, t, u):
+        self.seen["rhs"].append(is_float_tuple(u))
+        return super().rhs(t, u)
+
+    def jacobian(self, t, u):
+        self.seen["jacobian"].append(is_float_tuple(u))
+        return super().jacobian(t, u)
+
+    def max_temperature(self, u):
+        self.seen["max_temperature"].append(is_float_tuple(u))
+        return super().max_temperature(u)
+
+
+class RecordingCoil(RecordsStates, CoilProblem):
+    """Closed-form Jacobian."""
+
+
+class RecordingCubic(RecordsStates, CubicDecay):
+    """Default forward-difference Jacobian, whose perturbed states are recorded too."""
+
+
+CONTRACT_TOLS = {
+    RecordingCoil: (
+        60.0,
+        StepperTolerances(tol_nr=1e-4, tol_t=1e-4, dt_init=0.1, dt_min=1e-9, dt_max=2.0),
+        StepperTolerances(tol_nr=1e-2, tol_t=2e-2, dt_init=0.5, dt_min=1e-9, dt_max=2.0),
+    ),
+    RecordingCubic: (
+        2.0,
+        StepperTolerances(tol_nr=1e-8, tol_t=1e-4, dt_init=0.05, dt_min=1e-12, dt_max=0.25),
+        StepperTolerances(tol_nr=1e-8, tol_t=5e-3, dt_init=0.1, dt_min=1e-12, dt_max=0.5),
+    ),
+}
+
+
+def assert_only_float_tuples(seen, *names):
+    assert seen["jacobian"], "no Newton iteration ran"
+    for name in names:
+        assert all(seen[name]), f"{name} received a state that is not a tuple of floats"
+
+
+@pytest.mark.parametrize("make", [RecordingCoil, RecordingCubic], ids=["coil", "cubic"])
+class TestFloatContract:
+    """Inside the propagators a problem only ever sees tuples of Python floats."""
+
+    def test_adaptive_integrate(self, make):
+        problem = make()
+        t_end, fine, _ = CONTRACT_TOLS[make]
+        adaptive_integrate(problem, 0.0, t_end, problem.initial_state(), fine)
+        assert_only_float_tuples(problem.seen, "rhs", "jacobian", "max_temperature")
+
+    def test_fixed_integrate(self, make):
+        problem = make()
+        t_end, _, coarse = CONTRACT_TOLS[make]
+        fixed_integrate(problem, np.linspace(0.0, t_end, 9), problem.initial_state(), coarse)
+        assert_only_float_tuples(problem.seen, "rhs", "jacobian", "max_temperature")
+
+    def test_run_parareal_one_worker(self, make):
+        problem = make()
+        t_end, fine, coarse = CONTRACT_TOLS[make]
+        cfg = PararealConfig(n_windows=4, tol_pr=1e-2, fine_tol=fine, coarse_tol=coarse)
+        _, report = run_parareal(problem, 0.0, t_end, problem.initial_state(), cfg, n_workers=1)
+        assert_only_float_tuples(problem.seen, "rhs", "jacobian")
+        # The only other callers are the boundary comparisons, which read
+        # trajectory rows: two per window and iteration.
+        outside = problem.seen["max_temperature"].count(False)
+        assert outside == 2 * cfg.n_windows * report.iterations_run
 
 
 class TestImplicitEulerStep:
