@@ -25,7 +25,6 @@ from .config import ConfigError, RunConfig, load_run_config, make_problem, run_i
 from .diagnostics import (
     PararealReport,
     cumulative_fine_times,
-    fine_time_stats,
     load_balance,
     max_possible_speedup,
     speedup,
@@ -33,14 +32,12 @@ from .diagnostics import (
 from .parareal import (
     PararealConfig,
     PartitionError,
-    coarse_window_grid,
     parareal_update,
-    partition_windows,
     pr_error,
     run_parareal,
     window_boundary_indices,
 )
-from .problem import Problem, State, Trajectory, as_state, state_linear_combination
+from .problem import Problem, State, Trajectory, as_state
 from .stepper import (
     IntegrationFailed,
     StepCounters,
@@ -75,15 +72,12 @@ __all__ = [
     "run_id",
     "PararealReport",
     "cumulative_fine_times",
-    "fine_time_stats",
     "load_balance",
     "max_possible_speedup",
     "speedup",
     "PararealConfig",
     "PartitionError",
-    "coarse_window_grid",
     "parareal_update",
-    "partition_windows",
     "pr_error",
     "run_parareal",
     "window_boundary_indices",
@@ -91,7 +85,6 @@ __all__ = [
     "State",
     "Trajectory",
     "as_state",
-    "state_linear_combination",
     "IntegrationFailed",
     "StepCounters",
     "StepFailed",

@@ -15,19 +15,20 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from .coil import CoilProblem
 from .config import ConfigError, RunConfig, load_run_config, make_problem, run_id
 from .diagnostics import (
     PararealReport,
     cumulative_fine_times,
     load_balance,
     max_possible_speedup,
+    speedup,
 )
 from .parareal import PartitionError, run_parareal
 from .problem import Problem, Trajectory
@@ -51,18 +52,14 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory) -> None:
-    is_coil = isinstance(problem, CoilProblem)
-    header = ["time_s", *problem.component_names, "T_max_K"]
-    if is_coil:
-        header += ["B_z_T", "I_source_A"]
+    derived = problem.derived_columns()
+    header = ["time_s", *problem.component_names, "T_max_K", *(name for name, _ in derived)]
     rows = []
     for i in range(traj.n_points):
         t = float(traj.times[i])
         state = traj.state(i)
         row = [t, *(float(v) for v in state), problem.max_temperature(state)]
-        if is_coil:
-            row += [problem.axial_field(state), problem.source_current(t)]
-        rows.append(row)
+        rows.append(row + [fn(t, state) for _, fn in derived])
     _write_csv(path, header, rows)
 
 
@@ -141,7 +138,7 @@ def _write_summary_csv(path: str, report: PararealReport, rid: str, baseline_wal
     ]
     lb = load_balance(cumulative_fine_times(report))
     n_over_k = max_possible_speedup(report.n_windows, report.k_converged) if report.converged else None
-    speed = baseline_wall / report.total_wall if baseline_wall is not None else None
+    speed = speedup(report, baseline_wall) if baseline_wall is not None else None
     rows = []
     for k, err in enumerate(report.err_per_iter, start=1):
         rows.append(
@@ -151,9 +148,11 @@ def _write_summary_csv(path: str, report: PararealReport, rid: str, baseline_wal
 
 
 def cmd_parareal(cfg: RunConfig, args) -> int:
+    baseline_wall = args.baseline_wall
+    if baseline_wall is not None and not 0.0 < baseline_wall < math.inf:
+        raise ConfigError(f"--baseline-wall must be positive and finite, got {baseline_wall}")
     problem = make_problem(cfg)
     rid = run_id(cfg)
-    baseline_wall = args.baseline_wall
     if args.with_baseline:
         _, baseline_wall, _ = _sequential_fine_run(problem, cfg, cfg.parareal.fine_tol)
 
@@ -231,7 +230,7 @@ def cmd_study(cfg: RunConfig, args) -> int:
                 row.append("integration_failed")
             else:
                 row[4] = 1e3 * report.err_per_iter[-1]
-                row[6] = baseline_wall / report.total_wall
+                row[6] = speedup(report, baseline_wall)
                 if report.converged:
                     row[3] = report.k_converged
                     row[5] = max_possible_speedup(n_windows, report.k_converged)

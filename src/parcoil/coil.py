@@ -256,6 +256,12 @@ class CoilProblem(Problem):
     def axial_field(self, u: State) -> float:
         return axial_field(u, self.params)
 
+    def derived_columns(self) -> tuple:
+        return (
+            ("B_z_T", lambda t, u: self.axial_field(u)),
+            ("I_source_A", lambda t, u: self.source_current(t)),
+        )
+
 
 class LinearTestProblem(Problem):
     """``d_t u = rate * u`` with exact solution ``u0 * exp(rate * t)``.

@@ -19,7 +19,6 @@ __all__ = [
     "speedup",
     "max_possible_speedup",
     "cumulative_fine_times",
-    "fine_time_stats",
 ]
 
 
@@ -102,8 +101,3 @@ def cumulative_fine_times(report: PararealReport) -> list[float]:
     n = len(matrix[0])
     return [sum(row[j] for row in matrix) for j in range(n)]
 
-
-def fine_time_stats(report: PararealReport) -> tuple[float, float, float]:
-    """(min, average, max) over windows of the cumulative fine wall times."""
-    cum = cumulative_fine_times(report)
-    return min(cum), sum(cum) / len(cum), max(cum)

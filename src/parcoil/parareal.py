@@ -34,12 +34,14 @@ from .stepper import (
     fixed_integrate,
 )
 
+# perfbench/tracing.py wraps adaptive_integrate, fixed_integrate and
+# ProcessPoolExecutor by replacing them in this module, so they must stay
+# module globals, looked up at call time (never bound at import).
+
 __all__ = [
     "PararealConfig",
     "PartitionError",
     "window_boundary_indices",
-    "partition_windows",
-    "coarse_window_grid",
     "parareal_update",
     "pr_error",
     "run_parareal",
@@ -85,33 +87,6 @@ def window_boundary_indices(m: int, n: int) -> list[int]:
     return [(m * j) // n for j in range(n + 1)]
 
 
-def partition_windows(t_hat, n_windows: int) -> np.ndarray:
-    """Window boundary times drawn from the coarse grid ``t_hat``."""
-    t_hat = np.asarray(t_hat, dtype=float)
-    if t_hat.ndim != 1 or t_hat.size < 2:
-        raise ValueError("t_hat must hold at least two times")
-    if not np.all(np.diff(t_hat) > 0.0):
-        raise ValueError("t_hat must be strictly increasing")
-    idx = window_boundary_indices(t_hat.size - 1, n_windows)
-    return t_hat[idx]
-
-
-def coarse_window_grid(t_hat, t_a: float, t_b: float) -> np.ndarray:
-    """Contiguous slice of ``t_hat`` from ``t_a`` to ``t_b`` inclusive.
-
-    Both endpoints must be grid members (window boundaries are, by
-    construction); anything else is a programming bug.
-    """
-    t_hat = np.asarray(t_hat, dtype=float)
-    ia = int(np.searchsorted(t_hat, t_a))
-    ib = int(np.searchsorted(t_hat, t_b))
-    if ia >= t_hat.size or t_hat[ia] != t_a or ib >= t_hat.size or t_hat[ib] != t_b:
-        raise ValueError("window endpoints must be members of the coarse grid")
-    if not ia < ib:
-        raise ValueError("need t_a < t_b")
-    return t_hat[ia : ib + 1]
-
-
 def parareal_update(fine_prev: State, coarse_new: State, coarse_prev: State) -> State:
     """Correction ``fine_prev + coarse_new - coarse_prev`` componentwise."""
     if fine_prev.shape != coarse_new.shape or fine_prev.shape != coarse_prev.shape:
@@ -134,6 +109,33 @@ def pr_error(boundary_states, fine_states, problem: Problem) -> float:
         abs(problem.max_temperature(u) - problem.max_temperature(f))
         for u, f in zip(boundary_states, fine_states)
     )
+
+
+def _propagate(context: str, integrate, problem: Problem, *args):
+    """Call ``integrate(problem, *args, counters)``; return (trajectory, Newton iterations, wall s).
+
+    A failure re-raises as :class:`IntegrationFailed` prefixed with ``context``.
+    """
+    counters = StepCounters()
+    start = time.perf_counter()
+    try:
+        traj = integrate(problem, *args, counters)
+    except IntegrationFailed as exc:
+        raise IntegrationFailed(f"{context}: {exc}") from exc
+    return traj, counters.nr_iterations, time.perf_counter() - start
+
+
+def _pool(problem: Problem, n_workers: int):
+    """Process pool for the fine loop, or None to run it in this process."""
+    if n_workers == 1:
+        return None
+    try:
+        pickle.dumps(problem)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise IntegrationFailed(
+            f"the problem cannot be sent to worker processes (run with one worker): {exc}"
+        ) from exc
+    return ProcessPoolExecutor(max_workers=n_workers)
 
 
 def _fine_batches(costs, n_batches: int) -> list[list[int]]:
@@ -160,16 +162,9 @@ def _fine_batch_task(args):
     problem, tol, k, windows = args
     results = []
     for j, t_a, t_b, u_start in windows:
-        counters = StepCounters()
-        wall0 = time.perf_counter()
-        try:
-            traj = adaptive_integrate(problem, t_a, t_b, u_start, tol, counters)
-        except IntegrationFailed as exc:
-            raise IntegrationFailed(
-                f"fine propagator failed in window {j} during iteration {k}: {exc}"
-            ) from exc
-        wall = time.perf_counter() - wall0
-        results.append((j, traj.times, traj.states, counters.nr_iterations, wall))
+        context = f"fine propagator failed in window {j} during iteration {k}"
+        traj, nr, wall = _propagate(context, adaptive_integrate, problem, t_a, t_b, u_start, tol)
+        results.append((j, traj.times, traj.states, nr, wall))
     return results
 
 
@@ -247,96 +242,58 @@ def run_parareal(
 
     # Iteration 1: one adaptive coarse solve over the whole interval
     # yields the coarse grid, the windows, and the initial boundary values.
-    ghat_counters = StepCounters()
-    ghat_start = time.perf_counter()
-    try:
-        coarse_traj = adaptive_integrate(problem, t_0, t_N, u_0, cfg.coarse_tol, ghat_counters)
-    except IntegrationFailed as exc:
-        raise IntegrationFailed(f"adaptive coarse pass failed: {exc}") from exc
-    time_ghat = time.perf_counter() - ghat_start
-
+    coarse_traj, nr_ghat, time_ghat = _propagate(
+        "adaptive coarse pass failed", adaptive_integrate, problem, t_0, t_N, u_0, cfg.coarse_tol
+    )
     t_hat = coarse_traj.times
     m = t_hat.size - 1
     idx = window_boundary_indices(m, n)
     boundaries = t_hat[idx]
 
     u_bounds = [coarse_traj.state(i) for i in idx]  # U_j, with U_0 = u_0
-    u_coarse_prev = list(u_bounds)  # coarse results of the previous iteration
-
+    u_coarse = list(u_bounds)  # coarse results of the previous iteration
     err_per_iter: list[float] = []
-    time_g: list[list[float]] = []
-    nr_g: list[list[int]] = []
-    time_f: list[list[float]] = []
-    nr_f: list[list[int]] = []
+    time_g, nr_g = [[0.0] * n], [[0] * n]  # iteration 1 runs no sweep
+    time_f, nr_f = [], []
 
-    executor = None
-    if n_workers > 1:
-        try:
-            pickle.dumps(problem)
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            raise IntegrationFailed(
-                f"the problem cannot be sent to worker processes (run with one worker): {exc}"
-            ) from exc
-        executor = ProcessPoolExecutor(max_workers=n_workers)
+    executor = _pool(problem, n_workers)
     try:
-        fine_trajs = None
-        u_fine = None
-        converged = False
-        k = 0
-        while k < cfg.k_max:
-            k += 1
-            if k == 1:
-                time_g.append([0.0] * n)
-                nr_g.append([0] * n)
-            else:
-                # Sequential coarse sweep on the frozen grid plus correction.
-                g_wall_row = []
-                g_nr_row = []
+        for k in range(1, cfg.k_max + 1):
+            if k > 1:
+                # Sequential coarse sweep on the frozen grid, each window
+                # followed by U_j <- F(U_{j-1}^k) + G(U_{j-1}^{k+1}) - G(U_{j-1}^k).
+                time_g.append([])
+                nr_g.append([])
                 for j in range(1, n + 1):
-                    grid = coarse_window_grid(t_hat, float(boundaries[j - 1]), float(boundaries[j]))
-                    win_counters = StepCounters()
-                    win_start = time.perf_counter()
-                    try:
-                        coarse_new = fixed_integrate(
-                            problem, grid, u_bounds[j - 1], cfg.coarse_tol, win_counters
-                        ).terminal_state
-                    except IntegrationFailed as exc:
-                        raise IntegrationFailed(
-                            f"coarse sweep failed in window {j} during iteration {k}: {exc}"
-                        ) from exc
-                    g_wall_row.append(time.perf_counter() - win_start)
-                    g_nr_row.append(win_counters.nr_iterations)
-                    u_bounds[j] = parareal_update(u_fine[j - 1], coarse_new, u_coarse_prev[j])
-                    u_coarse_prev[j] = coarse_new
-                time_g.append(g_wall_row)
-                nr_g.append(g_nr_row)
+                    context = f"coarse sweep failed in window {j} during iteration {k}"
+                    grid = t_hat[idx[j - 1] : idx[j] + 1]
+                    traj, nr, wall = _propagate(
+                        context, fixed_integrate, problem, grid, u_bounds[j - 1], cfg.coarse_tol
+                    )
+                    time_g[-1].append(wall)
+                    nr_g[-1].append(nr)
+                    u_bounds[j] = parareal_update(u_fine[j - 1], traj.terminal_state, u_coarse[j])
+                    u_coarse[j] = traj.terminal_state
 
             # Batches balance on the last iteration's fine work; the first
             # iteration has none, and equal costs deal windows round-robin.
+            costs = nr_f[-1] if nr_f else [1] * n
             fine_trajs, nr_row, wall_row = _run_fine_loop(
-                problem,
-                boundaries,
-                u_bounds,
-                cfg.fine_tol,
-                executor,
-                n_workers,
-                k,
-                nr_f[-1] if nr_f else [1] * n,
+                problem, boundaries, u_bounds, cfg.fine_tol, executor, n_workers, k, costs
             )
             nr_f.append(nr_row)
             time_f.append(wall_row)
             u_fine = [traj.terminal_state for traj in fine_trajs]
 
-            err = pr_error(u_bounds[1:], u_fine, problem)
-            err_per_iter.append(err)
-            if err < cfg.tol_pr:
-                converged = True
+            err_per_iter.append(pr_error(u_bounds[1:], u_fine, problem))
+            if err_per_iter[-1] < cfg.tol_pr:
                 break
     finally:
         if executor is not None:
             # Pending batches are dropped on any exception, Ctrl-C included.
             executor.shutdown(cancel_futures=True)
 
+    converged = err_per_iter[-1] < cfg.tol_pr
     trajectory = _stitch(fine_trajs)
     report = PararealReport(
         n_windows=n,
@@ -349,7 +306,7 @@ def run_parareal(
         time_g_per_window_per_iter=time_g,
         time_f_per_window_per_iter=time_f,
         total_wall=time.perf_counter() - wall_start,
-        nr_ghat=ghat_counters.nr_iterations,
+        nr_ghat=nr_ghat,
         nr_g_per_window_per_iter=nr_g,
         nr_f_per_window_per_iter=nr_f,
         boundary_states=list(u_bounds),

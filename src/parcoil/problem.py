@@ -13,7 +13,7 @@ freely.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "State",
     "as_state",
-    "state_linear_combination",
     "Trajectory",
     "Problem",
 ]
@@ -47,19 +46,6 @@ def as_state(values) -> np.ndarray:
         raise ValueError("state contains non-finite entries")
     arr.setflags(write=False)
     return arr
-
-
-def state_linear_combination(a: float, x: np.ndarray, b: float, y: np.ndarray) -> np.ndarray:
-    """Return ``a*x + b*y`` componentwise.
-
-    Plain multiply-multiply-add floating point, no FMA contraction.  A
-    dimension mismatch is a programming bug, not a recoverable condition.
-    """
-    if x.shape != y.shape:
-        raise ValueError(f"state dimension mismatch: {x.shape} vs {y.shape}")
-    out = a * x + b * y
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -174,3 +160,11 @@ class Problem(ABC):
         Sorted and duplicate-free; default is no events.
         """
         return []
+
+    def derived_columns(self) -> tuple[tuple[str, Callable[[float, State], float]], ...]:
+        """Extra trajectory-file columns as ``(name, fn(t, u))`` pairs; default none.
+
+        Build the pairs on each call: functions stored on the instance
+        would stop it from being pickled for the worker processes.
+        """
+        return ()

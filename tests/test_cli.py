@@ -3,7 +3,9 @@ import math
 import os
 import textwrap
 
-from parcoil import cli
+import pytest
+
+from parcoil import LinearTestProblem, cli
 from parcoil.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -83,6 +85,13 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+class Doubled(LinearTestProblem):
+    """Linear decay with one derived output column."""
+
+    def derived_columns(self):
+        return (("twice_u_0", lambda t, u: 2.0 * u[0]),)
+
+
 class TestConfigErrors:
     def test_missing_file_names_path(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.cfg")
@@ -133,6 +142,15 @@ class TestSequential:
         assert header == ["time_s", "I_theta_A", "T_K", "T_max_K", "B_z_T", "I_source_A"]
         times = [float(r[0]) for r in rows]
         assert 50.0 in times and 150.0 in times and times[-1] == 200.0
+
+    def test_derived_column_reaches_trajectory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "make_problem", lambda cfg: Doubled(-1.0, (1.0,)))
+        cfg = write_cfg(tmp_path, LINEAR_CFG)
+        out = str(tmp_path / "out")
+        assert main(["sequential", "--config", cfg, "--out", out]) == 0
+        header, rows = read_csv(os.path.join(out, "trajectory.csv"))
+        assert header == ["time_s", "u_0", "T_max_K", "twice_u_0"]
+        assert all(float(r[3]) == pytest.approx(2.0 * float(r[1]), rel=1e-11) for r in rows)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, LINEAR_CFG)
@@ -214,6 +232,24 @@ class TestParareal:
         _, rows = read_csv(os.path.join(out, "summary.csv"))
         assert len(rows) == 1  # one iteration executed
         assert rows[0][2] == ""  # K absent
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_baseline_wall_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        cfg = write_cfg(tmp_path, LINEAR_CFG)
+        out = tmp_path / "out"
+        argv = ["parareal", "--config", cfg, "--out", str(out), "--baseline-wall", value]
+        assert main(argv) == 1
+        assert "--baseline-wall must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_baseline_wall_sets_speedup(self, tmp_path):
+        cfg = write_cfg(tmp_path, LINEAR_CFG)
+        out = str(tmp_path / "out")
+        argv = ["parareal", "--config", cfg, "--out", out, "--workers", "1", "--baseline-wall", "2.5"]
+        assert main(argv) == 0
+        header, rows = read_csv(os.path.join(out, "summary.csv"))
+        assert rows[-1][header.index("baseline_wall_s")] == "2.5"
+        assert float(rows[-1][header.index("speedup")]) > 0.0
 
     def test_partition_error_exit_and_hint(self, tmp_path, capsys):
         text = DEGENERATE_CFG.replace("dt_init = 0.25", "dt_init = 1.0").replace(

@@ -4,7 +4,6 @@ import pytest
 from parcoil import (
     PararealReport,
     cumulative_fine_times,
-    fine_time_stats,
     load_balance,
     max_possible_speedup,
     speedup,
@@ -85,13 +84,12 @@ class TestFineTimeStats:
     def test_cumulative_then_min_avg_max(self):
         report = synthetic_report([[1.0, 2.0], [3.0, 4.0]])
         assert cumulative_fine_times(report) == [4.0, 6.0]
-        assert fine_time_stats(report) == (4.0, 5.0, 6.0)
 
     def test_single_window(self):
         report = synthetic_report([[2.0], [3.0]])
-        assert fine_time_stats(report) == (5.0, 5.0, 5.0)
+        assert cumulative_fine_times(report) == [5.0]
 
     def test_empty_report_is_hard_error(self):
         report = synthetic_report([])
         with pytest.raises(ValueError):
-            fine_time_stats(report)
+            cumulative_fine_times(report)

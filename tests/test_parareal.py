@@ -15,13 +15,13 @@ from parcoil import (
     StepperTolerances,
     adaptive_integrate,
     as_state,
-    coarse_window_grid,
+    fixed_integrate,
     parareal_update,
-    partition_windows,
     pr_error,
     run_parareal,
     window_boundary_indices,
 )
+from parcoil import parareal
 from parcoil.parareal import _fine_batches
 
 LIN_FINE = StepperTolerances(tol_nr=1e-8, tol_t=1e-4, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
@@ -56,34 +56,66 @@ class TestWindowBoundaryIndices:
             assert all(c >= 1 for c in counts)
 
 
+def record_sweep_grids(monkeypatch, n_windows=3, k_max=3):
+    """Run parareal on the linear problem and record the grid of every coarse sweep."""
+    grids = []
+
+    def recording_fixed_integrate(problem, grid, *args):
+        grids.append(np.array(grid))
+        return fixed_integrate(problem, grid, *args)
+
+    monkeypatch.setattr(parareal, "fixed_integrate", recording_fixed_integrate)
+    problem = LinearTestProblem(-1.0, (1.0,))
+    cfg = PararealConfig(
+        n_windows=n_windows, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=LIN_COARSE, k_max=k_max
+    )
+    _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
+    t_hat = adaptive_integrate(problem, 0.0, 1.0, problem.initial_state(), LIN_COARSE).times
+    # iterations 2..k_max each sweep the windows in order
+    sweeps = [grids[i : i + n_windows] for i in range(0, len(grids), n_windows)]
+    return report, t_hat, sweeps
+
+
 class TestPartitionWindows:
-    def test_boundaries_are_subsequence(self):
-        t_hat = np.array([0.0, 0.5, 1.5, 2.0, 3.25, 5.0, 7.0])
-        bounds = partition_windows(t_hat, 3)
+    def test_boundaries_are_subsequence(self, monkeypatch):
+        # windows split the adaptive coarse grid at the floor indices
+        report, t_hat, _ = record_sweep_grids(monkeypatch)
+        bounds = report.boundaries
+        assert report.m_coarse_steps == t_hat.size - 1
         assert bounds[0] == t_hat[0] and bounds[-1] == t_hat[-1]
         assert all(t in t_hat for t in bounds)
         assert np.all(np.diff(bounds) > 0)
-
-    def test_requires_increasing_grid(self):
-        with pytest.raises(ValueError):
-            partition_windows([0.0, 0.0, 1.0], 2)
+        assert np.array_equal(bounds, t_hat[window_boundary_indices(t_hat.size - 1, 3)])
 
 
 class TestCoarseWindowGrid:
-    T_HAT = np.array([0.0, 1.0, 2.0, 3.0])
+    # every coarse sweep runs on the grid points of its own window
 
-    def test_slice(self):
-        assert np.array_equal(coarse_window_grid(self.T_HAT, 1.0, 3.0), [1.0, 2.0, 3.0])
+    def test_slice(self, monkeypatch):
+        report, t_hat, sweeps = record_sweep_grids(monkeypatch)
+        idx = window_boundary_indices(t_hat.size - 1, 3)
+        expected = [t_hat[idx[j - 1] : idx[j] + 1] for j in (1, 2, 3)]
+        assert len(sweeps) == 2  # iterations 2 and 3
+        for sweep in sweeps:
+            assert len(sweep) == len(expected)
+            assert all(np.array_equal(g, e) for g, e in zip(sweep, expected))
 
-    def test_adjacent(self):
-        assert np.array_equal(coarse_window_grid(self.T_HAT, 1.0, 2.0), [1.0, 2.0])
+    def test_adjacent(self, monkeypatch):
+        report, _, sweeps = record_sweep_grids(monkeypatch)
+        for sweep in sweeps:
+            for j, grid in enumerate(sweep, start=1):
+                assert grid.size >= 2
+                assert grid[0] == report.boundaries[j - 1]
+                assert grid[-1] == report.boundaries[j]
+            for left, right in zip(sweep[:-1], sweep[1:]):
+                assert left[-1] == right[0]
 
-    def test_full_range(self):
-        assert np.array_equal(coarse_window_grid(self.T_HAT, 0.0, 3.0), self.T_HAT)
-
-    def test_non_member_endpoint(self):
-        with pytest.raises(ValueError):
-            coarse_window_grid(self.T_HAT, 0.5, 3.0)
+    def test_full_range(self, monkeypatch):
+        _, t_hat, sweeps = record_sweep_grids(monkeypatch)
+        assert sweeps
+        for sweep in sweeps:
+            joined = np.concatenate([sweep[0]] + [g[1:] for g in sweep[1:]])
+            assert np.array_equal(joined, t_hat)
 
 
 class TestPararealUpdate:
@@ -269,3 +301,30 @@ class TestFineLoopFailures:
         problem = Unpicklable()
         with pytest.raises(IntegrationFailed, match="cannot be sent to worker processes"):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+
+
+class TestCoarseFailures:
+    def test_ghat_failure_is_named(self):
+        hopeless = StepperTolerances(tol_nr=1e-8, tol_t=1e-13, dt_init=0.1, dt_min=0.05, dt_max=0.5)
+        cfg = PararealConfig(n_windows=4, tol_pr=1e-5, fine_tol=LIN_FINE, coarse_tol=hopeless)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        with pytest.raises(IntegrationFailed, match=r"^adaptive coarse pass failed: "):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
+
+    def test_sweep_failure_names_window_and_iteration(self, monkeypatch):
+        calls = []
+
+        def fails_on_seventh_window(*args):
+            calls.append(args)
+            if len(calls) == 7:  # iteration 2 sweeps windows 1-4, iteration 3 fails in 3
+                raise IntegrationFailed("stub Newton failure")
+            return fixed_integrate(*args)
+
+        monkeypatch.setattr(parareal, "fixed_integrate", fails_on_seventh_window)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        cfg = PararealConfig(
+            n_windows=4, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=LIN_COARSE, k_max=5
+        )
+        context = r"^coarse sweep failed in window 3 during iteration 3: stub Newton failure$"
+        with pytest.raises(IntegrationFailed, match=context):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)

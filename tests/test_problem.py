@@ -1,46 +1,7 @@
 import numpy as np
 import pytest
 
-from parcoil import LinearTestProblem, Trajectory, as_state, state_linear_combination
-
-
-class TestStateLinearCombination:
-    def test_identity(self):
-        v = as_state([3.0, -1.5, 8.25])
-        out = state_linear_combination(1.0, v, 0.0, as_state([9.0, 9.0, 9.0]))
-        assert np.array_equal(out, v)
-
-    def test_componentwise_addition(self):
-        out = state_linear_combination(1.0, as_state([1.0, 2.0]), 1.0, as_state([3.0, 4.0]))
-        assert np.array_equal(out, [4.0, 6.0])
-
-    def test_self_cancellation(self):
-        v = as_state([0.5, -2.0, 7.0])
-        out = state_linear_combination(1.0, v, -1.0, v)
-        assert np.array_equal(out, np.zeros(3))
-
-    def test_dimension_mismatch_is_hard_error(self):
-        with pytest.raises(ValueError):
-            state_linear_combination(1.0, as_state([1.0]), 1.0, as_state([1.0, 2.0]))
-
-    def test_commutes_with_permutation(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            dim = rng.integers(1, 8)
-            x, y = rng.normal(size=dim), rng.normal(size=dim)
-            a, b = rng.normal(), rng.normal()
-            perm = rng.permutation(dim)
-            direct = state_linear_combination(a, as_state(x), b, as_state(y))[perm]
-            permuted = state_linear_combination(a, as_state(x[perm]), b, as_state(y[perm]))
-            assert np.array_equal(direct, permuted)
-
-    def test_zero_weight_preserves_max_temperature(self):
-        problem = LinearTestProblem(-1.0, (1.0, 1.0))
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            x, y = as_state(rng.normal(size=2)), as_state(rng.normal(size=2))
-            out = state_linear_combination(1.0, x, 0.0, y)
-            assert problem.max_temperature(out) == problem.max_temperature(x)
+from parcoil import LinearTestProblem, Trajectory, as_state
 
 
 class TestAsState:
