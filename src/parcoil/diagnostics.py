@@ -9,6 +9,7 @@ without flaky timing comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,12 @@ class PararealReport:
     is the wall time of window ``j+1`` during iteration ``k+1``.  The
     coarse matrices hold zeros in their first row because iteration 1 runs
     the adaptive coarse pass (timed separately in ``time_ghat``) instead
-    of per-window fixed-grid solves.
+    of per-window fixed-grid solves.  From iteration 2 on, a window whose
+    start value did not change is not re-solved: its fine and coarse
+    entries are 0 Newton iterations and 0.0 s (in iteration ``k`` this
+    holds at least for windows ``1..k-1``), so sums over the
+    matrices count only the work done.  ``boundary_states`` are the final
+    U_j, j = 0..N, as read-only vectors.
     """
 
     n_windows: int
@@ -77,8 +83,8 @@ def load_balance(cum_fine_per_window) -> float:
 
 def speedup(report: PararealReport, sequential_wall: float) -> float:
     """Actual speedup: sequential reference wall time over Parareal wall time."""
-    if sequential_wall <= 0.0:
-        raise ValueError("sequential wall time must be positive")
+    if not 0.0 < sequential_wall < math.inf:
+        raise ValueError(f"sequential wall time must be positive and finite, got {sequential_wall}")
     return sequential_wall / report.total_wall
 
 

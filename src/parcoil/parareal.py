@@ -8,9 +8,13 @@ standard correction
 
     U_j  <-  fine(U_{j-1}, previous iteration) + coarse(U_{j-1}, new) - coarse(U_{j-1}, previous)
 
-and a concurrent fine solve on every window.  Convergence is declared when
-the max-temperature jump across all window boundaries drops below the
-requested tolerance.
+and a concurrent fine solve on every window whose start value changed.
+A window whose start is bitwise equal to that of its last fine solve is
+neither swept nor re-solved: U_j is its last fine result, exactly.  U_0
+never changes, so after k iterations the first k boundaries equal the
+chained fine solve bit for bit and a run ends with a zero error by
+iteration N+1.  Convergence is declared when the max-temperature jump
+across all window boundaries drops below the requested tolerance.
 """
 
 from __future__ import annotations
@@ -158,49 +162,45 @@ def _fine_batches(costs, n_batches: int) -> list[list[int]]:
 
 
 def _fine_batch_task(args):
-    """Worker body: solve a batch of windows; returns plain arrays for cheap pickling."""
+    """Worker body: solve a batch of windows; each result carries its validated trajectory."""
     problem, tol, k, windows = args
     results = []
     for j, t_a, t_b, u_start in windows:
         context = f"fine propagator failed in window {j} during iteration {k}"
         traj, nr, wall = _propagate(context, adaptive_integrate, problem, t_a, t_b, u_start, tol)
-        results.append((j, traj.times, traj.states, nr, wall))
+        results.append((j, traj, nr, wall))
     return results
 
 
-def _run_fine_loop(problem, boundaries, u_bounds, tol, executor, n_workers, k, costs):
-    """Solve every window in one batch per worker; results gathered by window index.
+def _run_fine_loop(problem, windows, tol, executor, n_workers, k, costs):
+    """Solve ``windows`` in one batch per worker; returns ``(j, trajectory, nr, wall)`` per window.
 
-    ``costs`` (one per window, e.g. the previous iteration's fine Newton
-    counts) balance the batches.  Without a pool the single batch runs
-    in this process.
+    ``windows`` are ``(j, t_a, t_b, u_start)`` tuples and ``costs`` (one
+    per window, e.g. its last fine Newton count) balance the batches.
+    Without a pool the single batch runs in this process; without windows
+    nothing runs.
     """
-    n = len(boundaries) - 1
+    if not windows:
+        return []
     batches = _fine_batches(costs, n_workers)
-    windows = [
-        (j, float(boundaries[j - 1]), float(boundaries[j]), u_bounds[j - 1])
-        for j in range(1, n + 1)
-    ]
     tasks = [(problem, tol, k, [windows[i] for i in batch]) for batch in batches]
-    trajs: list[Trajectory | None] = [None] * n
-    nr = [0] * n
-    wall = [0.0] * n
     run = map if executor is None else executor.map
-    done = 0
+    results = []
     try:
         for batch_results in run(_fine_batch_task, tasks):
-            for j, times, states, nr_j, wall_j in batch_results:
-                trajs[j - 1] = Trajectory(times, states)
-                nr[j - 1] = nr_j
-                wall[j - 1] = wall_j
-            done += 1
+            results.extend(batch_results)
     except BrokenProcessPool as exc:
-        pending = sorted(i + 1 for batch in batches[done:] for i in batch)
+        solved = {j for j, *_ in results}
+        pending = sorted(j for j, *_ in windows if j not in solved)
         raise IntegrationFailed(
             f"a fine worker process died during iteration {k} "
             f"while windows {pending} were unfinished: {exc}"
         ) from exc
-    return trajs, nr, wall
+    for _, traj, _, _ in results:
+        # unpickled arrays come back writeable
+        traj.times.setflags(write=False)
+        traj.states.setflags(write=False)
+    return results
 
 
 def _stitch(fine_trajs) -> Trajectory:
@@ -224,11 +224,14 @@ def run_parareal(
     """Execute the full algorithm from ``t_0`` to ``t_N``.
 
     Returns the stitched fine trajectory of the final iteration and the
-    run report.  A run that exhausts ``cfg.k_max`` without meeting
-    ``cfg.tol_pr`` is NOT an error: it returns normally with
-    ``report.converged`` False and ``report.k_converged`` None, so callers
-    must check the report.  :class:`PartitionError` and
-    :class:`IntegrationFailed` propagate with iteration/window context.
+    run report.  From iteration 2 on, only windows whose start value
+    changed since their last fine solve are swept and fine-solved; the
+    others keep their last fine trajectory and report zero work.  A run
+    that exhausts ``cfg.k_max`` without meeting ``cfg.tol_pr`` is NOT an
+    error: it returns normally with ``report.converged`` False and
+    ``report.k_converged`` None, so callers must check the report.
+    :class:`PartitionError` and :class:`IntegrationFailed` propagate with
+    iteration/window context.
     """
     if not t_0 < t_N:
         raise ValueError("need t_0 < t_N")
@@ -252,39 +255,55 @@ def run_parareal(
 
     u_bounds = [coarse_traj.state(i) for i in idx]  # U_j, with U_0 = u_0
     u_coarse = list(u_bounds)  # coarse results of the previous iteration
+    # Each window's last fine solve: its start state (bytes), its trajectory
+    # and its Newton count (equal costs deal iteration 1 round-robin).
+    fine_starts: list[bytes | None] = [None] * n
+    fine_trajs: list[Trajectory | None] = [None] * n
+    fine_nr = [1] * n
     err_per_iter: list[float] = []
-    time_g, nr_g = [[0.0] * n], [[0] * n]  # iteration 1 runs no sweep
-    time_f, nr_f = [], []
+    time_g, nr_g, time_f, nr_f = [], [], [], []
 
     executor = _pool(problem, n_workers)
     try:
         for k in range(1, cfg.k_max + 1):
-            if k > 1:
-                # Sequential coarse sweep on the frozen grid, each window
-                # followed by U_j <- F(U_{j-1}^k) + G(U_{j-1}^{k+1}) - G(U_{j-1}^k).
-                time_g.append([])
-                nr_g.append([])
-                for j in range(1, n + 1):
+            # Sequential coarse sweep on the frozen grid, each window followed
+            # by U_j <- F(U_{j-1}^k) + G(U_{j-1}^{k+1}) - G(U_{j-1}^k); iteration
+            # 1 keeps the Ĝ values.  A window whose start is bitwise unchanged
+            # since its last fine solve would repeat that solve exactly, so it
+            # is skipped and carries U_j = F(U_{j-1}) without the correction.
+            g_nr, g_wall = [0] * n, [0.0] * n
+            windows = []  # (j, t_a, t_b, U_{j-1}) of each window to re-solve
+            for j in range(1, n + 1):
+                if u_bounds[j - 1].tobytes() == fine_starts[j - 1]:
+                    u_bounds[j] = fine_trajs[j - 1].terminal_state
+                    continue
+                windows.append((j, float(boundaries[j - 1]), float(boundaries[j]), u_bounds[j - 1]))
+                if k > 1:
                     context = f"coarse sweep failed in window {j} during iteration {k}"
                     grid = t_hat[idx[j - 1] : idx[j] + 1]
-                    traj, nr, wall = _propagate(
+                    traj, g_nr[j - 1], g_wall[j - 1] = _propagate(
                         context, fixed_integrate, problem, grid, u_bounds[j - 1], cfg.coarse_tol
                     )
-                    time_g[-1].append(wall)
-                    nr_g[-1].append(nr)
-                    u_bounds[j] = parareal_update(u_fine[j - 1], traj.terminal_state, u_coarse[j])
+                    u_bounds[j] = parareal_update(
+                        fine_trajs[j - 1].terminal_state, traj.terminal_state, u_coarse[j]
+                    )
                     u_coarse[j] = traj.terminal_state
+            nr_g.append(g_nr)
+            time_g.append(g_wall)
 
-            # Batches balance on the last iteration's fine work; the first
-            # iteration has none, and equal costs deal windows round-robin.
-            costs = nr_f[-1] if nr_f else [1] * n
-            fine_trajs, nr_row, wall_row = _run_fine_loop(
-                problem, boundaries, u_bounds, cfg.fine_tol, executor, n_workers, k, costs
-            )
-            nr_f.append(nr_row)
-            time_f.append(wall_row)
+            costs = [fine_nr[j - 1] for j, *_ in windows]
+            f_nr, f_wall = [0] * n, [0.0] * n
+            for j, traj, nr, wall in _run_fine_loop(
+                problem, windows, cfg.fine_tol, executor, n_workers, k, costs
+            ):
+                fine_starts[j - 1] = u_bounds[j - 1].tobytes()
+                fine_trajs[j - 1] = traj
+                fine_nr[j - 1] = f_nr[j - 1] = nr
+                f_wall[j - 1] = wall
+            nr_f.append(f_nr)
+            time_f.append(f_wall)
+
             u_fine = [traj.terminal_state for traj in fine_trajs]
-
             err_per_iter.append(pr_error(u_bounds[1:], u_fine, problem))
             if err_per_iter[-1] < cfg.tol_pr:
                 break

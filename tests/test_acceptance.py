@@ -82,9 +82,8 @@ def test_criterion_1_parareal_exactness():
     problem = LinearTestProblem(-1.0, (1.0,))
     fine = StepperTolerances(tol_nr=1e-8, tol_t=1e-4, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
     coarse = StepperTolerances(tol_nr=1e-8, tol_t=5e-3, dt_init=0.1, dt_min=1e-12, dt_max=0.5)
-    bound = 10 * fine.tol_nr
     start = time.perf_counter()
-    worst = 0.0
+    checked = mismatched = 0
     for k in range(1, 5):
         cfg = PararealConfig(
             n_windows=4, tol_pr=1e-30, fine_tol=fine, coarse_tol=coarse, k_max=k
@@ -92,14 +91,15 @@ def test_criterion_1_parareal_exactness():
         traj, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
         oracle = chained_fine(problem, report.boundaries, fine)
         for j in range(1, k + 1):
-            t_j = float(report.boundaries[j])
-            diff = abs(float(traj.state_at_time(t_j)[0]) - float(oracle[j][0]))
-            worst = max(worst, diff)
+            got = traj.state_at_time(float(report.boundaries[j]))
+            checked += 1
+            mismatched += got.tobytes() != oracle[j].tobytes()
     elapsed = time.perf_counter() - start
     check(
         "criterion 1 (parareal exactness, linear N=4)",
-        worst < bound and elapsed < 10.0,
-        f"worst boundary mismatch {worst:.3e} < {bound:.1e}, runtime {elapsed:.2f}s < 10s",
+        mismatched == 0 and elapsed < 10.0,
+        f"{mismatched} of {checked} boundaries differ bitwise from the chained fine solve, "
+        f"runtime {elapsed:.2f}s < 10s",
     )
 
 

@@ -67,6 +67,12 @@ class TestSpeedup:
         seq = 29.0
         assert speedup(report, seq) * report.total_wall == seq
 
+    @pytest.mark.parametrize("wall", [0.0, -1.0, float("nan"), float("inf")])
+    def test_wall_must_be_positive_and_finite(self, wall):
+        report = synthetic_report([[1.0]], total_wall=7.25)
+        with pytest.raises(ValueError, match="positive and finite"):
+            speedup(report, wall)
+
 
 class TestMaxPossibleSpeedup:
     def test_table_entries(self):

@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 from fractions import Fraction
 
@@ -13,9 +14,12 @@ from parcoil import (
     PararealConfig,
     PartitionError,
     StepperTolerances,
+    Trajectory,
     adaptive_integrate,
     as_state,
     fixed_integrate,
+    load_run_config,
+    make_problem,
     parareal_update,
     pr_error,
     run_parareal,
@@ -26,6 +30,7 @@ from parcoil.parareal import _fine_batches
 
 LIN_FINE = StepperTolerances(tol_nr=1e-8, tol_t=1e-4, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
 LIN_COARSE = StepperTolerances(tol_nr=1e-8, tol_t=5e-3, dt_init=0.1, dt_min=1e-12, dt_max=0.5)
+SHIPPED_COIL_CFG = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "ni_coil.cfg")
 
 
 class TestWindowBoundaryIndices:
@@ -57,22 +62,28 @@ class TestWindowBoundaryIndices:
 
 
 def record_sweep_grids(monkeypatch, n_windows=3, k_max=3):
-    """Run parareal on the linear problem and record the grid of every coarse sweep."""
-    grids = []
+    """Run parareal on the linear problem and record the grid of every coarse sweep.
 
-    def recording_fixed_integrate(problem, grid, *args):
-        grids.append(np.array(grid))
-        return fixed_integrate(problem, grid, *args)
+    ``sweeps[k][j]`` is the grid window ``j`` was swept on during iteration
+    ``k``, in sweep order; window and iteration come from the failure
+    context that each propagator call carries.
+    """
+    sweeps = {}
+    propagate = parareal._propagate
 
-    monkeypatch.setattr(parareal, "fixed_integrate", recording_fixed_integrate)
+    def recording_propagate(context, integrate, problem, *args):
+        if integrate is fixed_integrate:
+            j, k = map(int, re.search(r"window (\d+) during iteration (\d+)", context).groups())
+            sweeps.setdefault(k, {})[j] = np.array(args[0])
+        return propagate(context, integrate, problem, *args)
+
+    monkeypatch.setattr(parareal, "_propagate", recording_propagate)
     problem = LinearTestProblem(-1.0, (1.0,))
     cfg = PararealConfig(
         n_windows=n_windows, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=LIN_COARSE, k_max=k_max
     )
     _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
     t_hat = adaptive_integrate(problem, 0.0, 1.0, problem.initial_state(), LIN_COARSE).times
-    # iterations 2..k_max each sweep the windows in order
-    sweeps = [grids[i : i + n_windows] for i in range(0, len(grids), n_windows)]
     return report, t_hat, sweeps
 
 
@@ -94,28 +105,33 @@ class TestCoarseWindowGrid:
     def test_slice(self, monkeypatch):
         report, t_hat, sweeps = record_sweep_grids(monkeypatch)
         idx = window_boundary_indices(t_hat.size - 1, 3)
-        expected = [t_hat[idx[j - 1] : idx[j] + 1] for j in (1, 2, 3)]
-        assert len(sweeps) == 2  # iterations 2 and 3
-        for sweep in sweeps:
-            assert len(sweep) == len(expected)
-            assert all(np.array_equal(g, e) for g, e in zip(sweep, expected))
+        assert list(sweeps) == [2, 3]  # iterations 2 and 3
+        for k, sweep in sweeps.items():
+            # windows 1..k-1 start where their last fine solve did: not swept
+            assert list(sweep) == list(range(k, 4))
+            for j, grid in sweep.items():
+                assert np.array_equal(grid, t_hat[idx[j - 1] : idx[j] + 1])
 
     def test_adjacent(self, monkeypatch):
         report, _, sweeps = record_sweep_grids(monkeypatch)
-        for sweep in sweeps:
-            for j, grid in enumerate(sweep, start=1):
+        for sweep in sweeps.values():
+            for j, grid in sweep.items():
                 assert grid.size >= 2
                 assert grid[0] == report.boundaries[j - 1]
                 assert grid[-1] == report.boundaries[j]
-            for left, right in zip(sweep[:-1], sweep[1:]):
+            grids = list(sweep.values())
+            for left, right in zip(grids[:-1], grids[1:]):
                 assert left[-1] == right[0]
 
     def test_full_range(self, monkeypatch):
+        # the swept windows joined give the coarse grid from their first start to t_N
         _, t_hat, sweeps = record_sweep_grids(monkeypatch)
+        idx = window_boundary_indices(t_hat.size - 1, 3)
         assert sweeps
-        for sweep in sweeps:
-            joined = np.concatenate([sweep[0]] + [g[1:] for g in sweep[1:]])
-            assert np.array_equal(joined, t_hat)
+        for sweep in sweeps.values():
+            grids = list(sweep.values())
+            joined = np.concatenate([grids[0]] + [g[1:] for g in grids[1:]])
+            assert np.array_equal(joined, t_hat[idx[min(sweep) - 1] :])
 
 
 class TestPararealUpdate:
@@ -187,8 +203,7 @@ class TestRunParareal:
         oracle = chained_fine_oracle(problem, report.boundaries, LIN_FINE)
         for j in range(1, k_max + 1):
             t_j = float(report.boundaries[j])
-            got = float(traj.state_at_time(t_j)[0])
-            assert abs(got - float(oracle[j][0])) < 10 * LIN_FINE.tol_nr
+            assert traj.state_at_time(t_j).tobytes() == oracle[j].tobytes()
 
     def test_not_converged_returns_report(self):
         problem = LinearTestProblem(-1.0, (1.0,))
@@ -231,6 +246,161 @@ class TestRunParareal:
         assert len(report.boundary_states) == 4
         assert report.err_per_iter[-1] < cfg.tol_pr
         assert report.m_coarse_steps >= 3
+
+
+def run_fingerprint(traj, report):
+    """Bytes of every non-wall-clock result of one run."""
+    counts = (
+        report.k_converged,
+        report.nr_ghat,
+        report.nr_g_per_window_per_iter,
+        report.nr_f_per_window_per_iter,
+    )
+    arrays = [traj.times, traj.states, np.array(report.err_per_iter), *report.boundary_states]
+    return b"|".join([repr(counts).encode()] + [np.asarray(a).tobytes() for a in arrays])
+
+
+# Coarse steps of at most 1/8 give every window count up to 6 enough steps.
+PROP_COARSE = StepperTolerances(tol_nr=1e-8, tol_t=5e-3, dt_init=0.1, dt_min=1e-12, dt_max=0.125)
+# Components are 0 or at least 0.1 in magnitude, so with tol_pr = 1e-30 a
+# boundary jump below the tolerance can only be an exact 0.
+component = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
+linear_systems = st.builds(
+    LinearTestProblem, st.floats(-3.0, 1.0), st.lists(component, min_size=1, max_size=3)
+)
+
+
+class TestWindowSkipping:
+    """From iteration 2 on, windows whose start is bitwise unchanged are not re-solved."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(problem=linear_systems, n=st.integers(2, 6), data=st.data())
+    def test_first_k_boundaries_are_chained_fine_bitwise(self, problem, n, data):
+        k = data.draw(st.integers(1, n + 1), label="k")
+        cfg = PararealConfig(
+            n_windows=n, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=PROP_COARSE, k_max=k
+        )
+        one = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
+        traj, report = one
+        k_run = report.iterations_run
+        assert k_run == k or report.converged
+        oracle = chained_fine_oracle(problem, report.boundaries, LIN_FINE)
+        for j in range(1, min(k_run, n) + 1):
+            assert traj.state_at_time(float(report.boundaries[j])).tobytes() == oracle[j].tobytes()
+        two = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=2)
+        assert run_fingerprint(*two) == run_fingerprint(*one)
+
+    @settings(max_examples=20, deadline=None)
+    @given(problem=linear_systems, n=st.integers(2, 6))
+    def test_converges_exactly_by_iteration_n_plus_1(self, problem, n):
+        cfg = PararealConfig(
+            n_windows=n, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=PROP_COARSE, k_max=n + 2
+        )
+        _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
+        assert report.converged and report.k_converged <= n + 1
+        assert report.err_per_iter[-1] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_skipped_windows_report_zero_work(self, monkeypatch, n):
+        solved = set()  # (propagator, iteration, window) of every window solve
+        propagate = parareal._propagate
+
+        def recording_propagate(context, integrate, problem, *args):
+            found = re.search(r"window (\d+) during iteration (\d+)", context)
+            if found:
+                j, k = map(int, found.groups())
+                solved.add((integrate is fixed_integrate, k, j))
+            return propagate(context, integrate, problem, *args)
+
+        monkeypatch.setattr(parareal, "_propagate", recording_propagate)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        cfg = PararealConfig(
+            n_windows=n, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=PROP_COARSE, k_max=n + 2
+        )
+        _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
+        assert report.converged and report.k_converged <= n + 1
+        rows = (
+            (False, report.nr_f_per_window_per_iter, report.time_f_per_window_per_iter),
+            (True, report.nr_g_per_window_per_iter, report.time_g_per_window_per_iter),
+        )
+        for sweep, nr, wall in rows:
+            for k in range(1, report.iterations_run + 1):
+                for j in range(1, n + 1):
+                    if (sweep, k, j) in solved:
+                        assert j >= k and (k > 1 or not sweep)
+                        assert nr[k - 1][j - 1] > 0 and wall[k - 1][j - 1] > 0.0
+                    else:
+                        assert nr[k - 1][j - 1] == 0 and wall[k - 1][j - 1] == 0.0
+        # a swept window is always fine-solved in the same iteration, and vice versa
+        fine = {(k, j) for sweep, k, j in solved if not sweep}
+        assert {(k, j) for sweep, k, j in solved if sweep} == {(k, j) for k, j in fine if k > 1}
+        assert {j for k, j in fine if k == 1} == set(range(1, n + 1))
+
+
+    def test_iteration_without_changed_windows_does_not_call_the_pool(self, monkeypatch):
+        maps = []
+
+        class CountingPool(parareal.ProcessPoolExecutor):
+            def map(self, *args, **kwargs):
+                maps.append(args)
+                return super().map(*args, **kwargs)
+
+        monkeypatch.setattr(parareal, "ProcessPoolExecutor", CountingPool)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        cfg = PararealConfig(
+            n_windows=3, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=PROP_COARSE, k_max=5
+        )
+        _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=2)
+        # iteration 4 = N+1 finds every start unchanged and re-solves nothing
+        assert report.k_converged == 4 and report.err_per_iter[-1] == 0.0
+        assert [any(row) for row in report.nr_f_per_window_per_iter] == [True, True, True, False]
+        assert len(maps) == 3
+
+
+class TestFineResults:
+    """Fine windows are validated once, in their propagator, and kept read-only."""
+
+    def shipped_coil(self):
+        cfg = load_run_config(SHIPPED_COIL_CFG)
+        return make_problem(cfg), cfg
+
+    def test_one_trajectory_per_propagator_call_plus_stitch(self, monkeypatch):
+        problem, cfg = self.shipped_coil()
+        built = []
+        post_init = Trajectory.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Trajectory, "__post_init__", counting_post_init)
+        _, report = run_parareal(
+            problem, cfg.t_start, cfg.t_end, problem.initial_state(), cfg.parareal, n_workers=1
+        )
+        sweeps = sum(nr > 0 for row in report.nr_g_per_window_per_iter for nr in row)
+        fines = sum(nr > 0 for row in report.nr_f_per_window_per_iter for nr in row)
+        assert (sweeps, fines) == (7 + 6, 8 + 7 + 6)
+        assert len(built) == 1 + sweeps + fines + 1
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_fine_results_and_boundary_states_are_read_only(self, monkeypatch, n_workers):
+        problem, cfg = self.shipped_coil()
+        results = []
+        run_fine_loop = parareal._run_fine_loop
+
+        def recording_fine_loop(*args):
+            out = run_fine_loop(*args)
+            results.extend(out)
+            return out
+
+        monkeypatch.setattr(parareal, "_run_fine_loop", recording_fine_loop)
+        _, report = run_parareal(
+            problem, cfg.t_start, cfg.t_end, problem.initial_state(), cfg.parareal, n_workers
+        )
+        assert len(results) == 8 + 7 + 6
+        arrays = [a for _, traj, _, _ in results for a in (traj.times, traj.states)]
+        arrays += [traj.terminal_state for _, traj, _, _ in results] + report.boundary_states
+        assert not any(a.flags.writeable for a in arrays)
 
 
 class TestFineBatches:
@@ -314,13 +484,13 @@ class TestCoarseFailures:
     def test_sweep_failure_names_window_and_iteration(self, monkeypatch):
         calls = []
 
-        def fails_on_seventh_window(*args):
+        def fails_on_fourth_window(*args):
             calls.append(args)
-            if len(calls) == 7:  # iteration 2 sweeps windows 1-4, iteration 3 fails in 3
+            if len(calls) == 4:  # iteration 2 sweeps windows 2-4, iteration 3 fails in 3
                 raise IntegrationFailed("stub Newton failure")
             return fixed_integrate(*args)
 
-        monkeypatch.setattr(parareal, "fixed_integrate", fails_on_seventh_window)
+        monkeypatch.setattr(parareal, "fixed_integrate", fails_on_fourth_window)
         problem = LinearTestProblem(-1.0, (1.0,))
         cfg = PararealConfig(
             n_windows=4, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=LIN_COARSE, k_max=5

@@ -37,5 +37,6 @@ def test_parareal_counts_at_one_worker():
     assert report.k_converged == 3
     assert report.m_coarse_steps == 122
     assert report.nr_ghat == 180
-    assert report.nr_g_per_iter == [0, 210, 210]
-    assert [sum(row) for row in report.nr_f_per_window_per_iter] == [1252, 1243, 1244]
+    # iteration k re-solves (sweep and fine) only windows k..N
+    assert report.nr_g_per_iter == [0, 182, 160]
+    assert [sum(row) for row in report.nr_f_per_window_per_iter] == [1252, 1121, 984]
