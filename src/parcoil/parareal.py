@@ -2,8 +2,11 @@
 
 The first iteration runs one adaptive coarse pass over the whole interval;
 its accepted time steps both seed the initial boundary values and define
-the windows (equal step-count split via the floor formula).  Later
-iterations alternate a sequential fixed-grid coarse sweep with the
+the windows (equal step-count split via the floor formula).  The pass
+starts every Newton solve from the previous accepted state, as the
+fixed-grid sweeps do, so a sweep from a state of the pass replays it bit
+for bit: the coarse propagator G is one and the same in every iteration.
+Later iterations alternate a sequential fixed-grid coarse sweep with the
 standard correction
 
     U_j  <-  fine(U_{j-1}, previous iteration) + coarse(U_{j-1}, new) - coarse(U_{j-1}, previous)
@@ -25,6 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -245,8 +249,11 @@ def run_parareal(
 
     # Iteration 1: one adaptive coarse solve over the whole interval
     # yields the coarse grid, the windows, and the initial boundary values.
+    # Its Newton solves start from the previous state, as the sweeps' do,
+    # so a sweep from a start Ĝ reached reproduces Ĝ bit for bit.
+    ghat = partial(adaptive_integrate, newton_from_previous=True)
     coarse_traj, nr_ghat, time_ghat = _propagate(
-        "adaptive coarse pass failed", adaptive_integrate, problem, t_0, t_N, u_0, cfg.coarse_tol
+        "adaptive coarse pass failed", ghat, problem, t_0, t_N, u_0, cfg.coarse_tol
     )
     t_hat = coarse_traj.times
     m = t_hat.size - 1

@@ -10,6 +10,12 @@ Two propagator flavors share one Newton step solver:
   no rejection, as required when a coarse sweep must reuse the time steps
   chosen by an earlier adaptive pass.
 
+Both take each step as ``dt = t_new - t`` from the grid times.  With
+``newton_from_previous`` the adaptive pass also starts every Newton solve
+from the previous accepted state, as the fixed-grid replay does, so the
+replay of any slice of its grid from its own state reproduces it bit for
+bit: Parareal's coarse pass and its sweeps are one propagator.
+
 Newton convergence follows the max-temperature criterion (absolute change
 between subsequent iterates below ``tol_nr``) combined with a residual
 decrease check, which guards against false triggers on states whose
@@ -249,16 +255,24 @@ def adaptive_integrate(
     u_a: State,
     tol: StepperTolerances,
     counters: StepCounters | None = None,
+    *,
+    newton_from_previous: bool = False,
 ) -> Trajectory:
     """Adaptive implicit Euler from ``(t_a, u_a)`` to exactly ``t_b``.
 
     Every trial step is clipped to land exactly on the next forced event
-    time (or ``t_b`` if nearer), solved with the extrapolated prediction
-    as Newton guess, and accepted when the estimated local truncation
-    error of the max temperature is below ``tol.tol_t``.  Rejected or
-    failed steps retry with half the step; the accepted step feeds an
+    time (or ``t_b`` if nearer), solved by Newton, and accepted when the
+    estimated local truncation error of the max temperature (the solution
+    minus the extrapolated prediction) is below ``tol.tol_t``.  Rejected
+    or failed steps retry with half the step; the accepted step feeds an
     order-1 controller.  Raises :class:`IntegrationFailed` if the step
     size underflows ``tol.dt_min`` through repeated rejection.
+
+    Newton starts from the prediction, or with ``newton_from_previous``
+    from the last accepted state.  Each step uses ``dt = t_new - t``, so
+    with ``newton_from_previous`` :func:`fixed_integrate` on any slice of
+    the returned grid, started from the state at the slice's first time,
+    reproduces the returned states bit for bit.
     """
     if not t_a < t_b:
         raise ValueError("need t_a < t_b")
@@ -279,18 +293,15 @@ def adaptive_integrate(
     while t < t_b:
         stop, ev_idx = _next_stop(t, t_b, events, ev_idx)
         gap = stop - t
-        if dt >= gap:
-            dt_step, t_new = gap, stop
-        else:
-            dt_step, t_new = dt, t + dt
+        t_new = stop if dt >= gap else t + dt
+        dt_step = t_new - t  # the step fixed_integrate takes on this grid
         if not t_new > t:
-            raise IntegrationFailed(
-                f"step size {dt_step:.3g} cannot advance time at t={t:.6g}"
-            )
+            raise IntegrationFailed(f"step size {dt:.3g} cannot advance time at t={t:.6g}")
 
         guess = predict(history, t_new)
+        start = u if newton_from_previous else guess
         try:
-            u_new = implicit_euler_step(problem, t, dt_step, u, guess, tol, counters)
+            u_new = implicit_euler_step(problem, t, dt_step, u, start, tol, counters)
         except StepFailed:
             dt = 0.5 * dt_step
             if counters is not None:
@@ -333,9 +344,12 @@ def fixed_integrate(
 ) -> Trajectory:
     """Implicit Euler on exactly the given time grid (no rejection).
 
-    The Newton guess for each step is the previous state.  A Newton
-    failure is fatal here: a fixed grid cannot subdivide, so
-    :class:`IntegrationFailed` propagates the failure.
+    The Newton guess for each step is the previous state and the step is
+    ``t_next - t``, exactly as in :func:`adaptive_integrate` with
+    ``newton_from_previous``: on a slice of that pass's grid, started from
+    its state, this replays it bit for bit.  A Newton failure is fatal
+    here: a fixed grid cannot subdivide, so :class:`IntegrationFailed`
+    propagates the failure.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
