@@ -285,6 +285,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.config)
         if args.out is not None:
+            if not args.out:
+                raise ConfigError("--out must not be empty")
             cfg = dataclasses.replace(cfg, out_dir=args.out)
         if args.workers is not None:
             if args.workers < 1:

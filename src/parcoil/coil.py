@@ -15,7 +15,7 @@ A scalar linear test problem with the closed-form solution
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,22 +74,9 @@ class CoilParams:
     field_constant: float = 1e-3
 
     def __post_init__(self):
-        for name in (
-            "e_c",
-            "j_c0",
-            "n",
-            "t_c",
-            "t_op",
-            "inductance",
-            "r_contact",
-            "a_hts",
-            "length",
-            "heat_capacity",
-            "cooling",
-            "field_constant",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"CoilParams.{name} must be strictly positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"CoilParams.{f.name} must be strictly positive")
         if self.n < 1.0:
             raise ValueError("power-law index n must be >= 1")
         if not self.t_c > self.t_op:
@@ -228,10 +215,6 @@ class CoilProblem(Problem):
         self.ramp = ramp if ramp is not None else DEFAULT_RAMP
 
     @property
-    def dimension(self) -> int:
-        return 2
-
-    @property
     def component_names(self) -> tuple[str, ...]:
         return ("I_theta_A", "T_K")
 
@@ -275,10 +258,6 @@ class LinearTestProblem(Problem):
         self._u0 = as_state(u0)
         n = self._u0.size
         self._jacobian = tuple(tuple(self.rate * float(i == j) for j in range(n)) for i in range(n))
-
-    @property
-    def dimension(self) -> int:
-        return self._u0.size
 
     @property
     def component_names(self) -> tuple[str, ...]:

@@ -1,18 +1,25 @@
 """Run configuration: a flat, sectioned key=value text file.
 
-Temperature-like tolerances are entered in millikelvin (the customary
-presentation for quench studies) and converted to kelvin internally; time
-quantities are plain seconds.  Every key except the problem selection and
-the end time has a default; see ``configs/ni_coil.cfg`` for the documented
-schema.
+``_SCHEMA`` lists every section and its keys.  An unknown section or key,
+a number that is not finite, or an inconsistent value is a
+:class:`ConfigError` (exit 1 from the CLI).  The keys of ``[coil]``,
+``[parareal]``, ``[fine]`` and ``[coarse]`` are the number fields of
+:class:`CoilParams`, :class:`PararealConfig` and
+:class:`StepperTolerances`, with the dataclass defaults unless
+``_DEFAULTS`` says otherwise.  A temperature-like tolerance field
+``tol_*`` is entered in millikelvin as ``tol_*_mk`` (the customary
+presentation for quench studies) and converted to kelvin; times are plain
+seconds.  Every key except the problem selection and the end time has a
+default; ``configs/ni_coil.cfg`` shows each one.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .coil import DEFAULT_RAMP, CoilParams, CoilProblem, LinearTestProblem, RampSchedule
 from .parareal import PararealConfig
@@ -23,37 +30,39 @@ __all__ = ["ConfigError", "RunConfig", "load_run_config", "make_problem", "run_i
 
 PROBLEM_NAMES = ("ni_coil", "linear_test")
 
-_COIL_KEYS = (
-    "e_c",
-    "j_c0",
-    "n",
-    "t_c",
-    "t_op",
-    "inductance",
-    "r_contact",
-    "a_hts",
-    "length",
-    "heat_capacity",
-    "cooling",
-    "field_constant",
-)
 
-_DEFAULT_FINE = {
-    "tol_nr_mk": 0.1,
-    "tol_t_mk": 0.1,
-    "dt_init": 0.1,
-    "dt_min": 1e-9,
-    "dt_max": 2.0,
-    "nr_max_iters": 50,
+def _key(field_name: str) -> str:
+    """Config key of a dataclass field: ``tol_*`` (kelvin) is entered as ``tol_*_mk``."""
+    return field_name + "_mk" if field_name.startswith("tol_") else field_name
+
+
+def _number_fields(cls) -> dict:
+    """Config key -> field for each number field of the dataclass ``cls``.
+
+    The modules use postponed annotations, so ``field.type`` is a string.
+    """
+    return {_key(f.name): f for f in fields(cls) if f.type in ("float", "int")}
+
+
+_SCHEMA = {
+    "run": ("problem", "t_start", "t_end", "out_dir", "workers"),
+    "coil": tuple(_number_fields(CoilParams)),
+    "ramp": ("points",),
+    "linear_test": ("rate", "initial"),
+    "parareal": tuple(_number_fields(PararealConfig)),
+    "fine": tuple(_number_fields(StepperTolerances)),
+    "coarse": tuple(_number_fields(StepperTolerances)),
+    "study": ("n_windows_list", "fine_tol_mk_list"),
 }
-_DEFAULT_COARSE = {
-    "tol_nr_mk": 10.0,
-    "tol_t_mk": 20.0,
-    "dt_init": 0.5,
-    "dt_min": 1e-9,
-    "dt_max": 2.0,
-    "nr_max_iters": 50,
+
+# Defaults of the dataclass-backed sections where the dataclass has none
+# or the config's differs.
+_DEFAULTS = {
+    "parareal": {"n_windows": 8, "tol_pr_mk": 10.0},
+    "fine": {"tol_nr_mk": 0.1, "tol_t_mk": 0.1},
+    "coarse": {"tol_nr_mk": 10.0, "tol_t_mk": 20.0, "dt_init": 0.5},
 }
+
 
 class ConfigError(Exception):
     """The configuration file is missing, malformed, or inconsistent."""
@@ -77,27 +86,23 @@ class RunConfig:
     workers: int | None = None
 
 
-def _float_of(section: str, key: str, raw: str) -> float:
+def _number(section: str, key: str, raw: str, integer: bool = False) -> float | int:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"key '{key}' in [{section}] is not a number: {raw!r}") from exc
-
-
-def _get_float(values: dict, section: str, key: str, default=None) -> float:
-    raw = values.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}' in section [{section}]")
-        return float(default)
-    return _float_of(section, key, raw)
-
-
-def _get_int(values: dict, section: str, key: str, default=None) -> int:
-    value = _get_float(values, section, key, default)
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}' in [{section}] must be a finite number, got {raw!r}")
+    if not integer:
+        return value
     if value != int(value):
         raise ConfigError(f"key '{key}' in [{section}] must be an integer")
     return int(value)
+
+
+def _number_list(section: str, key: str, raw: str, integer: bool = False) -> tuple:
+    items = [chunk.strip() for chunk in raw.split(",") if chunk.strip()]
+    return tuple(_number(section, key, item, integer) for item in items)
 
 
 def _parse_ramp(raw: str) -> RampSchedule:
@@ -108,48 +113,54 @@ def _parse_ramp(raw: str) -> RampSchedule:
             continue
         try:
             t_str, i_str = chunk.split(":")
-            segments.append((float(t_str), float(i_str)))
         except ValueError as exc:
             raise ConfigError(f"ramp point {chunk!r} is not 'time_s:current_A'") from exc
+        segments.append((_number("ramp", "points", t_str), _number("ramp", "points", i_str)))
     try:
         return RampSchedule(tuple(segments))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    items = [chunk.strip() for chunk in raw.split(",") if chunk.strip()]
+def _build(cls, section: str, values: dict, **extra):
+    """``cls`` from one section's number keys, ``_DEFAULTS`` and the dataclass defaults."""
+    kwargs = dict(extra)
+    for key, f in _number_fields(cls).items():
+        if key in values:
+            value = _number(section, key, values[key], integer=f.type == "int")
+        elif key in _DEFAULTS.get(section, {}):
+            value = _DEFAULTS[section][key]
+        else:
+            continue
+        kwargs[f.name] = 1e-3 * value if key != f.name else value
     try:
-        return tuple(float(item) for item in items)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list: {raw!r}") from exc
-
-
-def _tolerances(values: dict, section: str, defaults: dict) -> StepperTolerances:
-    try:
-        return StepperTolerances(
-            tol_nr=1e-3 * _get_float(values, section, "tol_nr_mk", defaults["tol_nr_mk"]),
-            tol_t=1e-3 * _get_float(values, section, "tol_t_mk", defaults["tol_t_mk"]),
-            dt_init=_get_float(values, section, "dt_init", defaults["dt_init"]),
-            dt_min=_get_float(values, section, "dt_min", defaults["dt_min"]),
-            dt_max=_get_float(values, section, "dt_max", defaults["dt_max"]),
-            nr_max_iters=_get_int(values, section, "nr_max_iters", defaults["nr_max_iters"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [{section}] tolerances: {exc}") from exc
+        raise ConfigError(f"invalid [{section}] settings: {exc}") from exc
 
 
 def load_run_config(path: str) -> RunConfig:
     """Parse and validate a configuration file."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No header can name the empty section, so [DEFAULT] is an ordinary
+    # (unknown) section rather than keys merged into every section.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     sections = {name: dict(parser[name]) for name in parser.sections()}
+    for name, values in sections.items():
+        if name not in _SCHEMA:
+            raise ConfigError(f"unknown section [{name}]; expected one of {', '.join(_SCHEMA)}")
+        unknown = sorted(set(values) - set(_SCHEMA[name]))
+        if unknown:
+            raise ConfigError(
+                f"unknown key(s) in [{name}]: {', '.join(unknown)}; "
+                f"expected one of {', '.join(_SCHEMA[name])}"
+            )
     if "run" not in sections:
         raise ConfigError(f"{path}: missing required section [run]")
     run = sections["run"]
@@ -159,64 +170,54 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError(
             f"unknown problem {problem_name!r}; choose one of {', '.join(PROBLEM_NAMES)}"
         )
-    t_start = _get_float(run, "run", "t_start", 0.0)
-    t_end = _get_float(run, "run", "t_end")
+    t_start = _number("run", "t_start", run["t_start"]) if "t_start" in run else 0.0
+    if "t_end" not in run:
+        raise ConfigError("missing required key 't_end' in section [run]")
+    t_end = _number("run", "t_end", run["t_end"])
     if not t_start < t_end:
         raise ConfigError("need t_start < t_end")
-    workers = None
-    if run.get("workers") is not None:
-        workers = _get_int(run, "run", "workers")
-        if workers < 1:
+    optional = {}
+    if "workers" in run:
+        optional["workers"] = _number("run", "workers", run["workers"], integer=True)
+        if optional["workers"] < 1:
             raise ConfigError("workers must be >= 1")
-    out_dir = run.get("out_dir", "out").strip()
+    if "out_dir" in run:
+        optional["out_dir"] = run["out_dir"].strip()
+        if not optional["out_dir"]:
+            raise ConfigError("key 'out_dir' in [run] must not be empty")
 
-    coil = sections.get("coil", {})
-    unknown = set(coil) - set(_COIL_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown [coil] keys: {', '.join(sorted(unknown))}")
-    coil_kwargs = {key: _get_float(coil, "coil", key) for key in _COIL_KEYS if key in coil}
-    try:
-        coil_params = CoilParams(**coil_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [coil] parameters: {exc}") from exc
-
+    coil_params = _build(CoilParams, "coil", sections.get("coil", {}))
     ramp_raw = sections.get("ramp", {}).get("points")
     ramp = _parse_ramp(ramp_raw) if ramp_raw is not None else DEFAULT_RAMP
 
     lin = sections.get("linear_test", {})
-    linear_rate = _get_float(lin, "linear_test", "rate", -1.0)
+    linear_rate = _number("linear_test", "rate", lin["rate"]) if "rate" in lin else -1.0
     linear_initial: tuple[float, ...] = (1.0,)
-    if lin.get("initial") is not None:
-        linear_initial = _parse_float_list(lin["initial"])
+    if "initial" in lin:
+        linear_initial = _number_list("linear_test", "initial", lin["initial"])
         if not linear_initial:
             raise ConfigError("[linear_test] initial must hold at least one component")
 
-    fine = _tolerances(sections.get("fine", {}), "fine", _DEFAULT_FINE)
-    coarse = _tolerances(sections.get("coarse", {}), "coarse", _DEFAULT_COARSE)
-
-    pr = sections.get("parareal", {})
-    try:
-        parareal = PararealConfig(
-            n_windows=_get_int(pr, "parareal", "n_windows", 8),
-            tol_pr=1e-3 * _get_float(pr, "parareal", "tol_pr_mk", 10.0),
-            fine_tol=fine,
-            coarse_tol=coarse,
-            k_max=_get_int(pr, "parareal", "k_max", 20),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [parareal] settings: {exc}") from exc
+    parareal = _build(
+        PararealConfig,
+        "parareal",
+        sections.get("parareal", {}),
+        fine_tol=_build(StepperTolerances, "fine", sections.get("fine", {})),
+        coarse_tol=_build(StepperTolerances, "coarse", sections.get("coarse", {})),
+    )
 
     study = sections.get("study", {})
-    n_windows_list: tuple[int, ...] = ()
-    fine_tol_mk_list: tuple[float, ...] = ()
-    if study.get("n_windows_list") is not None:
-        floats = _parse_float_list(study["n_windows_list"])
-        if any(v != int(v) or v < 1 for v in floats):
+    if "n_windows_list" in study:
+        optional["n_windows_list"] = _number_list(
+            "study", "n_windows_list", study["n_windows_list"], integer=True
+        )
+        if any(v < 1 for v in optional["n_windows_list"]):
             raise ConfigError("n_windows_list must hold positive integers")
-        n_windows_list = tuple(int(v) for v in floats)
-    if study.get("fine_tol_mk_list") is not None:
-        fine_tol_mk_list = _parse_float_list(study["fine_tol_mk_list"])
-        if any(v <= 0 for v in fine_tol_mk_list):
+    if "fine_tol_mk_list" in study:
+        optional["fine_tol_mk_list"] = _number_list(
+            "study", "fine_tol_mk_list", study["fine_tol_mk_list"]
+        )
+        if any(v <= 0 for v in optional["fine_tol_mk_list"]):
             raise ConfigError("fine_tol_mk_list entries must be positive")
 
     return RunConfig(
@@ -228,10 +229,7 @@ def load_run_config(path: str) -> RunConfig:
         linear_rate=linear_rate,
         linear_initial=linear_initial,
         parareal=parareal,
-        n_windows_list=n_windows_list,
-        fine_tol_mk_list=fine_tol_mk_list,
-        out_dir=out_dir,
-        workers=workers,
+        **optional,
     )
 
 
@@ -243,18 +241,11 @@ def make_problem(cfg: RunConfig) -> Problem:
 
 
 def run_id(cfg: RunConfig) -> str:
-    """Short content hash of the configuration, used to join output files."""
-    parts = [
-        cfg.problem_name,
-        repr(cfg.t_start),
-        repr(cfg.t_end),
-        repr(cfg.coil_params),
-        repr(cfg.ramp),
-        repr(cfg.linear_rate),
-        repr(cfg.linear_initial),
-        repr(cfg.parareal),
-        repr(cfg.n_windows_list),
-        repr(cfg.fine_tol_mk_list),
-    ]
-    digest = hashlib.sha256("|".join(parts).encode()).hexdigest()
-    return digest[:12]
+    """Short content hash of the configuration, used to join output files.
+
+    Hashes every field except the output directory and the worker count,
+    which do not change the results.
+    """
+    values = (getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("out_dir", "workers"))
+    parts = [v if isinstance(v, str) else repr(v) for v in values]
+    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]

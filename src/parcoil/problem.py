@@ -118,11 +118,6 @@ class Problem(ABC):
 
     @property
     @abstractmethod
-    def dimension(self) -> int:
-        """Number of state components."""
-
-    @property
-    @abstractmethod
     def component_names(self) -> tuple[str, ...]:
         """Column labels for serialized trajectories, one per component."""
 

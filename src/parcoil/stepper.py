@@ -95,10 +95,6 @@ class StepCounters:
 class StepFailed(Exception):
     """Newton-Raphson did not converge within the iteration budget."""
 
-    def __init__(self, message: str, iterations: int):
-        super().__init__(message)
-        self.iterations = iterations
-
 
 class IntegrationFailed(Exception):
     """A propagator could not reach the end of its interval."""
@@ -123,7 +119,7 @@ def _residual(problem: Problem, t: float, dt: float, u: State, u_prev: State) ->
     return tuple([a - b - dt * c for a, b, c in zip(u, u_prev, f, strict=True)])
 
 
-def _newton_update(dt: float, jac, r: tuple, iters: int) -> tuple:
+def _newton_update(dt: float, jac, r: tuple) -> tuple:
     """Solve ``(I - dt*jac) du = -r`` for the Newton update ``du``.
 
     Two-component systems use the closed-form inverse on Python floats,
@@ -137,19 +133,19 @@ def _newton_update(dt: float, jac, r: tuple, iters: int) -> tuple:
         with np.errstate(over="ignore", invalid="ignore"):
             jac = np.array(jac, dtype=float)
             if not np.all(np.isfinite(jac)):
-                raise StepFailed("non-finite Jacobian", iters)
+                raise StepFailed("non-finite Jacobian")
             try:
                 du = np.linalg.solve(np.eye(len(r)) - dt * jac, -np.array(r))
             except np.linalg.LinAlgError as exc:
-                raise StepFailed(f"singular Newton matrix: {exc}", iters) from exc
+                raise StepFailed(f"singular Newton matrix: {exc}") from exc
         return tuple(du.tolist())
     (a, b), (c, d) = jac
     if not _all_finite((a, b, c, d)):
-        raise StepFailed("non-finite Jacobian", iters)
+        raise StepFailed("non-finite Jacobian")
     m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
     det = m00 * m11 - m01 * m10
     if det == 0.0:
-        raise StepFailed("singular Newton matrix: zero determinant", iters)
+        raise StepFailed("singular Newton matrix: zero determinant")
     r0, r1 = r
     return ((m01 * r1 - m11 * r0) / det, (m10 * r0 - m00 * r1) / det)
 
@@ -185,7 +181,7 @@ def implicit_euler_step(
     try:
         r = _residual(problem, t_new, dt, u, u_prev)
         if not _all_finite(r):
-            raise StepFailed("non-finite residual at the initial guess", 0)
+            raise StepFailed("non-finite residual at the initial guess")
         r0_norm = math.hypot(*r)
         # A very good predictor leaves the initial residual at rounding
         # noise, where a strict decrease is unattainable; residuals at or
@@ -194,23 +190,23 @@ def implicit_euler_step(
         temp = problem.max_temperature(u)
         for _ in range(tol.nr_max_iters):
             iters += 1
-            du = _newton_update(dt, newton_jacobian(problem, t_new, u), r, iters)
+            du = _newton_update(dt, newton_jacobian(problem, t_new, u), r)
             u_new = tuple(map(operator.add, u, du))
             if not _all_finite(u_new):
-                raise StepFailed("non-finite Newton iterate", iters)
+                raise StepFailed("non-finite Newton iterate")
             r = _residual(problem, t_new, dt, u_new, u_prev)
             if not _all_finite(r):
-                raise StepFailed("non-finite residual", iters)
+                raise StepFailed("non-finite residual")
             temp_new = problem.max_temperature(u_new)
             r_norm = math.hypot(*r)
             if abs(temp_new - temp) < tol.tol_nr and (r_norm < r0_norm or r_norm <= r_floor):
                 return u_new
             u, temp = u_new, temp_new
-        raise StepFailed(f"no convergence within {tol.nr_max_iters} iterations", iters)
+        raise StepFailed(f"no convergence within {tol.nr_max_iters} iterations")
     except ArithmeticError as exc:
         # Python floats raise where numpy returned inf or nan; both are a
         # failed evaluation of this step, not a crash.
-        raise StepFailed(f"arithmetic error in rhs or Jacobian: {exc}", iters) from exc
+        raise StepFailed(f"arithmetic error in rhs or Jacobian: {exc}") from exc
     finally:
         if counters is not None:
             counters.nr_iterations += iters

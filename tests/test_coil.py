@@ -157,7 +157,7 @@ class TestCoilProblem:
         assert np.array_equal(u0, [0.0, coil_problem.params.t_op])
 
     def test_component_names_match_dimension(self, coil_problem):
-        assert len(coil_problem.component_names) == coil_problem.dimension
+        assert len(coil_problem.component_names) == len(coil_problem.initial_state())
 
 
 class TestCoilParamsValidation:
