@@ -12,6 +12,10 @@ standard correction
     U_j  <-  fine(U_{j-1}, previous iteration) + coarse(U_{j-1}, new) - coarse(U_{j-1}, previous)
 
 and a concurrent fine solve on every window whose start value changed.
+The windows are dealt into cost-balanced batches: this process solves the
+first, and up to P-1 worker processes, started before the coarse pass and
+fed through one pipe each, solve the rest (P fine solves at once, never
+more than N in all; P = 1 starts no process).
 A window whose start is bitwise equal to that of its last fine solve is
 neither swept nor re-solved: U_j is its last fine result, exactly.  U_0
 never changes, so after k iterations the first k boundaries equal the
@@ -22,13 +26,15 @@ across all window boundaries drops below the requested tolerance.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (see below)
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing import Pipe, Process
 
 import numpy as np
 
@@ -42,9 +48,11 @@ from .stepper import (
     fixed_integrate,
 )
 
-# perfbench/tracing.py wraps adaptive_integrate, fixed_integrate and
-# ProcessPoolExecutor by replacing them in this module, so they must stay
-# module globals, looked up at call time (never bound at import).
+# perfbench/tracing.py wraps adaptive_integrate and fixed_integrate by
+# replacing them in this module, so they must stay module globals, looked
+# up at call time (never bound at import).  It also replaces
+# ProcessPoolExecutor, which the fine loop no longer uses: the name is
+# imported only so that the tracer installs, and its pool spans stay empty.
 
 __all__ = [
     "PararealConfig",
@@ -133,19 +141,6 @@ def _propagate(context: str, integrate, problem: Problem, *args):
     return traj, counters.nr_iterations, time.perf_counter() - start
 
 
-def _pool(problem: Problem, n_workers: int):
-    """Process pool for the fine loop, or None to run it in this process."""
-    if n_workers == 1:
-        return None
-    try:
-        pickle.dumps(problem)
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        raise IntegrationFailed(
-            f"the problem cannot be sent to worker processes (run with one worker): {exc}"
-        ) from exc
-    return ProcessPoolExecutor(max_workers=n_workers)
-
-
 def _fine_batches(costs, n_batches: int) -> list[list[int]]:
     """Deal window indices into at most ``n_batches`` batches of similar total cost.
 
@@ -165,9 +160,8 @@ def _fine_batches(costs, n_batches: int) -> list[list[int]]:
     return [batch for batch in batches if batch]
 
 
-def _fine_batch_task(args):
-    """Worker body: solve a batch of windows; each result carries its validated trajectory."""
-    problem, tol, k, windows = args
+def _solve_batch(problem, tol, k, windows):
+    """Fine-solve ``(j, t_a, t_b, u_start)`` windows; one ``(j, trajectory, nr, wall)`` each."""
     results = []
     for j, t_a, t_b, u_start in windows:
         context = f"fine propagator failed in window {j} during iteration {k}"
@@ -176,35 +170,127 @@ def _fine_batch_task(args):
     return results
 
 
-def _run_fine_loop(problem, windows, tol, executor, n_workers, k, costs):
-    """Solve ``windows`` in one batch per worker; returns ``(j, trajectory, nr, wall)`` per window.
+def _fine_worker(conn, problem, tol):
+    """Worker process body: answer each ``(k, windows)`` with its results or its exception."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    while True:
+        try:
+            k, windows = conn.recv()
+        except EOFError:  # every copy of the caller's end is closed
+            return
+        try:
+            reply = _solve_batch(problem, tol, k, windows)
+        except Exception as exc:
+            reply = exc
+        conn.send(reply)
+
+
+class _WorkerGroup:
+    """``size`` fine-loop worker processes, each on its own pipe.
+
+    The problem and the fine tolerance reach a worker once, when it
+    starts.  No thread runs beside the caller, so nothing waits for the
+    GIL while the caller solves a batch itself.  Workers ignore SIGINT;
+    leaving the ``with`` block, normally or by any exception (Ctrl-C
+    included), terminates and joins them.
+    """
+
+    def __init__(self, problem: Problem, tol: StepperTolerances, size: int):
+        self.procs: list[Process] = []
+        self.conns: list = []  # this process's end of each worker's pipe
+        if size:
+            try:
+                pickle.dumps(problem)
+            except (pickle.PicklingError, TypeError, AttributeError) as exc:
+                raise IntegrationFailed(
+                    f"the problem cannot be sent to worker processes (run with one worker): {exc}"
+                ) from exc
+        try:
+            for _ in range(size):
+                conn, child = Pipe()
+                proc = Process(target=_fine_worker, args=(child, problem, tol), daemon=True)
+                self.conns.append(conn)
+                self.procs.append(proc)
+                # SIGINT stays blocked across the fork, until the worker ignores it
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    proc.start()
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                child.close()  # a later worker must not inherit it, or a death shows no EOF
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        started = [proc for proc in self.procs if proc.pid is not None]
+        for proc in started:
+            proc.terminate()
+        for proc in started:
+            proc.join()
+        for conn in self.conns:
+            conn.close()
+
+    def send(self, k: int, batches) -> None:
+        """Send one batch of windows to each of the first ``len(batches)`` workers."""
+        for conn, windows in zip(self.conns, batches):
+            with contextlib.suppress(OSError):  # a dead worker is reported by receive
+                conn.send((k, windows))
+
+    def receive(self, k: int, batches) -> list:
+        """Results of the batches passed to :meth:`send`, in batch order.
+
+        A worker's exception is re-raised here; a worker that died raises
+        :class:`IntegrationFailed` naming the windows whose results never came.
+        """
+        results, lost, failure = [], [], None
+        for conn, windows in zip(self.conns, batches):
+            try:
+                reply = conn.recv()
+            except (EOFError, OSError):
+                lost += [j for j, *_ in windows]
+                continue
+            if isinstance(reply, Exception):
+                failure = failure or reply
+                continue
+            for _, traj, _, _ in reply:
+                # unpickled arrays come back writeable
+                traj.times.setflags(write=False)
+                traj.states.setflags(write=False)
+            results += reply
+        if lost:
+            raise IntegrationFailed(
+                f"a fine worker process died during iteration {k} "
+                f"while windows {sorted(lost)} were unfinished"
+            )
+        if failure is not None:
+            raise failure
+        return results
+
+
+def _run_fine_loop(problem, windows, tol, workers, k, costs):
+    """Solve ``windows`` in one batch here and one per worker; ``(j, trajectory, nr, wall)`` each.
 
     ``windows`` are ``(j, t_a, t_b, u_start)`` tuples and ``costs`` (one
     per window, e.g. its last fine Newton count) balance the batches.
-    Without a pool the single batch runs in this process; without windows
-    nothing runs.
+    The workers get their batches first, then this process solves the
+    first batch; without windows nothing runs.
     """
     if not windows:
         return []
-    batches = _fine_batches(costs, n_workers)
-    tasks = [(problem, tol, k, [windows[i] for i in batch]) for batch in batches]
-    run = map if executor is None else executor.map
-    results = []
-    try:
-        for batch_results in run(_fine_batch_task, tasks):
-            results.extend(batch_results)
-    except BrokenProcessPool as exc:
-        solved = {j for j, *_ in results}
-        pending = sorted(j for j, *_ in windows if j not in solved)
-        raise IntegrationFailed(
-            f"a fine worker process died during iteration {k} "
-            f"while windows {pending} were unfinished: {exc}"
-        ) from exc
-    for _, traj, _, _ in results:
-        # unpickled arrays come back writeable
-        traj.times.setflags(write=False)
-        traj.states.setflags(write=False)
-    return results
+    batches = [
+        [windows[i] for i in batch] for batch in _fine_batches(costs, len(workers.procs) + 1)
+    ]
+    workers.send(k, batches[1:])
+    results = _solve_batch(problem, tol, k, batches[0])
+    return results + workers.receive(k, batches[1:])
 
 
 def _stitch(fine_trajs) -> Trajectory:
@@ -247,31 +333,31 @@ def run_parareal(
 
     wall_start = time.perf_counter()
 
-    # Iteration 1: one adaptive coarse solve over the whole interval
-    # yields the coarse grid, the windows, and the initial boundary values.
-    # Its Newton solves start from the previous state, as the sweeps' do,
-    # so a sweep from a start Ĝ reached reproduces Ĝ bit for bit.
-    ghat = partial(adaptive_integrate, newton_from_previous=True)
-    coarse_traj, nr_ghat, time_ghat = _propagate(
-        "adaptive coarse pass failed", ghat, problem, t_0, t_N, u_0, cfg.coarse_tol
-    )
-    t_hat = coarse_traj.times
-    m = t_hat.size - 1
-    idx = window_boundary_indices(m, n)
-    boundaries = t_hat[idx]
+    # The workers start first, so their start-up overlaps Ĝ.
+    with _WorkerGroup(problem, cfg.fine_tol, min(n_workers, n) - 1) as workers:
+        # Iteration 1: one adaptive coarse solve over the whole interval
+        # yields the coarse grid, the windows, and the initial boundary values.
+        # Its Newton solves start from the previous state, as the sweeps' do,
+        # so a sweep from a start Ĝ reached reproduces Ĝ bit for bit.
+        ghat = partial(adaptive_integrate, newton_from_previous=True)
+        coarse_traj, nr_ghat, time_ghat = _propagate(
+            "adaptive coarse pass failed", ghat, problem, t_0, t_N, u_0, cfg.coarse_tol
+        )
+        t_hat = coarse_traj.times
+        m = t_hat.size - 1
+        idx = window_boundary_indices(m, n)
+        boundaries = t_hat[idx]
 
-    u_bounds = [coarse_traj.state(i) for i in idx]  # U_j, with U_0 = u_0
-    u_coarse = list(u_bounds)  # coarse results of the previous iteration
-    # Each window's last fine solve: its start state (bytes), its trajectory
-    # and its Newton count (equal costs deal iteration 1 round-robin).
-    fine_starts: list[bytes | None] = [None] * n
-    fine_trajs: list[Trajectory | None] = [None] * n
-    fine_nr = [1] * n
-    err_per_iter: list[float] = []
-    time_g, nr_g, time_f, nr_f = [], [], [], []
+        u_bounds = [coarse_traj.state(i) for i in idx]  # U_j, with U_0 = u_0
+        u_coarse = list(u_bounds)  # coarse results of the previous iteration
+        # Each window's last fine solve: its start state (bytes), its trajectory
+        # and its Newton count (equal costs deal iteration 1 round-robin).
+        fine_starts: list[bytes | None] = [None] * n
+        fine_trajs: list[Trajectory | None] = [None] * n
+        fine_nr = [1] * n
+        err_per_iter: list[float] = []
+        time_g, nr_g, time_f, nr_f = [], [], [], []
 
-    executor = _pool(problem, n_workers)
-    try:
         for k in range(1, cfg.k_max + 1):
             # Sequential coarse sweep on the frozen grid, each window followed
             # by U_j <- F(U_{j-1}^k) + G(U_{j-1}^{k+1}) - G(U_{j-1}^k); iteration
@@ -284,7 +370,8 @@ def run_parareal(
                 if u_bounds[j - 1].tobytes() == fine_starts[j - 1]:
                     u_bounds[j] = fine_trajs[j - 1].terminal_state
                     continue
-                windows.append((j, float(boundaries[j - 1]), float(boundaries[j]), u_bounds[j - 1]))
+                t_a, t_b = float(boundaries[j - 1]), float(boundaries[j])
+                windows.append((j, t_a, t_b, u_bounds[j - 1]))
                 if k > 1:
                     context = f"coarse sweep failed in window {j} during iteration {k}"
                     grid = t_hat[idx[j - 1] : idx[j] + 1]
@@ -300,9 +387,8 @@ def run_parareal(
 
             costs = [fine_nr[j - 1] for j, *_ in windows]
             f_nr, f_wall = [0] * n, [0.0] * n
-            for j, traj, nr, wall in _run_fine_loop(
-                problem, windows, cfg.fine_tol, executor, n_workers, k, costs
-            ):
+            fine_results = _run_fine_loop(problem, windows, cfg.fine_tol, workers, k, costs)
+            for j, traj, nr, wall in fine_results:
                 fine_starts[j - 1] = u_bounds[j - 1].tobytes()
                 fine_trajs[j - 1] = traj
                 fine_nr[j - 1] = f_nr[j - 1] = nr
@@ -314,10 +400,6 @@ def run_parareal(
             err_per_iter.append(pr_error(u_bounds[1:], u_fine, problem))
             if err_per_iter[-1] < cfg.tol_pr:
                 break
-    finally:
-        if executor is not None:
-            # Pending batches are dropped on any exception, Ctrl-C included.
-            executor.shutdown(cancel_futures=True)
 
     converged = err_per_iter[-1] < cfg.tol_pr
     trajectory = _stitch(fine_trajs)

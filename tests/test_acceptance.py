@@ -282,20 +282,33 @@ def test_criterion_10_worker_count_determinism(coil, coil_cells):
 
 
 def test_batched_fine_loop_determinism(coil, coil_cells):
-    """Two workers, several windows per batch, cost order unlike window order."""
+    """2 and 3 workers, several windows per batch, cost order unlike window order."""
     cells, _ = coil_cells
     ok = True
     for n in (8, 16):
         cfg = PararealConfig(n_windows=n, tol_pr=TOL_PR, fine_tol=FINE, coarse_tol=COARSE)
-        two = run_parareal(coil, 0.0, 200.0, coil.initial_state(), cfg, n_workers=2)
-        batches = _fine_batches(two[1].nr_f_per_window_per_iter[0], 2)
-        ok = ok and all(len(batch) > 1 for batch in batches)
-        ok = ok and any(batch != sorted(batch) for batch in batches)
-        ok = ok and _report_fingerprint(*cells[n]) == _report_fingerprint(*two)
+        for workers in (2, 3):
+            run = run_parareal(coil, 0.0, 200.0, coil.initial_state(), cfg, n_workers=workers)
+            batches = _fine_batches(run[1].nr_f_per_window_per_iter[0], workers)
+            ok = ok and all(len(batch) > 1 for batch in batches)
+            ok = ok and any(batch != sorted(batch) for batch in batches)
+            ok = ok and _report_fingerprint(*cells[n]) == _report_fingerprint(*run)
     check(
         "batched fine loop (worker-count determinism)",
         ok,
-        "workers 1 vs 2 byte-identical for N in (8, 16)",
+        "workers 1 vs 2 and 3 byte-identical for N in (8, 16)",
+    )
+
+
+def test_more_workers_than_windows_determinism(coil, coil_cells):
+    """More workers than windows: the group is capped at N - 1 forked workers."""
+    cells, _ = coil_cells
+    cfg = PararealConfig(n_windows=8, tol_pr=TOL_PR, fine_tol=FINE, coarse_tol=COARSE)
+    run = run_parareal(coil, 0.0, 200.0, coil.initial_state(), cfg, n_workers=12)
+    check(
+        "more workers than windows (worker-count determinism)",
+        _report_fingerprint(*cells[8]) == _report_fingerprint(*run),
+        "workers 1 vs 12 byte-identical for N = 8",
     )
 
 

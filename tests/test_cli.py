@@ -1,7 +1,12 @@
+import contextlib
 import csv
 import math
 import os
+import signal
+import subprocess
+import sys
 import textwrap
+import time
 
 import pytest
 
@@ -10,6 +15,7 @@ from parcoil.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED_COIL_CFG = os.path.join(REPO_ROOT, "configs", "ni_coil.cfg")
+SRC = os.path.join(REPO_ROOT, "src")
 
 LINEAR_CFG = textwrap.dedent(
     """
@@ -356,6 +362,50 @@ class TestInterrupt:
         cfg = write_cfg(tmp_path, LINEAR_CFG)
         assert main(["parareal", "--config", cfg, "--out", str(tmp_path / "o")]) == 130
         assert capsys.readouterr().err == "interrupted\n"
+
+    @pytest.mark.parametrize("to_group", [False, True], ids=["process", "process_group"])
+    def test_sigint_stops_parareal_and_its_workers(self, tmp_path, to_group):
+        # the shipped coil with the fine step capped at 0.1 ms runs for minutes
+        with open(SHIPPED_COIL_CFG) as f:
+            shipped = f.read()
+        head, rest = shipped.split("[fine]")
+        coarse = rest.split("[coarse]")[1]
+        fine = "\n".join(
+            ["[fine]", "tol_nr_mk = 5e-6", "tol_t_mk = 5e-6", "dt_init = 1e-4", "dt_max = 1e-4", ""]
+        )
+        cfg = write_cfg(tmp_path, head + fine + "[coarse]" + coarse)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        argv = ["parareal", "--config", cfg, "--workers", "2", "--out", str(tmp_path / "o")]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "parcoil.cli", *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            start_new_session=True,  # its own process group, holding it and its workers
+        )
+        try:
+            time.sleep(1.0)
+            assert proc.poll() is None
+            start = time.monotonic()
+            if to_group:
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                os.kill(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+            elapsed = time.monotonic() - start
+            try:
+                os.killpg(proc.pid, 0)
+                left_running = True
+            except ProcessLookupError:
+                left_running = False
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 130
+        assert err == b"interrupted\n"
+        assert not left_running
+        assert elapsed < 5.0
 
 
 class TestCsvFormatting:

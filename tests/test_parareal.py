@@ -1,3 +1,6 @@
+import dataclasses
+import math
+import multiprocessing
 import os
 import re
 import threading
@@ -340,14 +343,14 @@ class TestWindowSkipping:
 
 
     def test_iteration_without_changed_windows_does_not_call_the_pool(self, monkeypatch):
-        maps = []
+        dispatched = []
+        send = parareal._WorkerGroup.send
 
-        class CountingPool(parareal.ProcessPoolExecutor):
-            def map(self, *args, **kwargs):
-                maps.append(args)
-                return super().map(*args, **kwargs)
+        def counting_send(self, k, batches):
+            dispatched.append((k, len(batches)))
+            send(self, k, batches)
 
-        monkeypatch.setattr(parareal, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(parareal._WorkerGroup, "send", counting_send)
         problem = LinearTestProblem(-1.0, (1.0,))
         cfg = PararealConfig(
             n_windows=3, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=PROP_COARSE, k_max=5
@@ -356,7 +359,9 @@ class TestWindowSkipping:
         # iteration 4 = N+1 finds every start unchanged and re-solves nothing
         assert report.k_converged == 4 and report.err_per_iter[-1] == 0.0
         assert [any(row) for row in report.nr_f_per_window_per_iter] == [True, True, True, False]
-        assert len(maps) == 3
+        # iterations 1-3 dispatch (3 windows, then 2, then 1: one batch per
+        # worker beyond the first); iteration 4 never reaches the group
+        assert dispatched == [(1, 1), (2, 1), (3, 0)]
 
 
 def record_ghat(problem, t_end, coarse_tol):
@@ -480,15 +485,25 @@ class TestFineBatches:
 
 
 class DiesInWorker(LinearTestProblem):
-    """Linear decay whose rhs kills any process but the one that built it."""
+    """Linear decay whose rhs before ``t_death`` kills any process but the one that built it."""
 
-    def __init__(self):
+    def __init__(self, t_death=math.inf):
         super().__init__(-1.0, (1.0,))
         self.owner = os.getpid()
+        self.t_death = t_death
+
+    def rhs(self, t, u):
+        if os.getpid() != self.owner and t < self.t_death:
+            os._exit(3)
+        return super().rhs(t, u)
+
+
+class NanInWorker(DiesInWorker):
+    """Linear decay whose rhs is NaN in any process but the one that built it."""
 
     def rhs(self, t, u):
         if os.getpid() != self.owner:
-            os._exit(3)
+            return (math.nan,)
         return super().rhs(t, u)
 
 
@@ -499,25 +514,80 @@ class Unpicklable(LinearTestProblem):
 
 
 class TestFineLoopFailures:
+    """At two workers windows 1 and 3 are solved in this process, 2 and 4 by the worker."""
+
     CFG = PararealConfig(n_windows=4, tol_pr=1e-5, fine_tol=LIN_FINE, coarse_tol=LIN_COARSE)
+    HOPELESS = StepperTolerances(tol_nr=1e-8, tol_t=1e-13, dt_init=0.1, dt_min=0.05, dt_max=0.5)
 
     def test_fine_failure_names_window_and_iteration(self):
-        hopeless = StepperTolerances(tol_nr=1e-8, tol_t=1e-13, dt_init=0.1, dt_min=0.05, dt_max=0.5)
-        cfg = PararealConfig(n_windows=4, tol_pr=1e-5, fine_tol=hopeless, coarse_tol=LIN_COARSE)
+        cfg = dataclasses.replace(self.CFG, fine_tol=self.HOPELESS)
         problem = LinearTestProblem(-1.0, (1.0,))
         with pytest.raises(IntegrationFailed, match=r"window 1 during iteration 1"):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
 
+    def test_failure_in_this_process_stops_the_workers(self):
+        cfg = dataclasses.replace(self.CFG, fine_tol=self.HOPELESS)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        with pytest.raises(IntegrationFailed, match=r"window 1 during iteration 1"):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=2)
+        assert not multiprocessing.active_children()
+
+    def test_worker_failure_names_window_and_iteration(self):
+        problem = NanInWorker()
+        with pytest.raises(IntegrationFailed, match=r"window 2 during iteration 1"):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+        assert not multiprocessing.active_children()
+
     def test_worker_crash_is_integration_failure(self):
         problem = DiesInWorker()
-        unfinished = r"died during iteration 1 while windows \[1, 2, 3, 4\]"
+        unfinished = r"died during iteration 1 while windows \[2, 4\] were unfinished"
         with pytest.raises(IntegrationFailed, match=unfinished):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+        assert not multiprocessing.active_children()
+
+    def test_worker_crash_names_only_its_windows(self):
+        # three batches: windows 1 and 4 here, 2 in the first worker, 3 in the second
+        problem = LinearTestProblem(-1.0, (1.0,))
+        _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=1)
+        problem = DiesInWorker(t_death=report.boundaries[2])  # window 2 dies, window 3 does not
+        unfinished = r"died during iteration 1 while windows \[2\] were unfinished"
+        with pytest.raises(IntegrationFailed, match=unfinished):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=3)
+        assert not multiprocessing.active_children()
 
     def test_unpicklable_problem_is_integration_failure(self):
         problem = Unpicklable()
         with pytest.raises(IntegrationFailed, match="cannot be sent to worker processes"):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+
+
+class TestWorkerGroup:
+    CFG = TestFineLoopFailures.CFG
+
+    def test_success_leaves_no_process(self):
+        problem = LinearTestProblem(-1.0, (1.0,))
+        _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+        assert report.converged
+        assert not multiprocessing.active_children()
+
+    def test_workers_capped_at_window_count(self, monkeypatch):
+        started = []
+        process = parareal.Process
+
+        def counting_process(*args, **kwargs):
+            started.append(process(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(parareal, "Process", counting_process)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        cfg = dataclasses.replace(self.CFG, n_windows=2)
+        one = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
+        assert started == []
+        five = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=5)
+        assert len(started) == 1
+        assert one[0].states.tobytes() == five[0].states.tobytes()
+        assert one[1].nr_f_per_window_per_iter == five[1].nr_f_per_window_per_iter
+        assert not multiprocessing.active_children()
 
 
 class TestCoarseFailures:
