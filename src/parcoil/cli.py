@@ -5,7 +5,7 @@ into the output directory.  Floats are serialized with 12 significant
 digits, so re-running a command with the same configuration and worker
 count reproduces all non-wall-clock columns byte-identically.
 
-Exit codes: 0 success (and convergence), 1 configuration error,
+Exit codes: 0 success (and convergence), 1 configuration or usage error,
 2 partitioning/integration failure, 3 Parareal did not converge within
 the iteration cap (outputs are still written), 130 interrupted (Ctrl-C).
 """
@@ -54,12 +54,10 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory) -> None:
     derived = problem.derived_columns()
     header = ["time_s", *problem.component_names, "T_max_K", *(name for name, _ in derived)]
-    rows = []
-    for i in range(traj.n_points):
-        t = float(traj.times[i])
-        state = traj.state(i)
-        row = [t, *(float(v) for v in state), problem.max_temperature(state)]
-        rows.append(row + [fn(t, state) for _, fn in derived])
+    rows = [
+        [t, *state, problem.max_temperature(state), *(fn(t, state) for _, fn in derived)]
+        for t, state in zip(traj.times.tolist(), traj.states.tolist())
+    ]
     _write_csv(path, header, rows)
 
 
@@ -247,8 +245,15 @@ def cmd_study(cfg: RunConfig, args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise :class:`ConfigError` (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parcoil",
         description="Parallel-in-time integration with automatic time-window partitioning.",
     )
@@ -264,12 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory (overrides the config)")
         cmd.add_argument("--workers", type=int, help="worker count for the fine loop")
         if name == "parareal":
-            cmd.add_argument(
+            baseline = cmd.add_mutually_exclusive_group()
+            baseline.add_argument(
                 "--with-baseline",
                 action="store_true",
                 help="co-execute a sequential fine baseline to report the actual speedup",
             )
-            cmd.add_argument(
+            baseline.add_argument(
                 "--baseline-wall",
                 type=float,
                 help="externally measured sequential wall time (s) for the speedup column",
@@ -281,8 +287,8 @@ _COMMANDS = {"sequential": cmd_sequential, "parareal": cmd_parareal, "study": cm
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_run_config(args.config)
         if args.out is not None:
             if not args.out:

@@ -12,10 +12,12 @@ standard correction
     U_j  <-  fine(U_{j-1}, previous iteration) + coarse(U_{j-1}, new) - coarse(U_{j-1}, previous)
 
 and a concurrent fine solve on every window whose start value changed.
-The windows are dealt into cost-balanced batches: this process solves the
-first, and up to P-1 worker processes, started before the coarse pass and
-fed through one pipe each, solve the rest (P fine solves at once, never
-more than N in all; P = 1 starts no process).
+The fine propagator F is one object, opened before the coarse pass: it
+keeps each window's last fine solve and deals the windows to re-solve
+into cost-balanced batches on their last Newton counts.  This process
+solves the first batch, and up to P-1 worker processes, fed through one
+pipe each, solve the rest (P fine solves at once, never more than N in
+all; P = 1 starts no process).
 A window whose start is bitwise equal to that of its last fine solve is
 neither swept nor re-solved: U_j is its last fine result, exactly.  U_0
 never changes, so after k iterations the first k boundaries equal the
@@ -51,8 +53,9 @@ from .stepper import (
 # perfbench/tracing.py wraps adaptive_integrate and fixed_integrate by
 # replacing them in this module, so they must stay module globals, looked
 # up at call time (never bound at import).  It also replaces
-# ProcessPoolExecutor, which the fine loop no longer uses: the name is
-# imported only so that the tracer installs, and its pool spans stay empty.
+# ProcessPoolExecutor when it installs, so the name stays imported although
+# nothing here uses it: the fine loop is _FineLoop, and the tracer's pool
+# spans stay empty.
 
 __all__ = [
     "PararealConfig",
@@ -186,17 +189,25 @@ def _fine_worker(conn, problem, tol):
         conn.send(reply)
 
 
-class _WorkerGroup:
-    """``size`` fine-loop worker processes, each on its own pipe.
+class _FineLoop:
+    """The fine propagator F over ``n`` windows: this process plus ``size`` workers.
 
+    It keeps each window's last fine solve: its start state (bytes), its
+    trajectory and its Newton count, the cost on which the next solves are
+    dealt longest-first into batches (equal counts deal iteration 1
+    round-robin).
     The problem and the fine tolerance reach a worker once, when it
-    starts.  No thread runs beside the caller, so nothing waits for the
-    GIL while the caller solves a batch itself.  Workers ignore SIGINT;
-    leaving the ``with`` block, normally or by any exception (Ctrl-C
-    included), terminates and joins them.
+    starts; each worker has its own pipe.  No thread runs beside the
+    caller, so nothing waits for the GIL while the caller solves a batch
+    itself.  Workers ignore SIGINT; leaving the ``with`` block, normally
+    or by any exception (Ctrl-C included), terminates and joins them.
     """
 
-    def __init__(self, problem: Problem, tol: StepperTolerances, size: int):
+    def __init__(self, problem: Problem, tol: StepperTolerances, n: int, size: int):
+        self.problem, self.tol = problem, tol
+        self.starts: list[bytes | None] = [None] * n
+        self.trajs: list[Trajectory | None] = [None] * n
+        self.nr = [1] * n
         self.procs: list[Process] = []
         self.conns: list = []  # this process's end of each worker's pipe
         if size:
@@ -238,24 +249,30 @@ class _WorkerGroup:
         for conn in self.conns:
             conn.close()
 
-    def send(self, k: int, batches) -> None:
-        """Send one batch of windows to each of the first ``len(batches)`` workers."""
-        for conn, windows in zip(self.conns, batches):
-            with contextlib.suppress(OSError):  # a dead worker is reported by receive
-                conn.send((k, windows))
+    def solve(self, k: int, windows) -> tuple[list[int], list[float]]:
+        """Fine-solve the ``(j, t_a, t_b, u_start)`` windows of iteration ``k``.
 
-    def receive(self, k: int, batches) -> list:
-        """Results of the batches passed to :meth:`send`, in batch order.
-
-        A worker's exception is re-raised here; a worker that died raises
-        :class:`IntegrationFailed` naming the windows whose results never came.
+        Returns the iteration's Newton and wall rows, zero for the windows
+        not given.  The workers get their batches first, then this process
+        solves the first batch.  A worker's exception is re-raised here; a
+        worker that died raises :class:`IntegrationFailed` naming the
+        windows whose results never came.
         """
-        results, lost, failure = [], [], None
-        for conn, windows in zip(self.conns, batches):
+        nr_row, wall_row = [0] * len(self.nr), [0.0] * len(self.nr)
+        if not windows:
+            return nr_row, wall_row
+        costs = [self.nr[j - 1] for j, *_ in windows]
+        batches = [[windows[i] for i in b] for b in _fine_batches(costs, len(self.conns) + 1)]
+        for conn, batch in zip(self.conns, batches[1:]):
+            with contextlib.suppress(OSError):  # a dead worker is reported below
+                conn.send((k, batch))
+        results = _solve_batch(self.problem, self.tol, k, batches[0])
+        lost, failure = [], None
+        for conn, batch in zip(self.conns, batches[1:]):
             try:
                 reply = conn.recv()
             except (EOFError, OSError):
-                lost += [j for j, *_ in windows]
+                lost += [j for j, *_ in batch]
                 continue
             if isinstance(reply, Exception):
                 failure = failure or reply
@@ -272,25 +289,13 @@ class _WorkerGroup:
             )
         if failure is not None:
             raise failure
-        return results
-
-
-def _run_fine_loop(problem, windows, tol, workers, k, costs):
-    """Solve ``windows`` in one batch here and one per worker; ``(j, trajectory, nr, wall)`` each.
-
-    ``windows`` are ``(j, t_a, t_b, u_start)`` tuples and ``costs`` (one
-    per window, e.g. its last fine Newton count) balance the batches.
-    The workers get their batches first, then this process solves the
-    first batch; without windows nothing runs.
-    """
-    if not windows:
-        return []
-    batches = [
-        [windows[i] for i in batch] for batch in _fine_batches(costs, len(workers.procs) + 1)
-    ]
-    workers.send(k, batches[1:])
-    results = _solve_batch(problem, tol, k, batches[0])
-    return results + workers.receive(k, batches[1:])
+        for j, _, _, u_start in windows:
+            self.starts[j - 1] = u_start.tobytes()
+        for j, traj, nr, wall in results:
+            self.trajs[j - 1] = traj
+            self.nr[j - 1] = nr_row[j - 1] = nr
+            wall_row[j - 1] = wall
+        return nr_row, wall_row
 
 
 def _stitch(fine_trajs) -> Trajectory:
@@ -334,7 +339,7 @@ def run_parareal(
     wall_start = time.perf_counter()
 
     # The workers start first, so their start-up overlaps Ĝ.
-    with _WorkerGroup(problem, cfg.fine_tol, min(n_workers, n) - 1) as workers:
+    with _FineLoop(problem, cfg.fine_tol, n, min(n_workers, n) - 1) as fine:
         # Iteration 1: one adaptive coarse solve over the whole interval
         # yields the coarse grid, the windows, and the initial boundary values.
         # Its Newton solves start from the previous state, as the sweeps' do,
@@ -350,11 +355,6 @@ def run_parareal(
 
         u_bounds = [coarse_traj.state(i) for i in idx]  # U_j, with U_0 = u_0
         u_coarse = list(u_bounds)  # coarse results of the previous iteration
-        # Each window's last fine solve: its start state (bytes), its trajectory
-        # and its Newton count (equal costs deal iteration 1 round-robin).
-        fine_starts: list[bytes | None] = [None] * n
-        fine_trajs: list[Trajectory | None] = [None] * n
-        fine_nr = [1] * n
         err_per_iter: list[float] = []
         time_g, nr_g, time_f, nr_f = [], [], [], []
 
@@ -367,8 +367,8 @@ def run_parareal(
             g_nr, g_wall = [0] * n, [0.0] * n
             windows = []  # (j, t_a, t_b, U_{j-1}) of each window to re-solve
             for j in range(1, n + 1):
-                if u_bounds[j - 1].tobytes() == fine_starts[j - 1]:
-                    u_bounds[j] = fine_trajs[j - 1].terminal_state
+                if u_bounds[j - 1].tobytes() == fine.starts[j - 1]:
+                    u_bounds[j] = fine.trajs[j - 1].terminal_state
                     continue
                 t_a, t_b = float(boundaries[j - 1]), float(boundaries[j])
                 windows.append((j, t_a, t_b, u_bounds[j - 1]))
@@ -379,30 +379,24 @@ def run_parareal(
                         context, fixed_integrate, problem, grid, u_bounds[j - 1], cfg.coarse_tol
                     )
                     u_bounds[j] = parareal_update(
-                        fine_trajs[j - 1].terminal_state, traj.terminal_state, u_coarse[j]
+                        fine.trajs[j - 1].terminal_state, traj.terminal_state, u_coarse[j]
                     )
                     u_coarse[j] = traj.terminal_state
             nr_g.append(g_nr)
             time_g.append(g_wall)
 
-            costs = [fine_nr[j - 1] for j, *_ in windows]
-            f_nr, f_wall = [0] * n, [0.0] * n
-            fine_results = _run_fine_loop(problem, windows, cfg.fine_tol, workers, k, costs)
-            for j, traj, nr, wall in fine_results:
-                fine_starts[j - 1] = u_bounds[j - 1].tobytes()
-                fine_trajs[j - 1] = traj
-                fine_nr[j - 1] = f_nr[j - 1] = nr
-                f_wall[j - 1] = wall
+            f_nr, f_wall = fine.solve(k, windows)
             nr_f.append(f_nr)
             time_f.append(f_wall)
 
-            u_fine = [traj.terminal_state for traj in fine_trajs]
-            err_per_iter.append(pr_error(u_bounds[1:], u_fine, problem))
+            err_per_iter.append(
+                pr_error(u_bounds[1:], [traj.terminal_state for traj in fine.trajs], problem)
+            )
             if err_per_iter[-1] < cfg.tol_pr:
                 break
 
     converged = err_per_iter[-1] < cfg.tol_pr
-    trajectory = _stitch(fine_trajs)
+    trajectory = _stitch(fine.trajs)
     report = PararealReport(
         n_windows=n,
         m_coarse_steps=m,

@@ -122,6 +122,44 @@ class TestConfigErrors:
         assert main(["sequential", "--config", cfg]) == 1
 
 
+class TestUsageErrors:
+    """Command-line mistakes are configuration errors: exit 1, never argparse's 2."""
+
+    LINEAR = os.path.join(REPO_ROOT, "configs", "linear_test.cfg")
+
+    def assert_usage_error(self, argv, capsys, text):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err
+
+    def test_non_integer_workers(self, capsys):
+        argv = ["parareal", "--config", self.LINEAR, "--workers", "abc"]
+        self.assert_usage_error(argv, capsys, "invalid int value: 'abc'")
+
+    def test_missing_config(self, capsys):
+        self.assert_usage_error(["parareal"], capsys, "--config")
+
+    def test_missing_subcommand(self, capsys):
+        self.assert_usage_error([], capsys, "command")
+
+    def test_unknown_flag(self, capsys):
+        argv = ["sequential", "--config", self.LINEAR, "--bogus"]
+        self.assert_usage_error(argv, capsys, "--bogus")
+
+    def test_baseline_flags_are_exclusive(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["parareal", "--config", self.LINEAR, "--out", str(out)]
+        argv += ["--with-baseline", "--baseline-wall", "2.5"]
+        self.assert_usage_error(argv, capsys, "not allowed with argument")
+        assert not out.exists()
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["parareal", "--help"])
+        assert exit_info.value.code == 0
+        assert "--baseline-wall" in capsys.readouterr().out
+
+
 class TestSequential:
     def test_linear_terminal_value(self, tmp_path):
         cfg = write_cfg(tmp_path, LINEAR_CFG)

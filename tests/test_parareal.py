@@ -343,14 +343,25 @@ class TestWindowSkipping:
 
 
     def test_iteration_without_changed_windows_does_not_call_the_pool(self, monkeypatch):
-        dispatched = []
-        send = parareal._WorkerGroup.send
+        sent = []  # iteration k of every batch sent down a worker pipe
+        pipe = parareal.Pipe
 
-        def counting_send(self, k, batches):
-            dispatched.append((k, len(batches)))
-            send(self, k, batches)
+        class RecordingEnd:
+            def __init__(self, conn):
+                self.conn = conn
 
-        monkeypatch.setattr(parareal._WorkerGroup, "send", counting_send)
+            def send(self, message):
+                sent.append(message[0])
+                self.conn.send(message)
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+        def recording_pipe():
+            conn, child = pipe()
+            return RecordingEnd(conn), child
+
+        monkeypatch.setattr(parareal, "Pipe", recording_pipe)
         problem = LinearTestProblem(-1.0, (1.0,))
         cfg = PararealConfig(
             n_windows=3, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=PROP_COARSE, k_max=5
@@ -358,10 +369,13 @@ class TestWindowSkipping:
         _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=2)
         # iteration 4 = N+1 finds every start unchanged and re-solves nothing
         assert report.k_converged == 4 and report.err_per_iter[-1] == 0.0
-        assert [any(row) for row in report.nr_f_per_window_per_iter] == [True, True, True, False]
+        solved = [any(row) for row in report.nr_f_per_window_per_iter]
+        assert solved == [True, True, True, False]
         # iterations 1-3 dispatch (3 windows, then 2, then 1: one batch per
-        # worker beyond the first); iteration 4 never reaches the group
+        # worker beyond the first); iteration 4 sends the worker nothing
+        dispatched = [(k, sent.count(k)) for k in range(1, 5) if solved[k - 1]]
         assert dispatched == [(1, 1), (2, 1), (3, 0)]
+        assert sorted(sent) == [1, 2]
 
 
 def record_ghat(problem, t_end, coarse_tol):
@@ -437,21 +451,21 @@ class TestFineResults:
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_fine_results_and_boundary_states_are_read_only(self, monkeypatch, n_workers):
         problem, cfg = self.shipped_coil()
-        results = []
-        run_fine_loop = parareal._run_fine_loop
+        results = []  # every fine trajectory F keeps, as it keeps it
+        solve = parareal._FineLoop.solve
 
-        def recording_fine_loop(*args):
-            out = run_fine_loop(*args)
-            results.extend(out)
-            return out
+        def recording_solve(self, k, windows):
+            rows = solve(self, k, windows)
+            results.extend(self.trajs[j - 1] for j, *_ in windows)
+            return rows
 
-        monkeypatch.setattr(parareal, "_run_fine_loop", recording_fine_loop)
+        monkeypatch.setattr(parareal._FineLoop, "solve", recording_solve)
         _, report = run_parareal(
             problem, cfg.t_start, cfg.t_end, problem.initial_state(), cfg.parareal, n_workers
         )
         assert len(results) == 8 + 7
-        arrays = [a for _, traj, _, _ in results for a in (traj.times, traj.states)]
-        arrays += [traj.terminal_state for _, traj, _, _ in results] + report.boundary_states
+        arrays = [a for traj in results for a in (traj.times, traj.states)]
+        arrays += [traj.terminal_state for traj in results] + report.boundary_states
         assert not any(a.flags.writeable for a in arrays)
 
 
