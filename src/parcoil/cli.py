@@ -79,12 +79,12 @@ def cmd_sequential(cfg: RunConfig, args) -> int:
     _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, traj)
     _write_csv(
         os.path.join(cfg.out_dir, "sequential_summary.csv"),
-        ["run_id", "wall_s", "steps", "nr_iterations"],
-        [[rid, wall, traj.n_points - 1, counters.nr_iterations]],
+        ["run_id", "wall_s", "steps", "nr_iterations", "steps_rejected"],
+        [[rid, wall, traj.n_points - 1, counters.nr_iterations, counters.steps_rejected]],
     )
     print(
         f"sequential: wall={wall:.3f} s, steps={traj.n_points - 1}, "
-        f"nr_iterations={counters.nr_iterations}"
+        f"nr_iterations={counters.nr_iterations}, steps_rejected={counters.steps_rejected}"
     )
     return 0
 
@@ -100,11 +100,15 @@ def _write_report_csv(path: str, report: PararealReport, rid: str) -> None:
         "fine_wall_s",
         "coarse_wall_s",
         "nr_iters",
+        "nr_fine",
+        "nr_coarse",
     ]
     rows = []
     bounds = report.boundaries
     for k in range(report.iterations_run):
         for j in range(report.n_windows):
+            nr_fine = report.nr_f_per_window_per_iter[k][j]
+            nr_coarse = report.nr_g_per_window_per_iter[k][j]
             rows.append(
                 [
                     rid,
@@ -115,8 +119,9 @@ def _write_report_csv(path: str, report: PararealReport, rid: str) -> None:
                     float(bounds[j + 1]),
                     report.time_f_per_window_per_iter[k][j],
                     report.time_g_per_window_per_iter[k][j],
-                    report.nr_f_per_window_per_iter[k][j]
-                    + report.nr_g_per_window_per_iter[k][j],
+                    nr_fine + nr_coarse,
+                    nr_fine,
+                    nr_coarse,
                 ]
             )
     _write_csv(path, header, rows)

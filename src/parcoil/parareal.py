@@ -2,10 +2,11 @@
 
 The first iteration runs one adaptive coarse pass over the whole interval;
 its accepted time steps both seed the initial boundary values and define
-the windows (equal step-count split via the floor formula).  The pass
-starts every Newton solve from the previous accepted state, as the
-fixed-grid sweeps do, so a sweep from a state of the pass replays it bit
-for bit: the coarse propagator G is one and the same in every iteration.
+the windows (equal step-count split via the floor formula).  Every coarse
+step, in the pass and in the fixed-grid sweeps, is one linearly implicit
+Euler step from the previous state (one Jacobian and one linear solve, no
+Newton loop), so a sweep from a state of the pass replays it bit for bit:
+the coarse propagator G is one and the same in every iteration.
 Later iterations alternate a sequential fixed-grid coarse sweep with the
 standard correction
 
@@ -342,9 +343,9 @@ def run_parareal(
     with _FineLoop(problem, cfg.fine_tol, n, min(n_workers, n) - 1) as fine:
         # Iteration 1: one adaptive coarse solve over the whole interval
         # yields the coarse grid, the windows, and the initial boundary values.
-        # Its Newton solves start from the previous state, as the sweeps' do,
-        # so a sweep from a start Ĝ reached reproduces Ĝ bit for bit.
-        ghat = partial(adaptive_integrate, newton_from_previous=True)
+        # It takes the sweeps' linearized step, so a sweep from a start Ĝ
+        # reached reproduces Ĝ bit for bit.
+        ghat = partial(adaptive_integrate, linearized=True)
         coarse_traj, nr_ghat, time_ghat = _propagate(
             "adaptive coarse pass failed", ghat, problem, t_0, t_N, u_0, cfg.coarse_tol
         )

@@ -1,20 +1,30 @@
-"""Implicit Euler time integration with Newton-Raphson linearization.
+"""Implicit Euler time integration, by Newton-Raphson or linearized.
 
-Two propagator flavors share one Newton step solver:
+Two step functions share one residual and one linear solve:
+
+* :func:`implicit_euler_step` solves the implicit Euler equation by
+  Newton-Raphson to a tolerance (the fine propagator and the sequential
+  solve).
+* :func:`linearized_euler_step` takes the linearly implicit (Rosenbrock)
+  Euler step ``u + (I - dt*J)^-1 * dt*f``: the first Newton iteration
+  started at the previous state, with no convergence test (the coarse
+  propagator).
+
+Two propagator flavors drive them:
 
 * :func:`adaptive_integrate` controls the step size from the local
   truncation error of the maximum temperature (solution minus polynomial
   prediction) and lands exactly on forced event times, e.g. instants where
   a source ramp changes rate.
-* :func:`fixed_integrate` replays implicit Euler on a prescribed grid with
-  no rejection, as required when a coarse sweep must reuse the time steps
-  chosen by an earlier adaptive pass.
+* :func:`fixed_integrate` replays linearized steps on a prescribed grid
+  with no rejection, as required when a coarse sweep must reuse the time
+  steps chosen by an earlier adaptive pass.
 
 Both take each step as ``dt = t_new - t`` from the grid times.  With
-``newton_from_previous`` the adaptive pass also starts every Newton solve
-from the previous accepted state, as the fixed-grid replay does, so the
-replay of any slice of its grid from its own state reproduces it bit for
-bit: Parareal's coarse pass and its sweeps are one propagator.
+``linearized`` the adaptive pass takes the same linearized step as the
+fixed-grid replay, so the replay of any slice of its grid from its own
+state reproduces it bit for bit: Parareal's coarse pass and its sweeps
+are one propagator.
 
 Newton convergence follows the max-temperature criterion (absolute change
 between subsequent iterates below ``tol_nr``) combined with a residual
@@ -45,6 +55,7 @@ __all__ = [
     "IntegrationFailed",
     "newton_jacobian",
     "implicit_euler_step",
+    "linearized_euler_step",
     "predict",
     "estimate_lte",
     "adaptive_integrate",
@@ -93,7 +104,7 @@ class StepCounters:
 
 
 class StepFailed(Exception):
-    """Newton-Raphson did not converge within the iteration budget."""
+    """A step could not be taken: no Newton convergence or a failed evaluation."""
 
 
 class IntegrationFailed(Exception):
@@ -212,6 +223,40 @@ def implicit_euler_step(
             counters.nr_iterations += iters
 
 
+def linearized_euler_step(
+    problem: Problem,
+    t: float,
+    dt: float,
+    u: State,
+    counters: StepCounters | None = None,
+) -> State:
+    """Linearly implicit Euler step ``u + (I - dt*J)^-1 * dt*rhs(t+dt, u)``.
+
+    ``J`` is the Jacobian at ``(t+dt, u)``.  This is the first Newton
+    iteration of :func:`implicit_euler_step` started at ``u``, with no
+    convergence test: one Jacobian and one linear solve, counted as one
+    Newton iteration whether or not the step succeeds.  Raises
+    :class:`StepFailed` on a non-finite residual, Jacobian or result, on a
+    singular matrix, or on an ``ArithmeticError`` inside ``rhs`` or the
+    Jacobian.
+    """
+    t_new = t + dt
+    try:
+        r = _residual(problem, t_new, dt, u, u)
+        if not _all_finite(r):
+            raise StepFailed("non-finite residual")
+        du = _newton_update(dt, newton_jacobian(problem, t_new, u), r)
+        u_new = tuple(map(operator.add, u, du))
+        if not _all_finite(u_new):
+            raise StepFailed("non-finite linearized step")
+        return u_new
+    except ArithmeticError as exc:
+        raise StepFailed(f"arithmetic error in rhs or Jacobian: {exc}") from exc
+    finally:
+        if counters is not None:
+            counters.nr_iterations += 1
+
+
 def predict(history, t_next: float) -> State:
     """Polynomial extrapolation from the last accepted results.
 
@@ -252,23 +297,24 @@ def adaptive_integrate(
     tol: StepperTolerances,
     counters: StepCounters | None = None,
     *,
-    newton_from_previous: bool = False,
+    linearized: bool = False,
 ) -> Trajectory:
     """Adaptive implicit Euler from ``(t_a, u_a)`` to exactly ``t_b``.
 
     Every trial step is clipped to land exactly on the next forced event
-    time (or ``t_b`` if nearer), solved by Newton, and accepted when the
+    time (or ``t_b`` if nearer), solved by Newton from the prediction (or,
+    with ``linearized``, taken as one :func:`linearized_euler_step` from
+    the last accepted state), and accepted when the
     estimated local truncation error of the max temperature (the solution
     minus the extrapolated prediction) is below ``tol.tol_t``.  Rejected
     or failed steps retry with half the step; the accepted step feeds an
     order-1 controller.  Raises :class:`IntegrationFailed` if the step
     size underflows ``tol.dt_min`` through repeated rejection.
 
-    Newton starts from the prediction, or with ``newton_from_previous``
-    from the last accepted state.  Each step uses ``dt = t_new - t``, so
-    with ``newton_from_previous`` :func:`fixed_integrate` on any slice of
-    the returned grid, started from the state at the slice's first time,
-    reproduces the returned states bit for bit.
+    Each step uses ``dt = t_new - t``, so with ``linearized``
+    :func:`fixed_integrate` on any slice of the returned grid, started from
+    the state at the slice's first time, reproduces the returned states
+    bit for bit.
     """
     if not t_a < t_b:
         raise ValueError("need t_a < t_b")
@@ -295,9 +341,11 @@ def adaptive_integrate(
             raise IntegrationFailed(f"step size {dt:.3g} cannot advance time at t={t:.6g}")
 
         guess = predict(history, t_new)
-        start = u if newton_from_previous else guess
         try:
-            u_new = implicit_euler_step(problem, t, dt_step, u, start, tol, counters)
+            if linearized:
+                u_new = linearized_euler_step(problem, t, dt_step, u, counters)
+            else:
+                u_new = implicit_euler_step(problem, t, dt_step, u, guess, tol, counters)
         except StepFailed:
             dt = 0.5 * dt_step
             if counters is not None:
@@ -338,14 +386,14 @@ def fixed_integrate(
     tol: StepperTolerances,
     counters: StepCounters | None = None,
 ) -> Trajectory:
-    """Implicit Euler on exactly the given time grid (no rejection).
+    """Linearized implicit Euler on exactly the given time grid (no rejection).
 
-    The Newton guess for each step is the previous state and the step is
-    ``t_next - t``, exactly as in :func:`adaptive_integrate` with
-    ``newton_from_previous``: on a slice of that pass's grid, started from
-    its state, this replays it bit for bit.  A Newton failure is fatal
-    here: a fixed grid cannot subdivide, so :class:`IntegrationFailed`
-    propagates the failure.
+    Each step is one :func:`linearized_euler_step` of ``t_next - t``,
+    exactly as in :func:`adaptive_integrate` with ``linearized``: on a
+    slice of that pass's grid, started from its state, this replays it bit
+    for bit.  ``tol`` keeps the propagators' common signature and is not
+    read.  A failed step is fatal here: a fixed grid cannot subdivide, so
+    :class:`IntegrationFailed` propagates the failure.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -359,10 +407,10 @@ def fixed_integrate(
     for t, t_next in zip(times, times[1:]):
         dt = t_next - t
         try:
-            u = implicit_euler_step(problem, t, dt, u, u, tol, counters)
+            u = linearized_euler_step(problem, t, dt, u, counters)
         except StepFailed as exc:
             raise IntegrationFailed(
-                f"Newton failed on the fixed grid at t={t:.6g} (dt={dt:.3g}): {exc}"
+                f"step failed on the fixed grid at t={t:.6g} (dt={dt:.3g}): {exc}"
             ) from exc
         states.append(u)
         if counters is not None:

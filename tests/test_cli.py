@@ -176,8 +176,9 @@ class TestSequential:
         assert main(["sequential", "--config", cfg, "--out", out]) == 0
         assert "sequential:" in capsys.readouterr().out
         header, rows = read_csv(os.path.join(out, "sequential_summary.csv"))
-        assert header == ["run_id", "wall_s", "steps", "nr_iterations"]
+        assert header == ["run_id", "wall_s", "steps", "nr_iterations", "steps_rejected"]
         assert int(rows[0][2]) > 0
+        assert int(rows[0][4]) >= 0
 
     def test_coil_trajectory_contains_ramp_breakpoints(self, tmp_path):
         out = str(tmp_path / "out")
@@ -266,6 +267,11 @@ class TestParareal:
         r_header, r_rows = read_csv(os.path.join(out, "report.csv"))
         assert r_header[:4] == ["run_id", "N", "k", "j"]
         assert len(r_rows) == k_final * 8
+        # Newton work per window, split into fine and coarse; iteration 1 sweeps nothing
+        total, fine, coarse = (r_header.index(c) for c in ("nr_iters", "nr_fine", "nr_coarse"))
+        for row in r_rows:
+            assert int(row[total]) == int(row[fine]) + int(row[coarse])
+            assert row[2] != "1" or row[coarse] == "0"
 
     def test_not_converged_exit_code(self, tmp_path, capsys):
         text = LINEAR_CFG.replace("tol_pr_mk = 0.001", "tol_pr_mk = 1e-9\nk_max = 1")

@@ -521,6 +521,13 @@ class NanInWorker(DiesInWorker):
         return super().rhs(t, u)
 
 
+class NanRhs(LinearTestProblem):
+    """A rhs that evaluates to NaN everywhere."""
+
+    def rhs(self, t, u):
+        return (math.nan,) * len(u)
+
+
 class Unpicklable(LinearTestProblem):
     def __init__(self):
         super().__init__(-1.0, (1.0,))
@@ -627,5 +634,26 @@ class TestCoarseFailures:
             n_windows=4, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=LIN_COARSE, k_max=5
         )
         context = r"^coarse sweep failed in window 3 during iteration 3: stub Newton failure$"
+        with pytest.raises(IntegrationFailed, match=context):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
+
+    def test_non_finite_rhs_in_a_sweep_names_window_and_iteration(self, monkeypatch):
+        calls = []
+
+        def nan_rhs_on_second_sweep(problem, grid, u_a, tol, counters=None):
+            calls.append(grid)
+            if len(calls) == 2:  # iteration 2 sweeps windows 2-4; the second is window 3
+                problem = NanRhs()
+            return fixed_integrate(problem, grid, u_a, tol, counters)
+
+        monkeypatch.setattr(parareal, "fixed_integrate", nan_rhs_on_second_sweep)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        cfg = PararealConfig(
+            n_windows=4, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=LIN_COARSE, k_max=5
+        )
+        context = (
+            r"^coarse sweep failed in window 3 during iteration 2: "
+            r"step failed on the fixed grid at t=\S+ \(dt=\S+\): non-finite residual$"
+        )
         with pytest.raises(IntegrationFailed, match=context):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from parcoil import (
     CoilProblem,
@@ -19,6 +21,7 @@ from parcoil import (
     fixed_integrate,
     hts_resistivity,
     implicit_euler_step,
+    linearized_euler_step,
     newton_jacobian,
     predict,
     run_parareal,
@@ -106,6 +109,37 @@ class PowerBlowup(Problem):
 
     def initial_state(self):
         return as_state([0.0])
+
+
+class MatrixLinear(Problem):
+    """``d_t u = A u`` for a general square matrix ``A`` given as rows."""
+
+    def __init__(self, a, u0):
+        self.a = tuple(tuple(map(float, row)) for row in a)
+        self.u0 = as_state(u0)
+
+    @property
+    def component_names(self):
+        return tuple(f"u_{i}" for i in range(len(self.a)))
+
+    def rhs(self, t, u):
+        return tuple(math.fsum(a * x for a, x in zip(row, u)) for row in self.a)
+
+    def jacobian(self, t, u):
+        return self.a
+
+    def max_temperature(self, u):
+        return float(max(u))
+
+    def initial_state(self):
+        return self.u0
+
+
+class NanRhs(LinearTestProblem):
+    """A rhs that evaluates to NaN everywhere."""
+
+    def rhs(self, t, u):
+        return (math.nan,) * len(u)
 
 
 def forward_difference_reference(problem, t, u, eps=1e-7):
@@ -392,25 +426,68 @@ class TestFixedIntegrate:
 
     def test_single_interval_matches_one_step(self):
         via_grid = fixed_integrate(DECAY, [0.0, 0.5], DECAY.initial_state(), TIGHT)
-        one_step = implicit_euler_step(
-            DECAY, 0.0, 0.5, DECAY.initial_state(), DECAY.initial_state(), TIGHT
-        )
+        one_step = linearized_euler_step(DECAY, 0.0, 0.5, DECAY.initial_state())
         assert np.array_equal(via_grid.terminal_state, one_step)
 
-    def test_newton_failure_is_fatal(self):
-        # a single Newton iteration cannot satisfy the max-temperature
-        # criterion when the step moves the state, so the grid solve dies
-        budget = StepperTolerances(
-            tol_nr=1e-10, tol_t=1.0, dt_init=0.5, dt_min=1e-12, dt_max=1.0, nr_max_iters=1
-        )
-        with pytest.raises(IntegrationFailed):
-            fixed_integrate(DECAY, [0.0, 0.5, 1.0], DECAY.initial_state(), budget)
+    def test_step_failure_is_fatal(self):
+        # a fixed grid cannot subdivide, so a failed step ends the solve
+        problem = NanRhs()
+        with pytest.raises(IntegrationFailed, match=r"at t=0 \(dt=0.5\): non-finite residual$"):
+            fixed_integrate(problem, [0.0, 0.5, 1.0], problem.initial_state(), TIGHT)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             fixed_integrate(DECAY, [0.0, 0.0, 1.0], DECAY.initial_state(), TIGHT)
         with pytest.raises(ValueError):
             fixed_integrate(DECAY, [0.0], DECAY.initial_state(), TIGHT)
+
+
+def square_matrices(dim):
+    row = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    return st.lists(row, min_size=dim, max_size=dim)
+
+
+class TestLinearizedEulerStep:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dt=st.floats(1e-3, 0.5))
+    def test_coarse_step_solves_the_linear_system(self, data, dt):
+        # on d_t u = A u one coarse step is implicit Euler exactly:
+        # (I - dt*A) u_new = u, whatever the Newton tolerances say
+        dim = data.draw(st.integers(1, 3), label="dim")
+        a = np.array(data.draw(square_matrices(dim), label="A"))
+        u0 = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)))
+        matrix = np.eye(dim) - dt * a
+        assume(np.linalg.norm(u0) > 0.1 and np.linalg.cond(matrix) < 100.0)
+        counters = StepCounters()
+        traj = fixed_integrate(MatrixLinear(a, u0), [0.0, dt], u0, TIGHT, counters)
+        exact = np.linalg.solve(matrix, u0)
+        assert np.linalg.norm(traj.terminal_state - exact) <= 1e-12 * np.linalg.norm(exact)
+        assert counters.nr_iterations == 1
+
+    @pytest.mark.parametrize("u0", [(1.0,), (1.0, 1.0)])
+    def test_singular_matrix_fails_after_one_iteration(self, u0):
+        counters = StepCounters()
+        with pytest.raises(StepFailed, match="singular"):
+            linearized_euler_step(LinearTestProblem(2.0, u0), 0.0, 0.5, u0, counters)
+        assert counters.nr_iterations == 1
+
+    def test_float_overflow_in_rhs_is_a_failed_step(self):
+        counters = StepCounters()
+        with pytest.raises(StepFailed, match="arithmetic error"):
+            linearized_euler_step(PowerBlowup(), 0.0, 0.5, (6.0,), counters)
+        assert counters.nr_iterations == 1
+
+    def test_adaptive_halves_after_failed_step(self):
+        # every step of dt = 0.5 meets the singular matrix 1 - 0.5*2 = 0
+        growth = LinearTestProblem(2.0, (1.0,))
+        tol = StepperTolerances(tol_nr=1e-9, tol_t=1e3, dt_init=0.5, dt_min=1e-6, dt_max=0.5)
+        counters = StepCounters()
+        traj = adaptive_integrate(
+            growth, 0.0, 1.0, growth.initial_state(), tol, counters, linearized=True
+        )
+        assert traj.t_end == 1.0 and 0.5 not in np.diff(traj.times)
+        assert counters.steps_rejected >= 1
+        assert counters.nr_iterations == counters.steps_accepted + counters.steps_rejected
 
 
 class TestConvergenceOrder:

@@ -8,7 +8,14 @@ never checked here.
 
 import os
 
-from parcoil import StepCounters, adaptive_integrate, load_run_config, make_problem, run_parareal
+from parcoil import (
+    StepCounters,
+    adaptive_integrate,
+    load_run_config,
+    make_problem,
+    run_parareal,
+    window_boundary_indices,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED_COIL_CFG = os.path.join(REPO_ROOT, "configs", "ni_coil.cfg")
@@ -36,7 +43,31 @@ def test_parareal_counts_at_one_worker():
     )
     assert report.k_converged == 2
     assert report.m_coarse_steps == 122
-    assert report.nr_ghat == 228
+    assert report.nr_ghat == 130
     # iteration k re-solves (sweep and fine) only windows k..N
-    assert report.nr_g_per_iter == [0, 182]
-    assert [sum(row) for row in report.nr_f_per_window_per_iter] == [1255, 1130]
+    assert report.nr_g_per_iter == [0, 107]
+    assert [sum(row) for row in report.nr_f_per_window_per_iter] == [1253, 1114]
+
+
+def test_one_newton_iteration_per_coarse_step():
+    cfg = load_run_config(SHIPPED_COIL_CFG)
+    problem = make_problem(cfg)
+    ghat = StepCounters()
+    adaptive_integrate(
+        problem,
+        cfg.t_start,
+        cfg.t_end,
+        problem.initial_state(),
+        cfg.parareal.coarse_tol,
+        ghat,
+        linearized=True,
+    )
+    assert ghat.nr_iterations == ghat.steps_accepted + ghat.steps_rejected
+    _, report = run_parareal(
+        problem, cfg.t_start, cfg.t_end, problem.initial_state(), cfg.parareal, n_workers=1
+    )
+    assert report.nr_ghat == ghat.nr_iterations
+    idx = window_boundary_indices(report.m_coarse_steps, report.n_windows)
+    steps = [b - a for a, b in zip(idx, idx[1:])]
+    # iteration 1 sweeps nothing; iteration 2 sweeps every window but the first
+    assert report.nr_g_per_window_per_iter == [[0] * report.n_windows, [0, *steps[1:]]]
