@@ -20,14 +20,13 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, load_run_config, make_problem, run_id
 from .diagnostics import (
     PararealReport,
     cumulative_fine_times,
     load_balance,
     max_possible_speedup,
+    max_temperature_deviation,
     speedup,
 )
 from .parareal import PartitionError, run_parareal
@@ -102,6 +101,7 @@ def _write_report_csv(path: str, report: PararealReport, rid: str) -> None:
         "nr_iters",
         "nr_fine",
         "nr_coarse",
+        "fine_tol_t_mK",
     ]
     rows = []
     bounds = report.boundaries
@@ -122,12 +122,16 @@ def _write_report_csv(path: str, report: PararealReport, rid: str) -> None:
                     nr_fine + nr_coarse,
                     nr_fine,
                     nr_coarse,
+                    1e3 * report.fine_tol_t_per_iter[k],
                 ]
             )
     _write_csv(path, header, rows)
 
 
-def _write_summary_csv(path: str, report: PararealReport, rid: str, baseline_wall=None) -> None:
+def _write_summary_csv(
+    path: str, report: PararealReport, rid: str, baseline_wall=None, deviation=(None, None)
+) -> None:
+    """One row per iteration; ``deviation`` is (max, boundary) |ΔT_max| from the baseline, mK."""
     header = [
         "run_id",
         "N",
@@ -138,6 +142,9 @@ def _write_summary_csv(path: str, report: PararealReport, rid: str, baseline_wal
         "n_over_k",
         "baseline_wall_s",
         "speedup",
+        "nr_ghat",
+        "max_dev_mK",
+        "boundary_dev_mK",
     ]
     lb = load_balance(cumulative_fine_times(report))
     n_over_k = max_possible_speedup(report.n_windows, report.k_converged) if report.converged else None
@@ -145,7 +152,19 @@ def _write_summary_csv(path: str, report: PararealReport, rid: str, baseline_wal
     rows = []
     for k, err in enumerate(report.err_per_iter, start=1):
         rows.append(
-            [rid, report.n_windows, report.k_converged, k, 1e3 * err, lb, n_over_k, baseline_wall, speed]
+            [
+                rid,
+                report.n_windows,
+                report.k_converged,
+                k,
+                1e3 * err,
+                lb,
+                n_over_k,
+                baseline_wall,
+                speed,
+                report.nr_ghat,
+                *deviation,
+            ]
         )
     _write_csv(path, header, rows)
 
@@ -157,35 +176,41 @@ def cmd_parareal(cfg: RunConfig, args) -> int:
     problem = make_problem(cfg)
     rid = run_id(cfg)
     if args.with_baseline:
-        _, baseline_wall, _ = _sequential_fine_run(problem, cfg, cfg.parareal.fine_tol)
+        baseline, baseline_wall, _ = _sequential_fine_run(problem, cfg, cfg.parareal.fine_tol)
 
     traj, report = run_parareal(
         problem, cfg.t_start, cfg.t_end, problem.initial_state(), cfg.parareal, cfg.workers
     )
+    deviation = (None, None)
+    if args.with_baseline:
+        deviation = _deviation_mk(traj, baseline, problem, report.boundaries)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, traj)
     _write_report_csv(os.path.join(cfg.out_dir, "report.csv"), report, rid)
-    _write_summary_csv(os.path.join(cfg.out_dir, "summary.csv"), report, rid, baseline_wall)
+    _write_summary_csv(
+        os.path.join(cfg.out_dir, "summary.csv"), report, rid, baseline_wall, deviation
+    )
 
     if report.converged:
         print(
             f"parareal: converged after K={report.k_converged} iterations, "
-            f"err={1e3 * report.err_per_iter[-1]:.6g} mK, wall={report.total_wall:.3f} s"
+            f"err={1e3 * report.err_per_iter[-1]:.6g} mK, nr_ghat={report.nr_ghat}, "
+            f"wall={report.total_wall:.3f} s"
         )
         return 0
     print(
         f"parareal: NOT converged within k_max={cfg.parareal.k_max} iterations "
-        f"(last err={1e3 * report.err_per_iter[-1]:.6g} mK); outputs written",
+        f"(last err={1e3 * report.err_per_iter[-1]:.6g} mK, nr_ghat={report.nr_ghat}); "
+        "outputs written",
         file=sys.stderr,
     )
     return 3
 
 
-def _interp_abs_error_mk(traj: Trajectory, ref: Trajectory, problem: Problem) -> np.ndarray:
-    t_max = np.array([problem.max_temperature(traj.state(i)) for i in range(traj.n_points)])
-    ref_t_max = np.array([problem.max_temperature(ref.state(i)) for i in range(ref.n_points)])
-    ref_on_grid = np.interp(traj.times, ref.times, ref_t_max)
-    return 1e3 * np.abs(t_max - ref_on_grid)
+def _deviation_mk(traj: Trajectory, baseline: Trajectory, problem: Problem, boundaries) -> tuple:
+    """Largest |ΔT_max| (mK) of a Parareal run from its baseline, and at its window boundaries."""
+    deviation, at_boundaries = max_temperature_deviation(traj, baseline, problem, boundaries)
+    return 1e3 * float(deviation.max()), 1e3 * at_boundaries
 
 
 def cmd_study(cfg: RunConfig, args) -> int:
@@ -208,7 +233,8 @@ def cmd_study(cfg: RunConfig, args) -> int:
     error_rows = []
     for tol_mk in cfg.fine_tol_mk_list:
         traj = baselines[tol_mk][1]
-        errs = _interp_abs_error_mk(traj, ref_traj, problem)
+        # the reference interpolated onto this run's own times
+        errs = 1e3 * max_temperature_deviation(ref_traj, traj, problem)[0]
         for t, err in zip(traj.times, errs):
             error_rows.append([rid, tol_mk, float(t), float(err)])
     _write_csv(
@@ -220,11 +246,11 @@ def cmd_study(cfg: RunConfig, args) -> int:
     table_rows = []
     for n_windows in cfg.n_windows_list:
         for tol_mk in cfg.fine_tol_mk_list:
-            tol, _, baseline_wall = baselines[tol_mk]
+            tol, baseline, baseline_wall = baselines[tol_mk]
             pr_cfg = dataclasses.replace(cfg.parareal, n_windows=n_windows, fine_tol=tol)
-            row = [rid, n_windows, tol_mk, None, None, None, None]
+            row = [rid, n_windows, tol_mk, None, None, None, None, None, None]
             try:
-                _, report = run_parareal(
+                traj, report = run_parareal(
                     problem, cfg.t_start, cfg.t_end, problem.initial_state(), pr_cfg, cfg.workers
                 )
             except PartitionError:
@@ -234,6 +260,7 @@ def cmd_study(cfg: RunConfig, args) -> int:
             else:
                 row[4] = 1e3 * report.err_per_iter[-1]
                 row[6] = speedup(report, baseline_wall)
+                row[7:9] = _deviation_mk(traj, baseline, problem, report.boundaries)
                 if report.converged:
                     row[3] = report.k_converged
                     row[5] = max_possible_speedup(n_windows, report.k_converged)
@@ -243,7 +270,18 @@ def cmd_study(cfg: RunConfig, args) -> int:
             table_rows.append(row)
     _write_csv(
         os.path.join(cfg.out_dir, "study_table.csv"),
-        ["run_id", "N", "fine_tol_mK", "K", "err_K_mK", "max_speedup", "actual_speedup", "status"],
+        [
+            "run_id",
+            "N",
+            "fine_tol_mK",
+            "K",
+            "err_K_mK",
+            "max_speedup",
+            "actual_speedup",
+            "max_dev_mK",
+            "boundary_dev_mK",
+            "status",
+        ],
         table_rows,
     )
     print(f"study: wrote {len(table_rows)} cells to {cfg.out_dir}/study_table.csv")

@@ -20,6 +20,7 @@ __all__ = [
     "speedup",
     "max_possible_speedup",
     "cumulative_fine_times",
+    "max_temperature_deviation",
 ]
 
 
@@ -32,11 +33,14 @@ class PararealReport:
     coarse matrices hold zeros in their first row because iteration 1 runs
     the adaptive coarse pass (timed separately in ``time_ghat``) instead
     of per-window fixed-grid solves.  From iteration 2 on, a window whose
-    start value did not change is not re-solved: its fine and coarse
-    entries are 0 Newton iterations and 0.0 s (in iteration ``k`` this
-    holds at least for windows ``1..k-1``), so sums over the
-    matrices count only the work done.  ``boundary_states`` are the final
-    U_j, j = 0..N, as read-only vectors.
+    start value did not change is not swept, and not fine-solved unless
+    its last fine solve was at another tolerance: its entries are then 0
+    Newton iterations and 0.0 s (in iteration ``k`` this holds at least
+    for windows ``1..k-1``, or ``1..k-2`` when iteration 1 solved at a
+    looser tolerance than the later ones), so sums over the matrices count
+    only the work done.  ``fine_tol_t_per_iter`` is the fine ``tol_t`` (K)
+    of each iteration's solves.  ``boundary_states`` are the final U_j,
+    j = 0..N, as read-only vectors.
     """
 
     n_windows: int
@@ -52,6 +56,7 @@ class PararealReport:
     nr_ghat: int
     nr_g_per_window_per_iter: list[list[int]]
     nr_f_per_window_per_iter: list[list[int]]
+    fine_tol_t_per_iter: list[float] = field(default_factory=list)
     boundary_states: list[np.ndarray] = field(default_factory=list)
 
     @property
@@ -107,3 +112,18 @@ def cumulative_fine_times(report: PararealReport) -> list[float]:
     n = len(matrix[0])
     return [sum(row[j] for row in matrix) for j in range(n)]
 
+
+def max_temperature_deviation(traj, ref, problem, boundaries=()) -> tuple[np.ndarray, float]:
+    """|T_max(traj) - T_max(ref)| (K), with linear interpolation between grid points.
+
+    Returns the deviation at each of ``ref``'s times, ``traj`` interpolated
+    onto them, and the largest deviation at the ``boundaries`` times (the
+    window boundaries of a Parareal run), both interpolated there; 0.0 when
+    no boundaries are given.
+    """
+    t_max = np.array([problem.max_temperature(u) for u in traj.states])
+    ref_t_max = np.array([problem.max_temperature(u) for u in ref.states])
+    deviation = np.abs(np.interp(ref.times, traj.times, t_max) - ref_t_max)
+    at = np.asarray(boundaries, dtype=float)
+    at_boundaries = np.abs(np.interp(at, traj.times, t_max) - np.interp(at, ref.times, ref_t_max))
+    return deviation, float(at_boundaries.max(initial=0.0))

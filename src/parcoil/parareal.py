@@ -19,12 +19,18 @@ into cost-balanced batches on their last Newton counts.  This process
 solves the first batch, and up to P-1 worker processes, fed through one
 pipe each, solve the rest (P fine solves at once, never more than N in
 all; P = 1 starts no process).
+
+Iteration 1's fine results only seed the first correction, so they are
+solved at a looser tolerance (:attr:`PararealConfig.first_fine_tol`, after
+Maday & Mula's adaptive Parareal); every later iteration solves at the
+target ``fine_tol``, and a run never stops after a loose iteration.
 A window whose start is bitwise equal to that of its last fine solve is
-neither swept nor re-solved: U_j is its last fine result, exactly.  U_0
-never changes, so after k iterations the first k boundaries equal the
-chained fine solve bit for bit and a run ends with a zero error by
-iteration N+1.  Convergence is declared when the max-temperature jump
-across all window boundaries drops below the requested tolerance.
+not swept: U_j is its last fine result, exactly, and the window is
+re-solved only if that solve was loose.  U_0 never changes, so after k
+iterations the first k boundaries (k-1 when iteration 1 was loose) equal
+the chained fine solve bit for bit, and a run ends with a zero error by
+iteration N+1 (N+2).  Convergence is declared when the max-temperature
+jump across all window boundaries drops below the requested tolerance.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import pickle
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (see below)
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from multiprocessing import Pipe, Process
 
@@ -89,6 +95,21 @@ class PararealConfig:
             raise ValueError("tol_pr must be positive")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+
+    @property
+    def first_fine_tol(self) -> StepperTolerances:
+        """Fine tolerance of iteration 1: ``fine_tol`` loosened by a factor R in [1, 10].
+
+        ``tol_t`` becomes max(tol_t, min(10 tol_t, tol_pr/100)) and ``tol_nr``
+        is scaled by the same R.  R = 1 (``fine_tol`` itself) when the fine
+        ``tol_t`` is already at least tol_pr/100, or when iteration 1 is the
+        only one (``k_max == 1``).
+        """
+        tol = self.fine_tol
+        tol_t = max(tol.tol_t, min(10.0 * tol.tol_t, self.tol_pr / 100.0))
+        if self.k_max == 1 or tol_t == tol.tol_t:
+            return tol
+        return replace(tol, tol_t=tol_t, tol_nr=tol.tol_nr * (tol_t / tol.tol_t))
 
 
 def window_boundary_indices(m: int, n: int) -> list[int]:
@@ -174,13 +195,13 @@ def _solve_batch(problem, tol, k, windows):
     return results
 
 
-def _fine_worker(conn, problem, tol):
-    """Worker process body: answer each ``(k, windows)`` with its results or its exception."""
+def _fine_worker(conn, problem):
+    """Worker process body: answer each ``(k, tol, windows)`` with its results or its exception."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     while True:
         try:
-            k, windows = conn.recv()
+            k, tol, windows = conn.recv()
         except EOFError:  # every copy of the caller's end is closed
             return
         try:
@@ -194,19 +215,20 @@ class _FineLoop:
     """The fine propagator F over ``n`` windows: this process plus ``size`` workers.
 
     It keeps each window's last fine solve: its start state (bytes), its
-    trajectory and its Newton count, the cost on which the next solves are
-    dealt longest-first into batches (equal counts deal iteration 1
-    round-robin).
-    The problem and the fine tolerance reach a worker once, when it
-    starts; each worker has its own pipe.  No thread runs beside the
-    caller, so nothing waits for the GIL while the caller solves a batch
-    itself.  Workers ignore SIGINT; leaving the ``with`` block, normally
+    tolerance, its trajectory and its Newton count, the cost on which the
+    next solves are dealt longest-first into batches (equal counts deal
+    iteration 1 round-robin).
+    The problem reaches a worker once, when it starts, and the tolerance
+    with every batch; each worker has its own pipe.  No thread runs beside
+    the caller, so nothing waits for the GIL while the caller solves a
+    batch itself.  Workers ignore SIGINT; leaving the ``with`` block, normally
     or by any exception (Ctrl-C included), terminates and joins them.
     """
 
-    def __init__(self, problem: Problem, tol: StepperTolerances, n: int, size: int):
-        self.problem, self.tol = problem, tol
+    def __init__(self, problem: Problem, n: int, size: int):
+        self.problem = problem
         self.starts: list[bytes | None] = [None] * n
+        self.tols: list[StepperTolerances | None] = [None] * n
         self.trajs: list[Trajectory | None] = [None] * n
         self.nr = [1] * n
         self.procs: list[Process] = []
@@ -221,7 +243,7 @@ class _FineLoop:
         try:
             for _ in range(size):
                 conn, child = Pipe()
-                proc = Process(target=_fine_worker, args=(child, problem, tol), daemon=True)
+                proc = Process(target=_fine_worker, args=(child, problem), daemon=True)
                 self.conns.append(conn)
                 self.procs.append(proc)
                 # SIGINT stays blocked across the fork, until the worker ignores it
@@ -250,8 +272,8 @@ class _FineLoop:
         for conn in self.conns:
             conn.close()
 
-    def solve(self, k: int, windows) -> tuple[list[int], list[float]]:
-        """Fine-solve the ``(j, t_a, t_b, u_start)`` windows of iteration ``k``.
+    def solve(self, k: int, windows, tol: StepperTolerances) -> tuple[list[int], list[float]]:
+        """Fine-solve the ``(j, t_a, t_b, u_start)`` windows of iteration ``k`` at ``tol``.
 
         Returns the iteration's Newton and wall rows, zero for the windows
         not given.  The workers get their batches first, then this process
@@ -266,8 +288,8 @@ class _FineLoop:
         batches = [[windows[i] for i in b] for b in _fine_batches(costs, len(self.conns) + 1)]
         for conn, batch in zip(self.conns, batches[1:]):
             with contextlib.suppress(OSError):  # a dead worker is reported below
-                conn.send((k, batch))
-        results = _solve_batch(self.problem, self.tol, k, batches[0])
+                conn.send((k, tol, batch))
+        results = _solve_batch(self.problem, tol, k, batches[0])
         lost, failure = [], None
         for conn, batch in zip(self.conns, batches[1:]):
             try:
@@ -292,6 +314,7 @@ class _FineLoop:
             raise failure
         for j, _, _, u_start in windows:
             self.starts[j - 1] = u_start.tobytes()
+            self.tols[j - 1] = tol
         for j, traj, nr, wall in results:
             self.trajs[j - 1] = traj
             self.nr[j - 1] = nr_row[j - 1] = nr
@@ -320,9 +343,13 @@ def run_parareal(
     """Execute the full algorithm from ``t_0`` to ``t_N``.
 
     Returns the stitched fine trajectory of the final iteration and the
-    run report.  From iteration 2 on, only windows whose start value
-    changed since their last fine solve are swept and fine-solved; the
-    others keep their last fine trajectory and report zero work.  A run
+    run report.  Iteration 1 fine-solves every window at
+    ``cfg.first_fine_tol``, later iterations at ``cfg.fine_tol``.  From
+    iteration 2 on, only windows whose start value changed since their
+    last fine solve are swept and fine-solved, and those whose last solve
+    was at another tolerance are fine-solved; the others keep their last
+    fine trajectory and report zero work.  A run may stop only after an
+    iteration at ``cfg.fine_tol``.  A run
     that exhausts ``cfg.k_max`` without meeting ``cfg.tol_pr`` is NOT an
     error: it returns normally with ``report.converged`` False and
     ``report.k_converged`` None, so callers must check the report.
@@ -340,7 +367,7 @@ def run_parareal(
     wall_start = time.perf_counter()
 
     # The workers start first, so their start-up overlaps Ĝ.
-    with _FineLoop(problem, cfg.fine_tol, n, min(n_workers, n) - 1) as fine:
+    with _FineLoop(problem, n, min(n_workers, n) - 1) as fine:
         # Iteration 1: one adaptive coarse solve over the whole interval
         # yields the coarse grid, the windows, and the initial boundary values.
         # It takes the sweeps' linearized step, so a sweep from a start Ĝ
@@ -357,21 +384,26 @@ def run_parareal(
         u_bounds = [coarse_traj.state(i) for i in idx]  # U_j, with U_0 = u_0
         u_coarse = list(u_bounds)  # coarse results of the previous iteration
         err_per_iter: list[float] = []
+        fine_tol_t: list[float] = []
         time_g, nr_g, time_f, nr_f = [], [], [], []
 
         for k in range(1, cfg.k_max + 1):
+            tol = cfg.first_fine_tol if k == 1 else cfg.fine_tol
             # Sequential coarse sweep on the frozen grid, each window followed
             # by U_j <- F(U_{j-1}^k) + G(U_{j-1}^{k+1}) - G(U_{j-1}^k); iteration
             # 1 keeps the Ĝ values.  A window whose start is bitwise unchanged
-            # since its last fine solve would repeat that solve exactly, so it
-            # is skipped and carries U_j = F(U_{j-1}) without the correction.
+            # since its last fine solve is not swept and carries U_j = F(U_{j-1})
+            # without the correction; that solve is repeated only if it was
+            # made at another tolerance (a loose iteration 1).
             g_nr, g_wall = [0] * n, [0.0] * n
             windows = []  # (j, t_a, t_b, U_{j-1}) of each window to re-solve
             for j in range(1, n + 1):
+                t_a, t_b = float(boundaries[j - 1]), float(boundaries[j])
                 if u_bounds[j - 1].tobytes() == fine.starts[j - 1]:
                     u_bounds[j] = fine.trajs[j - 1].terminal_state
+                    if fine.tols[j - 1] != tol:
+                        windows.append((j, t_a, t_b, u_bounds[j - 1]))
                     continue
-                t_a, t_b = float(boundaries[j - 1]), float(boundaries[j])
                 windows.append((j, t_a, t_b, u_bounds[j - 1]))
                 if k > 1:
                     context = f"coarse sweep failed in window {j} during iteration {k}"
@@ -386,14 +418,15 @@ def run_parareal(
             nr_g.append(g_nr)
             time_g.append(g_wall)
 
-            f_nr, f_wall = fine.solve(k, windows)
+            f_nr, f_wall = fine.solve(k, windows, tol)
             nr_f.append(f_nr)
             time_f.append(f_wall)
+            fine_tol_t.append(tol.tol_t)
 
             err_per_iter.append(
                 pr_error(u_bounds[1:], [traj.terminal_state for traj in fine.trajs], problem)
             )
-            if err_per_iter[-1] < cfg.tol_pr:
+            if err_per_iter[-1] < cfg.tol_pr and tol == cfg.fine_tol:
                 break
 
     converged = err_per_iter[-1] < cfg.tol_pr
@@ -412,6 +445,7 @@ def run_parareal(
         nr_ghat=nr_ghat,
         nr_g_per_window_per_iter=nr_g,
         nr_f_per_window_per_iter=nr_f,
+        fine_tol_t_per_iter=fine_tol_t,
         boundary_states=list(u_bounds),
     )
     return trajectory, report

@@ -242,7 +242,7 @@ class TestParareal:
         assert rows[0][2] == "1"  # K
         assert float(rows[0][4]) == 0.0  # err_mK
 
-    def test_shipped_default_with_baseline(self, tmp_path):
+    def test_shipped_default_with_baseline(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = main(
             [
@@ -263,6 +263,11 @@ class TestParareal:
         assert float(rows[-1][4]) < 10.0  # err_mK below tol_pr
         speedup_col = header.index("speedup")
         assert rows[-1][speedup_col] != ""
+        # the adaptive coarse pass's work, and the distance from the baseline trajectory
+        assert {row[header.index("nr_ghat")] for row in rows} == {"130"}
+        assert "nr_ghat=130" in capsys.readouterr().out
+        for name in ("max_dev_mK", "boundary_dev_mK"):
+            assert 0.0 < float(rows[-1][header.index(name)]) < math.inf
         # report.csv holds one row per (iteration, window)
         r_header, r_rows = read_csv(os.path.join(out, "report.csv"))
         assert r_header[:4] == ["run_id", "N", "k", "j"]
@@ -272,6 +277,8 @@ class TestParareal:
         for row in r_rows:
             assert int(row[total]) == int(row[fine]) + int(row[coarse])
             assert row[2] != "1" or row[coarse] == "0"
+            # fine 0.1 mK is not below tol_pr / 100, so iteration 1 is not loosened
+            assert row[r_header.index("fine_tol_t_mK")] == "0.1"
 
     def test_not_converged_exit_code(self, tmp_path, capsys):
         text = LINEAR_CFG.replace("tol_pr_mk = 0.001", "tol_pr_mk = 1e-9\nk_max = 1")
@@ -300,6 +307,8 @@ class TestParareal:
         header, rows = read_csv(os.path.join(out, "summary.csv"))
         assert rows[-1][header.index("baseline_wall_s")] == "2.5"
         assert float(rows[-1][header.index("speedup")]) > 0.0
+        # no baseline trajectory to measure the deviation from
+        assert rows[-1][header.index("max_dev_mK")] == ""
 
     def test_partition_error_exit_and_hint(self, tmp_path, capsys):
         text = DEGENERATE_CFG.replace("dt_init = 0.25", "dt_init = 1.0").replace(
@@ -346,10 +355,13 @@ class TestStudy:
             "err_K_mK",
             "max_speedup",
             "actual_speedup",
+            "max_dev_mK",
+            "boundary_dev_mK",
             "status",
         ]
         assert len(rows) == 1
         assert rows[0][-1] == "converged"
+        assert float(rows[0][header.index("max_dev_mK")]) >= 0.0
         e_header, e_rows = read_csv(os.path.join(out, "study_errors.csv"))
         assert e_header == ["run_id", "fine_tol_mK", "time_s", "abs_err_mK"]
         assert e_rows, "error curve must have rows"

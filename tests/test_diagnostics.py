@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from parcoil import (
+    LinearTestProblem,
     PararealReport,
+    Trajectory,
     cumulative_fine_times,
     load_balance,
     max_possible_speedup,
+    max_temperature_deviation,
     speedup,
 )
 
@@ -99,3 +102,22 @@ class TestFineTimeStats:
         report = synthetic_report([])
         with pytest.raises(ValueError):
             cumulative_fine_times(report)
+
+
+class TestMaxTemperatureDeviation:
+    PROBLEM = LinearTestProblem(-1.0, (0.0, 0.0))  # T_max is the larger component
+
+    def test_on_the_reference_times_and_at_the_boundaries(self):
+        traj = Trajectory(np.array([0.0, 2.0, 4.0]), np.array([[0.0, 0.0], [4.0, 1.0], [0.0, 0.0]]))
+        ref = Trajectory(np.array([0.0, 1.0, 3.0, 4.0]), np.zeros((4, 2)) + [[0.0, -1.0]])
+        deviation, at_boundaries = max_temperature_deviation(traj, ref, self.PROBLEM, [0.0, 2.0])
+        # traj's T_max interpolated onto ref's times: 0, 2, 2, 0
+        assert deviation.tolist() == [0.0, 2.0, 2.0, 0.0]
+        # at t = 2 traj reads 4, which no reference time sees
+        assert at_boundaries == 4.0
+
+    def test_no_boundaries(self):
+        traj = Trajectory(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [3.0, 0.0]]))
+        deviation, at_boundaries = max_temperature_deviation(traj, traj, self.PROBLEM)
+        assert deviation.tolist() == [0.0, 0.0]
+        assert at_boundaries == 0.0

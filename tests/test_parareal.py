@@ -378,6 +378,109 @@ class TestWindowSkipping:
         assert sorted(sent) == [1, 2]
 
 
+def loosened(tol, r):
+    return dataclasses.replace(tol, tol_t=r * tol.tol_t, tol_nr=r * tol.tol_nr)
+
+
+class TestFirstFineTol:
+    """Iteration 1 solves at R x the fine tolerances, R = max(1, min(10, tol_pr / (100 tol_t)))."""
+
+    def shipped(self, **fine_mk):
+        cfg = load_run_config(SHIPPED_COIL_CFG).parareal
+        fine = {key: 1e-3 * value for key, value in fine_mk.items()}
+        return dataclasses.replace(cfg, fine_tol=dataclasses.replace(cfg.fine_tol, **fine))
+
+    def test_fine_tolerance_far_below_tol_pr_is_loosened_tenfold(self):
+        # quench-fine's shape: shipped ramp and tol_pr 10 mK, fine 0.01 mK, N = 16
+        cfg = dataclasses.replace(self.shipped(tol_t=0.01, tol_nr=0.01), n_windows=16)
+        first = cfg.first_fine_tol
+        assert first.tol_t == pytest.approx(1e-4, rel=1e-12)  # 0.1 mK
+        assert first.tol_nr == pytest.approx(1e-4, rel=1e-12)
+        assert dataclasses.replace(first, tol_t=1e-5, tol_nr=1e-5) == cfg.fine_tol
+
+    def test_partial_loosening_up_to_tol_pr_over_100(self):
+        first = self.shipped(tol_t=0.05, tol_nr=0.02).first_fine_tol  # R = 2
+        assert first.tol_t == pytest.approx(1e-4, rel=1e-12)
+        assert first.tol_nr == pytest.approx(4e-5, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["ni_coil.cfg", "linear_test.cfg"])
+    def test_shipped_configs_keep_their_fine_tolerance(self, name):
+        cfg = load_run_config(os.path.join(os.path.dirname(SHIPPED_COIL_CFG), name)).parareal
+        assert cfg.first_fine_tol is cfg.fine_tol
+
+    def test_shipped_study_cells_keep_their_fine_tolerance(self):
+        run = load_run_config(SHIPPED_COIL_CFG)
+        cells = [(n, mk) for n in run.n_windows_list for mk in run.fine_tol_mk_list]
+        assert len(cells) == 9
+        for n, tol_mk in cells:  # built as cmd_study builds them
+            cfg = dataclasses.replace(self.shipped(tol_nr=tol_mk, tol_t=tol_mk), n_windows=n)
+            assert cfg.first_fine_tol is cfg.fine_tol
+
+    def test_quench_coarse_and_linear_serial_shapes_keep_their_fine_tolerance(self):
+        # fine 3 mK against tol_pr 10 mK, N = 32
+        coarse = dataclasses.replace(self.shipped(tol_nr=3.0, tol_t=3.0), n_windows=32)
+        assert coarse.first_fine_tol is coarse.fine_tol
+        # linear problem, tol_pr equal to the fine tol_t (0.01 mK)
+        fine = StepperTolerances(tol_nr=1e-8, tol_t=1e-5, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
+        serial = PararealConfig(n_windows=8, tol_pr=1e-3 * 0.01, fine_tol=fine, coarse_tol=LIN_COARSE)
+        assert serial.first_fine_tol is serial.fine_tol
+
+    def test_single_iteration_runs_at_the_target_tolerance(self):
+        cfg = dataclasses.replace(self.shipped(tol_t=0.01, tol_nr=0.01), k_max=1)
+        assert cfg.first_fine_tol is cfg.fine_tol
+
+
+def run_loose(problem, cfg, n_workers, r):
+    """``run_parareal`` with iteration 1 at ``r`` x the fine tolerances."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PararealConfig, "first_fine_tol", property(lambda c: loosened(c.fine_tol, r)))
+        return run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=n_workers)
+
+
+class TestLooseFirstIteration:
+    """With a loose iteration 1, exactness moves by one iteration and K is never 1."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(problem=linear_systems, n=st.integers(2, 6), r=st.floats(2.0, 10.0), data=st.data())
+    def test_first_k_minus_1_boundaries_are_chained_fine_bitwise(self, problem, n, r, data):
+        k = data.draw(st.integers(2, n + 2), label="k")
+        cfg = PararealConfig(
+            n_windows=n, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=PROP_COARSE, k_max=k
+        )
+        one = run_loose(problem, cfg, 1, r)
+        traj, report = one
+        assert report.iterations_run == k or report.converged
+        assert report.k_converged != 1
+        assert report.fine_tol_t_per_iter == [r * LIN_FINE.tol_t] + [LIN_FINE.tol_t] * (
+            report.iterations_run - 1
+        )
+        oracle = chained_fine_oracle(problem, report.boundaries, LIN_FINE)
+        for j in range(1, min(report.iterations_run - 1, n) + 1):
+            assert traj.state_at_time(float(report.boundaries[j])).tobytes() == oracle[j].tobytes()
+        if k == n + 2:
+            assert report.converged and report.err_per_iter[-1] == 0.0
+        assert run_fingerprint(*run_loose(problem, cfg, 2, r)) == run_fingerprint(*one)
+
+    @settings(max_examples=20, deadline=None)
+    @given(problem=linear_systems, n=st.integers(1, 6), tol_pr=st.floats(0.02, 1.0))
+    def test_never_stops_after_the_loose_iteration(self, problem, n, tol_pr):
+        # tol_pr > 100 tol_t, so the rule itself loosens iteration 1 (R > 1)
+        cfg = PararealConfig(
+            n_windows=n, tol_pr=tol_pr, fine_tol=LIN_FINE, coarse_tol=PROP_COARSE, k_max=4
+        )
+        assert cfg.first_fine_tol.tol_t > LIN_FINE.tol_t
+        one = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
+        _, report = one
+        assert report.converged and report.k_converged >= 2
+        assert report.fine_tol_t_per_iter[0] == cfg.first_fine_tol.tol_t
+        assert set(report.fine_tol_t_per_iter[1:]) == {LIN_FINE.tol_t}
+        # iteration 2 re-solves window 1 at the target tolerance, without a sweep
+        assert report.nr_f_per_window_per_iter[1][0] > 0
+        assert report.nr_g_per_window_per_iter[1][0] == 0
+        two = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=2)
+        assert run_fingerprint(*two) == run_fingerprint(*one)
+
+
 def record_ghat(problem, t_end, coarse_tol):
     """Run one parareal iteration and return its adaptive coarse trajectory Ĝ."""
     recorded = []
@@ -454,8 +557,8 @@ class TestFineResults:
         results = []  # every fine trajectory F keeps, as it keeps it
         solve = parareal._FineLoop.solve
 
-        def recording_solve(self, k, windows):
-            rows = solve(self, k, windows)
+        def recording_solve(self, k, windows, tol):
+            rows = solve(self, k, windows, tol)
             results.extend(self.trajs[j - 1] for j, *_ in windows)
             return rows
 

@@ -6,6 +6,7 @@ moves one of them changes the numerics, and must say so.  Wall time is
 never checked here.
 """
 
+import dataclasses
 import os
 
 from parcoil import (
@@ -13,6 +14,7 @@ from parcoil import (
     adaptive_integrate,
     load_run_config,
     make_problem,
+    max_temperature_deviation,
     run_parareal,
     window_boundary_indices,
 )
@@ -71,3 +73,23 @@ def test_one_newton_iteration_per_coarse_step():
     steps = [b - a for a, b in zip(idx, idx[1:])]
     # iteration 1 sweeps nothing; iteration 2 sweeps every window but the first
     assert report.nr_g_per_window_per_iter == [[0] * report.n_windows, [0, *steps[1:]]]
+
+
+def test_loose_first_iteration_counts_and_deviation():
+    # the shipped ramp at fine 0.01 mK, N = 16: iteration 1 solves at 0.1 mK
+    cfg = load_run_config(SHIPPED_COIL_CFG)
+    fine = dataclasses.replace(cfg.parareal.fine_tol, tol_nr=1e-3 * 0.01, tol_t=1e-3 * 0.01)
+    pr_cfg = dataclasses.replace(cfg.parareal, n_windows=16, fine_tol=fine)
+    problem = make_problem(cfg)
+    u_0 = problem.initial_state()
+    traj, report = run_parareal(problem, cfg.t_start, cfg.t_end, u_0, pr_cfg, n_workers=1)
+    assert report.k_converged == 2
+    assert report.fine_tol_t_per_iter == [pr_cfg.first_fine_tol.tol_t, fine.tol_t]
+    # 3780 + 3537 when iteration 1 solves at 0.01 mK; iteration 2 now re-solves window 1 too
+    assert [sum(row) for row in report.nr_f_per_window_per_iter] == [1359, 3721]
+    assert report.nr_g_per_iter == [0, 115]
+    baseline = adaptive_integrate(problem, cfg.t_start, cfg.t_end, u_0, fine)
+    deviation, at_boundaries = max_temperature_deviation(traj, baseline, problem, report.boundaries)
+    # 15.0 and 10.3 mK when iteration 1 solves at 0.01 mK
+    assert 1e3 * deviation.max() <= 11.0
+    assert 1e3 * at_boundaries <= 5.0
