@@ -120,6 +120,12 @@ def max_temperature_deviation(traj, ref, problem, boundaries=()) -> tuple[np.nda
     onto them, and the largest deviation at the ``boundaries`` times (the
     window boundaries of a Parareal run), both interpolated there; 0.0 when
     no boundaries are given.
+
+    The boundary deviation also holds ``ref``'s own linear-interpolation
+    error between its grid points, which the deviation at ``ref``'s times
+    does not, so it can exceed the largest of those: the shipped ``study``
+    grid's N = 24, 10 mK cell reads 14.95 mK at the boundaries against
+    13.61 mK at the reference's times.
     """
     t_max = np.array([problem.max_temperature(u) for u in traj.states])
     ref_t_max = np.array([problem.max_temperature(u) for u in ref.states])

@@ -34,7 +34,11 @@ temperature component is insensitive to the remaining error.
 Inside the propagators a state is a tuple of Python floats: on a few
 components that is cheaper than numpy and performs the same IEEE
 operations.  Each propagator converts its start state once and builds one
-:class:`Trajectory` from the accepted tuples.
+:class:`Trajectory` from the accepted tuples.  The Newton matrix is solved
+on Python floats too (closed form for two components, Gaussian
+elimination with partial pivoting otherwise), so the stepper is sized for
+lumped systems of a few components: elimination costs O(n^3) interpreted
+operations and loses to LAPACK past about five components.
 """
 
 from __future__ import annotations
@@ -133,32 +137,62 @@ def _residual(problem: Problem, t: float, dt: float, u: State, u_prev: State) ->
 def _newton_update(dt: float, jac, r: tuple) -> tuple:
     """Solve ``(I - dt*jac) du = -r`` for the Newton update ``du``.
 
-    Two-component systems use the closed-form inverse on Python floats,
-    which costs a fraction of a LAPACK call; other sizes go through
-    LAPACK.  Raises :class:`StepFailed` on a non-finite Jacobian or a
-    singular matrix.
+    Two-component systems use the closed-form inverse; other sizes use
+    Gaussian elimination with partial pivoting.  Both run on Python
+    floats, which on a few components costs a fraction of a LAPACK call;
+    elimination takes O(n^3) interpreted operations, so past about five
+    components LAPACK would be faster.  Raises :class:`StepFailed` on a
+    non-finite Jacobian or an exactly zero pivot (the singularity test of
+    LAPACK's ``dgesv``).  Python float products and quotients overflow to
+    ``inf`` without raising, so overflow surfaces as a non-finite update,
+    which the caller turns into :class:`StepFailed`.
     """
-    if len(r) != 2:
-        # Overflow in the matrix surfaces as a non-finite iterate, which
-        # the caller turns into StepFailed.
-        with np.errstate(over="ignore", invalid="ignore"):
-            jac = np.array(jac, dtype=float)
-            if not np.all(np.isfinite(jac)):
-                raise StepFailed("non-finite Jacobian")
-            try:
-                du = np.linalg.solve(np.eye(len(r)) - dt * jac, -np.array(r))
-            except np.linalg.LinAlgError as exc:
-                raise StepFailed(f"singular Newton matrix: {exc}") from exc
-        return tuple(du.tolist())
-    (a, b), (c, d) = jac
-    if not _all_finite((a, b, c, d)):
-        raise StepFailed("non-finite Jacobian")
-    m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
-    det = m00 * m11 - m01 * m10
-    if det == 0.0:
-        raise StepFailed("singular Newton matrix: zero determinant")
-    r0, r1 = r
-    return ((m01 * r1 - m11 * r0) / det, (m10 * r0 - m00 * r1) / det)
+    n = len(r)
+    if n == 2:
+        (a, b), (c, d) = jac
+        if not _all_finite((a, b, c, d)):
+            raise StepFailed("non-finite Jacobian")
+        m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
+        det = m00 * m11 - m01 * m10
+        if det == 0.0:
+            raise StepFailed("singular Newton matrix: zero determinant")
+        r0, r1 = r
+        return ((m01 * r1 - m11 * r0) / det, (m10 * r0 - m00 * r1) / det)
+    # augmented rows [I - dt*jac | -r]
+    rows = []
+    for i, (jac_row, r_i) in enumerate(zip(jac, r, strict=True)):
+        if not _all_finite(jac_row):
+            raise StepFailed("non-finite Jacobian")
+        row = [-dt * x for x in jac_row]
+        row[i] = 1.0 - dt * jac_row[i]
+        row.append(-r_i)
+        rows.append(row)
+    for k in range(n):
+        # the first row of largest magnitude in column k, as dgesv picks
+        p, big = k, abs(rows[k][k])
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > big:
+                p, big = i, abs(rows[i][k])
+        pivot_row = rows[p]
+        pivot = pivot_row[k]
+        if pivot == 0.0:
+            raise StepFailed(f"singular Newton matrix: zero pivot in column {k}")
+        rows[p] = rows[k]
+        rows[k] = pivot_row
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k] / pivot
+            if f != 0.0:  # a zero multiplier leaves the row unchanged
+                for j in range(k + 1, n + 1):
+                    row[j] -= f * pivot_row[j]
+    du = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        s = row[n]
+        for j in range(k + 1, n):
+            s -= row[j] * du[j]
+        du[k] = s / row[k]
+    return tuple(du)
 
 
 def implicit_euler_step(

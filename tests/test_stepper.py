@@ -26,6 +26,7 @@ from parcoil import (
     predict,
     run_parareal,
 )
+from parcoil.stepper import _newton_update
 
 DECAY = LinearTestProblem(-1.0, (1.0,))
 TIGHT = StepperTolerances(tol_nr=1e-10, tol_t=1.0, dt_init=0.5, dt_min=1e-12, dt_max=1.0)
@@ -133,6 +134,14 @@ class MatrixLinear(Problem):
 
     def initial_state(self):
         return self.u0
+
+
+class NanJacobian(MatrixLinear):
+    """A finite rhs whose Jacobian has a NaN in its last row."""
+
+    def jacobian(self, t, u):
+        *rows, last = self.a
+        return (*rows, (*last[:-1], math.nan))
 
 
 class NanRhs(LinearTestProblem):
@@ -288,13 +297,22 @@ class TestFloatContract:
 
 
 class TestImplicitEulerStep:
-    @pytest.mark.parametrize("u0", [(1.0,), (1.0, 1.0)])
+    @pytest.mark.parametrize("u0", [(1.0,), (1.0, 1.0), (1.0, 1.0, 1.0)])
     def test_singular_newton_matrix_fails(self, u0):
         # 1 - dt*rate = 0: the Newton matrix has a zero determinant
         growth = LinearTestProblem(2.0, u0)
         u_prev = growth.initial_state()
         with pytest.raises(StepFailed, match="singular"):
             implicit_euler_step(growth, 0.0, 0.5, u_prev, u_prev, TIGHT)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_nan_jacobian_fails(self, dim):
+        problem = NanJacobian(np.eye(dim), np.ones(dim))
+        u_prev = problem.initial_state()
+        counters = StepCounters()
+        with pytest.raises(StepFailed, match="non-finite Jacobian"):
+            implicit_euler_step(problem, 0.0, 0.5, u_prev, u_prev, TIGHT, counters)
+        assert counters.nr_iterations == 1
 
     def test_linear_closed_form(self):
         # u = u_prev / (1 - rate*dt) for the scalar linear problem
@@ -447,6 +465,42 @@ def square_matrices(dim):
     return st.lists(row, min_size=dim, max_size=dim)
 
 
+def vectors(dim):
+    return st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
+
+
+class TestNewtonUpdate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 6),
+        dt=st.sampled_from([0.125, 0.25, 0.5, 1.0]),
+        zero_corner=st.booleans(),
+    )
+    def test_matches_lapack(self, data, dim, dt, zero_corner):
+        jac = data.draw(square_matrices(dim), label="jac")
+        if zero_corner and dim > 1:
+            # dt is a power of two, so this zeroes (I - dt*jac)[0][0] exactly
+            # and the elimination must exchange rows
+            jac[0][0] = 1.0 / dt
+        r = data.draw(vectors(dim), label="r")
+        matrix = np.eye(dim) - dt * np.array(jac)
+        assume(np.linalg.norm(r) > 0.1 and np.linalg.cond(matrix) < 100.0)
+        exact = np.linalg.solve(matrix, -np.array(r))
+        du = _newton_update(dt, jac, tuple(r))
+        assert np.linalg.norm(du - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 3, 4, 5, 6]), dt=st.floats(1e-3, 1.0))
+    def test_diagonal_system_divides_exactly(self, data, dim, dt):
+        diag = data.draw(vectors(dim), label="diag")
+        r = data.draw(vectors(dim), label="r")
+        assume(all(1.0 - dt * a != 0.0 for a in diag))
+        jac = [[a if i == j else 0.0 for j in range(dim)] for i, a in enumerate(diag)]
+        expected = tuple(-r_i / (1.0 - dt * a) for r_i, a in zip(r, diag))
+        assert _newton_update(dt, jac, tuple(r)) == expected
+
+
 class TestLinearizedEulerStep:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), dt=st.floats(1e-3, 0.5))
@@ -464,7 +518,7 @@ class TestLinearizedEulerStep:
         assert np.linalg.norm(traj.terminal_state - exact) <= 1e-12 * np.linalg.norm(exact)
         assert counters.nr_iterations == 1
 
-    @pytest.mark.parametrize("u0", [(1.0,), (1.0, 1.0)])
+    @pytest.mark.parametrize("u0", [(1.0,), (1.0, 1.0), (1.0, 1.0, 1.0)])
     def test_singular_matrix_fails_after_one_iteration(self, u0):
         counters = StepCounters()
         with pytest.raises(StepFailed, match="singular"):

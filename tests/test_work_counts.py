@@ -1,4 +1,5 @@
-"""Deterministic work counts of the shipped coil configuration.
+"""Deterministic work counts of the shipped coil configuration and of the
+three-component linear problem.
 
 Newton iterations, accepted and rejected steps and the parareal iteration
 count are machine-independent, so they are pinned exactly: a change that
@@ -10,7 +11,10 @@ import dataclasses
 import os
 
 from parcoil import (
+    LinearTestProblem,
+    PararealConfig,
     StepCounters,
+    StepperTolerances,
     adaptive_integrate,
     load_run_config,
     make_problem,
@@ -21,6 +25,22 @@ from parcoil import (
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED_COIL_CFG = os.path.join(REPO_ROOT, "configs", "ni_coil.cfg")
+
+# Config values in mK become kelvin as the config loader converts them.
+MK = 1e-3
+
+
+def linear_three_components():
+    """d_t u = -u from (1, 2, 3) to t = 1: fine 0.01 mK, coarse 5 mK, N = 8, tol_pr 0.01 mK."""
+    problem = LinearTestProblem(-1.0, (1.0, 2.0, 3.0))
+    fine = StepperTolerances(
+        tol_nr=MK * 1e-5, tol_t=MK * 0.01, dt_init=0.05, dt_min=1e-12, dt_max=0.25
+    )
+    coarse = StepperTolerances(
+        tol_nr=MK * 1e-5, tol_t=MK * 5.0, dt_init=0.1, dt_min=1e-12, dt_max=0.5
+    )
+    cfg = PararealConfig(n_windows=8, tol_pr=MK * 0.01, fine_tol=fine, coarse_tol=coarse)
+    return problem, cfg
 
 
 def test_sequential_fine_solve_counts():
@@ -93,3 +113,22 @@ def test_loose_first_iteration_counts_and_deviation():
     # 15.0 and 10.3 mK when iteration 1 solves at 0.01 mK
     assert 1e3 * deviation.max() <= 11.0
     assert 1e3 * at_boundaries <= 5.0
+
+
+def test_linear_three_component_counts():
+    # a diagonal 3x3 Newton matrix: the general (not 2x2) linear solve
+    problem, cfg = linear_three_components()
+    u_0 = problem.initial_state()
+    counters = StepCounters()
+    adaptive_integrate(problem, 0.0, 1.0, u_0, cfg.fine_tol, counters)
+    assert (counters.nr_iterations, counters.steps_accepted, counters.steps_rejected) == (
+        991,
+        482,
+        14,
+    )
+    _, report = run_parareal(problem, 0.0, 1.0, u_0, cfg, n_workers=1)
+    assert report.k_converged == 3
+    assert report.m_coarse_steps == 24
+    assert report.nr_ghat == 30
+    assert report.nr_g_per_iter == [0, 21, 18]
+    assert [sum(row) for row in report.nr_f_per_window_per_iter] == [1216, 1131, 966]
