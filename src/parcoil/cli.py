@@ -102,6 +102,7 @@ def _write_report_csv(path: str, report: PararealReport, rid: str) -> None:
         "nr_fine",
         "nr_coarse",
         "fine_tol_t_mK",
+        "fine_steps_rejected",
     ]
     rows = []
     bounds = report.boundaries
@@ -123,6 +124,7 @@ def _write_report_csv(path: str, report: PararealReport, rid: str) -> None:
                     nr_fine,
                     nr_coarse,
                     1e3 * report.fine_tol_t_per_iter[k],
+                    report.rejected_f_per_window_per_iter[k][j],
                 ]
             )
     _write_csv(path, header, rows)
@@ -143,6 +145,8 @@ def _write_summary_csv(
         "baseline_wall_s",
         "speedup",
         "nr_ghat",
+        "ghat_steps",
+        "ghat_steps_rejected",
         "max_dev_mK",
         "boundary_dev_mK",
     ]
@@ -163,6 +167,8 @@ def _write_summary_csv(
                 baseline_wall,
                 speed,
                 report.nr_ghat,
+                report.m_coarse_steps,
+                report.ghat_steps_rejected,
                 *deviation,
             ]
         )

@@ -153,7 +153,7 @@ def pr_error(boundary_states, fine_states, problem: Problem) -> float:
 
 
 def _propagate(context: str, integrate, problem: Problem, *args):
-    """Call ``integrate(problem, *args, counters)``; return (trajectory, Newton iterations, wall s).
+    """Call ``integrate(problem, *args, counters)``; return (trajectory, counters, wall s).
 
     A failure re-raises as :class:`IntegrationFailed` prefixed with ``context``.
     """
@@ -163,7 +163,7 @@ def _propagate(context: str, integrate, problem: Problem, *args):
         traj = integrate(problem, *args, counters)
     except IntegrationFailed as exc:
         raise IntegrationFailed(f"{context}: {exc}") from exc
-    return traj, counters.nr_iterations, time.perf_counter() - start
+    return traj, counters, time.perf_counter() - start
 
 
 def _fine_batches(costs, n_batches: int) -> list[list[int]]:
@@ -186,12 +186,13 @@ def _fine_batches(costs, n_batches: int) -> list[list[int]]:
 
 
 def _solve_batch(problem, tol, k, windows):
-    """Fine-solve ``(j, t_a, t_b, u_start)`` windows; one ``(j, trajectory, nr, wall)`` each."""
+    """Fine-solve ``(j, t_a, t_b, u_start)`` windows; one ``(j, traj, counters, wall)`` each."""
     results = []
     for j, t_a, t_b, u_start in windows:
         context = f"fine propagator failed in window {j} during iteration {k}"
-        traj, nr, wall = _propagate(context, adaptive_integrate, problem, t_a, t_b, u_start, tol)
-        results.append((j, traj, nr, wall))
+        results.append(
+            (j, *_propagate(context, adaptive_integrate, problem, t_a, t_b, u_start, tol))
+        )
     return results
 
 
@@ -272,18 +273,21 @@ class _FineLoop:
         for conn in self.conns:
             conn.close()
 
-    def solve(self, k: int, windows, tol: StepperTolerances) -> tuple[list[int], list[float]]:
+    def solve(
+        self, k: int, windows, tol: StepperTolerances
+    ) -> tuple[list[int], list[int], list[float]]:
         """Fine-solve the ``(j, t_a, t_b, u_start)`` windows of iteration ``k`` at ``tol``.
 
-        Returns the iteration's Newton and wall rows, zero for the windows
-        not given.  The workers get their batches first, then this process
-        solves the first batch.  A worker's exception is re-raised here; a
-        worker that died raises :class:`IntegrationFailed` naming the
-        windows whose results never came.
+        Returns the iteration's Newton, rejected-step and wall rows, zero
+        for the windows not given.  The workers get their batches first,
+        then this process solves the first batch.  A worker's exception is
+        re-raised here; a worker that died raises :class:`IntegrationFailed`
+        naming the windows whose results never came.
         """
-        nr_row, wall_row = [0] * len(self.nr), [0.0] * len(self.nr)
+        n = len(self.nr)
+        nr_row, rejected_row, wall_row = [0] * n, [0] * n, [0.0] * n
         if not windows:
-            return nr_row, wall_row
+            return nr_row, rejected_row, wall_row
         costs = [self.nr[j - 1] for j, *_ in windows]
         batches = [[windows[i] for i in b] for b in _fine_batches(costs, len(self.conns) + 1)]
         for conn, batch in zip(self.conns, batches[1:]):
@@ -315,11 +319,12 @@ class _FineLoop:
         for j, _, _, u_start in windows:
             self.starts[j - 1] = u_start.tobytes()
             self.tols[j - 1] = tol
-        for j, traj, nr, wall in results:
+        for j, traj, counters, wall in results:
             self.trajs[j - 1] = traj
-            self.nr[j - 1] = nr_row[j - 1] = nr
+            self.nr[j - 1] = nr_row[j - 1] = counters.nr_iterations
+            rejected_row[j - 1] = counters.steps_rejected
             wall_row[j - 1] = wall
-        return nr_row, wall_row
+        return nr_row, rejected_row, wall_row
 
 
 def _stitch(fine_trajs) -> Trajectory:
@@ -373,7 +378,7 @@ def run_parareal(
         # It takes the sweeps' linearized step, so a sweep from a start Ĝ
         # reached reproduces Ĝ bit for bit.
         ghat = partial(adaptive_integrate, linearized=True)
-        coarse_traj, nr_ghat, time_ghat = _propagate(
+        coarse_traj, ghat_counters, time_ghat = _propagate(
             "adaptive coarse pass failed", ghat, problem, t_0, t_N, u_0, cfg.coarse_tol
         )
         t_hat = coarse_traj.times
@@ -385,7 +390,7 @@ def run_parareal(
         u_coarse = list(u_bounds)  # coarse results of the previous iteration
         err_per_iter: list[float] = []
         fine_tol_t: list[float] = []
-        time_g, nr_g, time_f, nr_f = [], [], [], []
+        time_g, nr_g, time_f, nr_f, rejected_f = [], [], [], [], []
 
         for k in range(1, cfg.k_max + 1):
             tol = cfg.first_fine_tol if k == 1 else cfg.fine_tol
@@ -408,9 +413,10 @@ def run_parareal(
                 if k > 1:
                     context = f"coarse sweep failed in window {j} during iteration {k}"
                     grid = t_hat[idx[j - 1] : idx[j] + 1]
-                    traj, g_nr[j - 1], g_wall[j - 1] = _propagate(
+                    traj, g_counters, g_wall[j - 1] = _propagate(
                         context, fixed_integrate, problem, grid, u_bounds[j - 1], cfg.coarse_tol
                     )
+                    g_nr[j - 1] = g_counters.nr_iterations
                     u_bounds[j] = parareal_update(
                         fine.trajs[j - 1].terminal_state, traj.terminal_state, u_coarse[j]
                     )
@@ -418,8 +424,9 @@ def run_parareal(
             nr_g.append(g_nr)
             time_g.append(g_wall)
 
-            f_nr, f_wall = fine.solve(k, windows, tol)
+            f_nr, f_rejected, f_wall = fine.solve(k, windows, tol)
             nr_f.append(f_nr)
+            rejected_f.append(f_rejected)
             time_f.append(f_wall)
             fine_tol_t.append(tol.tol_t)
 
@@ -442,9 +449,11 @@ def run_parareal(
         time_g_per_window_per_iter=time_g,
         time_f_per_window_per_iter=time_f,
         total_wall=time.perf_counter() - wall_start,
-        nr_ghat=nr_ghat,
+        nr_ghat=ghat_counters.nr_iterations,
         nr_g_per_window_per_iter=nr_g,
         nr_f_per_window_per_iter=nr_f,
+        ghat_steps_rejected=ghat_counters.steps_rejected,
+        rejected_f_per_window_per_iter=rejected_f,
         fine_tol_t_per_iter=fine_tol_t,
         boundary_states=list(u_bounds),
     )

@@ -13,9 +13,12 @@ Two step functions share one residual and one linear solve:
 Two propagator flavors drive them:
 
 * :func:`adaptive_integrate` controls the step size from the local
-  truncation error of the maximum temperature (solution minus polynomial
-  prediction) and lands exactly on forced event times, e.g. instants where
-  a source ramp changes rate.
+  truncation error of the maximum temperature (solution minus prediction:
+  the explicit Euler step on a call's first step, linear extrapolation of
+  the last two accepted states after it) and lands exactly on forced event
+  times, e.g. instants where a source ramp changes rate.  Every call, so
+  every Parareal window, starts with an estimate of second order, and needs
+  no warm-up that the sequential solve does not pay.
 * :func:`fixed_integrate` replays linearized steps on a prescribed grid
   with no rejection, as required when a coarse sweep must reuse the time
   steps chosen by an earlier adaptive pass.
@@ -68,6 +71,9 @@ __all__ = [
 
 # Step-size controller safety factor (elementary order-1 controller).
 SAFETY = 0.9
+# Smallest factor by which a step rejected on its error estimate shrinks;
+# the largest is one half.
+REJECT_SHRINK_MIN = 0.2
 # Relative floor on the error estimate inside the controller.
 LTE_FLOOR_REL = 1e-12
 
@@ -291,17 +297,20 @@ def linearized_euler_step(
             counters.nr_iterations += 1
 
 
-def predict(history, t_next: float) -> State:
-    """Polynomial extrapolation from the last accepted results.
+def predict(history, t_next: float, slope) -> State:
+    """Prediction at ``t_next`` from the last accepted results.
 
     ``history`` holds up to two ``(time, state)`` pairs with increasing
-    times: one pair gives a constant prediction, two give componentwise
-    linear extrapolation to ``t_next``.
+    times: one pair gives the explicit Euler step along ``slope``, the rhs
+    at that pair; two give componentwise linear extrapolation to
+    ``t_next`` (``slope`` is then unused).
     """
     if len(history) == 0:
         raise ValueError("predict needs at least one history entry")
     if len(history) == 1:
-        return history[0][1]
+        ((t0, u0),) = history
+        dt = t_next - t0
+        return tuple([a + dt * b for a, b in zip(u0, slope)])
     (t0, u0), (t1, u1) = history[-2], history[-1]
     w = (t_next - t1) / (t1 - t0)
     return tuple([b + w * (b - a) for a, b in zip(u0, u1)])
@@ -340,10 +349,15 @@ def adaptive_integrate(
     with ``linearized``, taken as one :func:`linearized_euler_step` from
     the last accepted state), and accepted when the
     estimated local truncation error of the max temperature (the solution
-    minus the extrapolated prediction) is below ``tol.tol_t``.  Rejected
-    or failed steps retry with half the step; the accepted step feeds an
-    order-1 controller.  Raises :class:`IntegrationFailed` if the step
-    size underflows ``tol.dt_min`` through repeated rejection.
+    minus the prediction) is below ``tol.tol_t``.  The first step predicts
+    the explicit Euler step ``u_a + dt*rhs(t_a, u_a)`` (one extra ``rhs``
+    call per call), later steps extrapolate the last two accepted states
+    linearly.  A step rejected on its error estimate retries at
+    ``dt * max(REJECT_SHRINK_MIN, min(0.5, SAFETY*sqrt(tol_t/lte)))``, a
+    failed Newton step at half the step; the accepted step feeds an
+    order-1 controller.  Raises :class:`IntegrationFailed` at once if
+    ``rhs(t_a, u_a)`` is non-finite or raises ``ArithmeticError``, and if
+    the step size underflows ``tol.dt_min`` through repeated rejection.
 
     Each step uses ``dt = t_new - t``, so with ``linearized``
     :func:`fixed_integrate` on any slice of the returned grid, started from
@@ -355,9 +369,16 @@ def adaptive_integrate(
     u = tuple(map(float, u_a))
     if not _all_finite(u):
         raise ValueError("initial state contains non-finite entries")
+    t = float(t_a)
+    # the start slope, for the first step's explicit Euler prediction
+    try:
+        slope = tuple(map(float, problem.rhs(t, u)))
+    except ArithmeticError as exc:
+        raise IntegrationFailed(f"rhs failed at the start state, t={t:.6g}: {exc}") from exc
+    if not _all_finite(slope):
+        raise IntegrationFailed(f"non-finite rhs at the start state, t={t:.6g}")
 
     events = list(problem.forced_event_times(t_a, t_b))
-    t = float(t_a)
     times = [t]
     states = [u]
     history: deque = deque(maxlen=2)
@@ -374,7 +395,7 @@ def adaptive_integrate(
         if not t_new > t:
             raise IntegrationFailed(f"step size {dt:.3g} cannot advance time at t={t:.6g}")
 
-        guess = predict(history, t_new)
+        guess = predict(history, t_new, slope)
         try:
             if linearized:
                 u_new = linearized_euler_step(problem, t, dt_step, u, counters)
@@ -392,7 +413,8 @@ def adaptive_integrate(
 
         lte = estimate_lte(problem, u_new, guess)
         if lte >= tol.tol_t:
-            dt = 0.5 * dt_step
+            shrink = SAFETY * math.sqrt(tol.tol_t / lte)
+            dt = dt_step * max(REJECT_SHRINK_MIN, min(0.5, shrink))
             if counters is not None:
                 counters.steps_rejected += 1
             if dt < tol.dt_min:

@@ -10,7 +10,13 @@ import time
 
 import pytest
 
-from parcoil import LinearTestProblem, cli
+from parcoil import (
+    LinearTestProblem,
+    adaptive_integrate,
+    cli,
+    load_run_config,
+    window_boundary_indices,
+)
 from parcoil.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -96,6 +102,19 @@ class Doubled(LinearTestProblem):
 
     def derived_columns(self):
         return (("twice_u_0", lambda t, u: 2.0 * u[0]),)
+
+
+class NanAt(LinearTestProblem):
+    """Linear decay whose rhs is NaN at one time and state, and nowhere else."""
+
+    def __init__(self, t_bad, u_bad):
+        super().__init__(-1.0, (1.0,))
+        self.bad = (float(t_bad), tuple(map(float, u_bad)))
+
+    def rhs(self, t, u):
+        if (t, tuple(u)) == self.bad:
+            return (math.nan,)
+        return super().rhs(t, u)
 
 
 class TestConfigErrors:
@@ -208,7 +227,7 @@ class TestSequential:
 
     def test_integration_failure_exit_code(self, tmp_path, capsys):
         # fast decay against an unattainable step tolerance with a high
-        # step floor: rejection halves straight through dt_min
+        # step floor: rejection shrinks the step straight through dt_min
         text = textwrap.dedent(
             """
             [run]
@@ -229,6 +248,13 @@ class TestSequential:
         cfg = write_cfg(tmp_path, text)
         assert main(["sequential", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_rhs_at_the_start_fails_at_once(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "make_problem", lambda cfg: NanAt(0.0, (1.0,)))
+        cfg = write_cfg(tmp_path, LINEAR_CFG)
+        assert main(["sequential", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: non-finite rhs at the start state, t=0\n" == err
 
 
 class TestParareal:
@@ -264,8 +290,8 @@ class TestParareal:
         speedup_col = header.index("speedup")
         assert rows[-1][speedup_col] != ""
         # the adaptive coarse pass's work, and the distance from the baseline trajectory
-        assert {row[header.index("nr_ghat")] for row in rows} == {"130"}
-        assert "nr_ghat=130" in capsys.readouterr().out
+        assert {row[header.index("nr_ghat")] for row in rows} == {"129"}
+        assert "nr_ghat=129" in capsys.readouterr().out
         for name in ("max_dev_mK", "boundary_dev_mK"):
             assert 0.0 < float(rows[-1][header.index(name)]) < math.inf
         # report.csv holds one row per (iteration, window)
@@ -279,6 +305,50 @@ class TestParareal:
             assert row[2] != "1" or row[coarse] == "0"
             # fine 0.1 mK is not below tol_pr / 100, so iteration 1 is not loosened
             assert row[r_header.index("fine_tol_t_mK")] == "0.1"
+
+    def test_non_finite_rhs_at_a_window_start_names_window_and_iteration(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # NaN only where window 3's first fine solve starts: Ĝ's state at that time
+        cfg = write_cfg(tmp_path, LINEAR_CFG)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        coarse_tol = load_run_config(cfg).parareal.coarse_tol
+        ghat = adaptive_integrate(
+            problem, 0.0, 1.0, problem.initial_state(), coarse_tol, linearized=True
+        )
+        i = window_boundary_indices(ghat.n_points - 1, 4)[2]
+        bad = NanAt(ghat.times[i], ghat.states[i])
+        monkeypatch.setattr(cli, "make_problem", lambda cfg: bad)
+        argv = ["parareal", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: fine propagator failed in window 3 during iteration 1: "
+            f"non-finite rhs at the start state, t={ghat.times[i]:.6g}\n"
+        )
+
+    def test_rejected_step_columns(self, tmp_path):
+        outs = [str(tmp_path / name) for name in ("w1", "w2")]
+        for out, workers in zip(outs, ("1", "2")):
+            argv = ["parareal", "--config", SHIPPED_COIL_CFG, "--out", out, "--workers", workers]
+            assert main(argv) == 0
+        new_columns = {
+            "report.csv": ["nr_fine", "fine_steps_rejected"],
+            "summary.csv": ["ghat_steps", "ghat_steps_rejected"],
+        }
+        picked = {}
+        for name, columns in new_columns.items():
+            values = []
+            for out in outs:
+                header, rows = read_csv(os.path.join(out, name))
+                values.append([[int(row[header.index(c)]) for c in columns] for row in rows])
+            # deterministic: the same at one and two workers
+            assert values[0] == values[1]
+            assert all(v >= 0 for row in values[0] for v in row)
+            picked[name] = values[0]
+        # window 1 is not re-solved in iteration 2, so it rejected no step there
+        skipped = [rejected for nr_fine, rejected in picked["report.csv"] if nr_fine == 0]
+        assert skipped == [0]
+        assert all(steps > 0 for steps, _ in picked["summary.csv"])
 
     def test_not_converged_exit_code(self, tmp_path, capsys):
         text = LINEAR_CFG.replace("tol_pr_mk = 0.001", "tol_pr_mk = 1e-9\nk_max = 1")

@@ -260,6 +260,8 @@ def run_fingerprint(traj, report):
         report.nr_ghat,
         report.nr_g_per_window_per_iter,
         report.nr_f_per_window_per_iter,
+        report.ghat_steps_rejected,
+        report.rejected_f_per_window_per_iter,
     )
     arrays = [traj.times, traj.states, np.array(report.err_per_iter), *report.boundary_states]
     return b"|".join([repr(counts).encode()] + [np.asarray(a).tobytes() for a in arrays])
@@ -336,6 +338,8 @@ class TestWindowSkipping:
                         assert nr[k - 1][j - 1] > 0 and wall[k - 1][j - 1] > 0.0
                     else:
                         assert nr[k - 1][j - 1] == 0 and wall[k - 1][j - 1] == 0.0
+                        if not sweep:
+                            assert report.rejected_f_per_window_per_iter[k - 1][j - 1] == 0
         # a swept window is always fine-solved in the same iteration, and vice versa
         fine = {(k, j) for sweep, k, j in solved if not sweep}
         assert {(k, j) for sweep, k, j in solved if sweep} == {(k, j) for k, j in fine if k > 1}

@@ -26,7 +26,8 @@ from parcoil import (
     predict,
     run_parareal,
 )
-from parcoil.stepper import _newton_update
+from parcoil import stepper
+from parcoil.stepper import REJECT_SHRINK_MIN, SAFETY, _newton_update
 
 DECAY = LinearTestProblem(-1.0, (1.0,))
 TIGHT = StepperTolerances(tol_nr=1e-10, tol_t=1.0, dt_init=0.5, dt_min=1e-12, dt_max=1.0)
@@ -149,6 +150,31 @@ class NanRhs(LinearTestProblem):
 
     def rhs(self, t, u):
         return (math.nan,) * len(u)
+
+
+class DividesByZero(LinearTestProblem):
+    """A rhs that raises ``ZeroDivisionError`` everywhere."""
+
+    def rhs(self, t, u):
+        return (1.0 / 0.0,) * len(u)
+
+
+class ConstantSlope(Problem):
+    """``d_t u = 1``: explicit and implicit Euler both give the exact solution."""
+
+    component_names = ("u",)
+
+    def rhs(self, t, u):
+        return (1.0,)
+
+    def jacobian(self, t, u):
+        return ((0.0,),)
+
+    def max_temperature(self, u):
+        return u[0]
+
+    def initial_state(self):
+        return as_state([0.0])
 
 
 def forward_difference_reference(problem, t, u, eps=1e-7):
@@ -351,15 +377,18 @@ class TestImplicitEulerStep:
 
 class TestPredict:
     def test_constant_from_single_entry(self):
-        assert np.array_equal(predict([(0.0, as_state([1.0]))], 1.0), [1.0])
+        assert np.array_equal(predict([(0.0, as_state([1.0]))], 1.0, (0.0,)), [1.0])
+
+    def test_explicit_euler_from_single_entry(self):
+        assert predict([(0.5, (1.0, 2.0))], 0.75, (4.0, -8.0)) == (2.0, 0.0)
 
     def test_linear_extrapolation(self):
         history = [(0.0, as_state([0.0])), (1.0, as_state([2.0]))]
-        assert np.array_equal(predict(history, 2.0), [4.0])
+        assert np.array_equal(predict(history, 2.0, None), [4.0])
 
     def test_endpoint_reproduces_last_state(self):
         history = [(0.0, as_state([0.0])), (1.0, as_state([2.0]))]
-        assert np.array_equal(predict(history, 1.0), [2.0])
+        assert np.array_equal(predict(history, 1.0, None), [2.0])
 
 
 class TestEstimateLte:
@@ -430,6 +459,111 @@ class TestAdaptiveIntegrate:
         )
         assert counters.steps_accepted == traj.n_points - 1
         assert counters.nr_iterations >= counters.steps_accepted
+
+
+class TestStepController:
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_constant_slope_first_step_accepted_at_dt_init(self, linearized):
+        # the explicit Euler predictor is exact here, so the first LTE estimate is 0
+        problem = ConstantSlope()
+        tol = StepperTolerances(tol_nr=1e-9, tol_t=1e-6, dt_init=0.1, dt_min=1e-12, dt_max=0.5)
+        counters = StepCounters()
+        traj = adaptive_integrate(
+            problem, 0.0, 1.0, problem.initial_state(), tol, counters, linearized=linearized
+        )
+        assert traj.times[1] == 0.1
+        assert counters.steps_rejected == 0
+        assert traj.terminal_state[0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_retry_after_lte_rejection_is_sized_from_the_error(self, monkeypatch):
+        # d_t u = -u from 1 at dt = 0.1: the first trial's error estimate is
+        # about 0.0091; each tolerance puts the retry factor in another range
+        trials, ltes = [], []
+        step, lte = stepper.implicit_euler_step, stepper.estimate_lte
+
+        def recording_step(problem, t, dt, *args):
+            trials.append(dt)
+            return step(problem, t, dt, *args)
+
+        def recording_lte(*args):
+            ltes.append(lte(*args))
+            return ltes[-1]
+
+        monkeypatch.setattr(stepper, "implicit_euler_step", recording_step)
+        monkeypatch.setattr(stepper, "estimate_lte", recording_lte)
+        factors = []
+        for tol_t in (6e-3, 1.1e-3, 9e-5):
+            trials.clear()
+            ltes.clear()
+            tol = StepperTolerances(
+                tol_nr=1e-10, tol_t=tol_t, dt_init=0.1, dt_min=1e-12, dt_max=0.5
+            )
+            adaptive_integrate(DECAY, 0.0, 0.2, DECAY.initial_state(), tol)
+            assert trials[0] == 0.1 and ltes[0] >= tol_t
+            factor = max(REJECT_SHRINK_MIN, min(0.5, SAFETY * math.sqrt(tol_t / ltes[0])))
+            assert trials[1] == 0.1 * factor
+            factors.append(factor)
+        # the cap, a factor from the error estimate, and the floor
+        assert factors[0] == 0.5
+        assert REJECT_SHRINK_MIN < factors[1] < 0.5
+        assert factors[2] == REJECT_SHRINK_MIN
+
+    @pytest.mark.parametrize("make", [NanRhs, DividesByZero], ids=["nan", "zero-division"])
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_bad_rhs_at_the_start_fails_at_once(self, make, linearized):
+        problem = make(-1.0, (1.0, 2.0))
+        counters = StepCounters()
+        with pytest.raises(IntegrationFailed, match=r"rhs .*at the start state, t=0\.25"):
+            adaptive_integrate(
+                problem, 0.25, 1.0, problem.initial_state(), TIGHT, counters, linearized=linearized
+            )
+        # no trial step: the step size is not shrunk down to dt_min
+        assert counters == StepCounters()
+
+
+class TestWindowWarmStart:
+    """A window solve started on the sequential solve costs about what it spent there."""
+
+    TOL = StepperTolerances(tol_nr=1e-8, tol_t=1e-5, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
+    # Newton iterations a window may cost above the sequential solve over the
+    # same span: at most 13 measured over about 8000 random draws, against up
+    # to 39 with a constant first predictor and halving retries
+    EXCESS = 16
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_window_costs_at_most_the_sequential_span(self, data, dim):
+        diagonal, off_diagonal = st.floats(-3.0, 1.0), st.floats(-1.0, 1.0)
+        a = [
+            [data.draw(diagonal if i == j else off_diagonal) for j in range(dim)]
+            for i in range(dim)
+        ]
+        component = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
+        problem = MatrixLinear(a, data.draw(st.lists(component, min_size=dim, max_size=dim)))
+        work = []  # (trial start time, Newton iterations) of every sequential trial step
+        step = stepper.implicit_euler_step
+
+        def recording_step(problem, t, dt, u_prev, guess, tol, counters):
+            before = counters.nr_iterations
+            try:
+                return step(problem, t, dt, u_prev, guess, tol, counters)
+            finally:
+                work.append((t, counters.nr_iterations - before))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stepper, "implicit_euler_step", recording_step)
+            seq = adaptive_integrate(
+                problem, 0.0, 1.0, problem.initial_state(), self.TOL, StepCounters()
+            )
+        m = seq.n_points - 1
+        i = data.draw(st.integers(0, m - 1))
+        k = data.draw(st.integers(i + 1, m))
+        t_i, t_k = float(seq.times[i]), float(seq.times[k])
+        counters = StepCounters()
+        window = adaptive_integrate(problem, t_i, t_k, seq.states[i], self.TOL, counters)
+        assert window.t_end == t_k
+        span = sum(nr for t, nr in work if t_i <= t < t_k)
+        assert counters.nr_iterations <= span + self.EXCESS
 
 
 class TestFixedIntegrate:
