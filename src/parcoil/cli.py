@@ -42,7 +42,11 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, rows: list, header: list[str] | None = None) -> None:
+    """Write ``rows`` under ``header``, or ``{column: value}`` rows under their own keys."""
+    if header is None:
+        header = list(rows[0])
+        rows = [row.values() for row in rows]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -57,7 +61,7 @@ def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory) -> None
         [t, *state, problem.max_temperature(state), *(fn(t, state) for _, fn in derived)]
         for t, state in zip(traj.times.tolist(), traj.states.tolist())
     ]
-    _write_csv(path, header, rows)
+    _write_csv(path, rows, header)
 
 
 def _sequential_fine_run(problem: Problem, cfg: RunConfig, tol: StepperTolerances):
@@ -76,11 +80,14 @@ def cmd_sequential(cfg: RunConfig, args) -> int:
     traj, wall, counters = _sequential_fine_run(problem, cfg, cfg.parareal.fine_tol)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, traj)
-    _write_csv(
-        os.path.join(cfg.out_dir, "sequential_summary.csv"),
-        ["run_id", "wall_s", "steps", "nr_iterations", "steps_rejected"],
-        [[rid, wall, traj.n_points - 1, counters.nr_iterations, counters.steps_rejected]],
-    )
+    row = {
+        "run_id": rid,
+        "wall_s": wall,
+        "steps": traj.n_points - 1,
+        "nr_iterations": counters.nr_iterations,
+        "steps_rejected": counters.steps_rejected,
+    }
+    _write_csv(os.path.join(cfg.out_dir, "sequential_summary.csv"), [row])
     print(
         f"sequential: wall={wall:.3f} s, steps={traj.n_points - 1}, "
         f"nr_iterations={counters.nr_iterations}, steps_rejected={counters.steps_rejected}"
@@ -88,22 +95,8 @@ def cmd_sequential(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _write_report_csv(path: str, report: PararealReport, rid: str) -> None:
-    header = [
-        "run_id",
-        "N",
-        "k",
-        "j",
-        "t_start_s",
-        "t_end_s",
-        "fine_wall_s",
-        "coarse_wall_s",
-        "nr_iters",
-        "nr_fine",
-        "nr_coarse",
-        "fine_tol_t_mK",
-        "fine_steps_rejected",
-    ]
+def _report_rows(report: PararealReport, rid: str) -> list[dict]:
+    """``report.csv``: one row per (iteration, window)."""
     rows = []
     bounds = report.boundaries
     for k in range(report.iterations_run):
@@ -111,68 +104,48 @@ def _write_report_csv(path: str, report: PararealReport, rid: str) -> None:
             nr_fine = report.nr_f_per_window_per_iter[k][j]
             nr_coarse = report.nr_g_per_window_per_iter[k][j]
             rows.append(
-                [
-                    rid,
-                    report.n_windows,
-                    k + 1,
-                    j + 1,
-                    float(bounds[j]),
-                    float(bounds[j + 1]),
-                    report.time_f_per_window_per_iter[k][j],
-                    report.time_g_per_window_per_iter[k][j],
-                    nr_fine + nr_coarse,
-                    nr_fine,
-                    nr_coarse,
-                    1e3 * report.fine_tol_t_per_iter[k],
-                    report.rejected_f_per_window_per_iter[k][j],
-                ]
+                {
+                    "run_id": rid,
+                    "N": report.n_windows,
+                    "k": k + 1,
+                    "j": j + 1,
+                    "t_start_s": float(bounds[j]),
+                    "t_end_s": float(bounds[j + 1]),
+                    "fine_wall_s": report.time_f_per_window_per_iter[k][j],
+                    "coarse_wall_s": report.time_g_per_window_per_iter[k][j],
+                    "nr_iters": nr_fine + nr_coarse,
+                    "nr_fine": nr_fine,
+                    "nr_coarse": nr_coarse,
+                    "fine_tol_t_mK": 1e3 * report.fine_tol_t_per_iter[k],
+                    "fine_steps_rejected": report.rejected_f_per_window_per_iter[k][j],
+                }
             )
-    _write_csv(path, header, rows)
+    return rows
 
 
-def _write_summary_csv(
-    path: str, report: PararealReport, rid: str, baseline_wall=None, deviation=(None, None)
-) -> None:
-    """One row per iteration; ``deviation`` is (max, boundary) |ΔT_max| from the baseline, mK."""
-    header = [
-        "run_id",
-        "N",
-        "K",
-        "k",
-        "err_mK",
-        "load_balance",
-        "n_over_k",
-        "baseline_wall_s",
-        "speedup",
-        "nr_ghat",
-        "ghat_steps",
-        "ghat_steps_rejected",
-        "max_dev_mK",
-        "boundary_dev_mK",
-    ]
+def _summary_rows(report: PararealReport, rid: str, baseline_wall, deviation: dict) -> list[dict]:
+    """``summary.csv``: one row per iteration; ``deviation`` is :func:`_deviation_mk`'s columns."""
     lb = load_balance(cumulative_fine_times(report))
     n_over_k = max_possible_speedup(report.n_windows, report.k_converged) if report.converged else None
     speed = speedup(report, baseline_wall) if baseline_wall is not None else None
-    rows = []
-    for k, err in enumerate(report.err_per_iter, start=1):
-        rows.append(
-            [
-                rid,
-                report.n_windows,
-                report.k_converged,
-                k,
-                1e3 * err,
-                lb,
-                n_over_k,
-                baseline_wall,
-                speed,
-                report.nr_ghat,
-                report.m_coarse_steps,
-                report.ghat_steps_rejected,
-                *deviation,
-            ]
-        )
-    _write_csv(path, header, rows)
+    return [
+        {
+            "run_id": rid,
+            "N": report.n_windows,
+            "K": report.k_converged,
+            "k": k,
+            "err_mK": 1e3 * err,
+            "load_balance": lb,
+            "n_over_k": n_over_k,
+            "baseline_wall_s": baseline_wall,
+            "speedup": speed,
+            "nr_ghat": report.nr_ghat,
+            "ghat_steps": report.m_coarse_steps,
+            "ghat_steps_rejected": report.ghat_steps_rejected,
+            **deviation,
+        }
+        for k, err in enumerate(report.err_per_iter, start=1)
+    ]
 
 
 def cmd_parareal(cfg: RunConfig, args) -> int:
@@ -181,21 +154,19 @@ def cmd_parareal(cfg: RunConfig, args) -> int:
         raise ConfigError(f"--baseline-wall must be positive and finite, got {baseline_wall}")
     problem = make_problem(cfg)
     rid = run_id(cfg)
+    baseline = None
     if args.with_baseline:
         baseline, baseline_wall, _ = _sequential_fine_run(problem, cfg, cfg.parareal.fine_tol)
 
     traj, report = run_parareal(
         problem, cfg.t_start, cfg.t_end, problem.initial_state(), cfg.parareal, cfg.workers
     )
-    deviation = (None, None)
-    if args.with_baseline:
-        deviation = _deviation_mk(traj, baseline, problem, report.boundaries)
+    deviation = _deviation_mk(problem, traj, baseline, report.boundaries)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, traj)
-    _write_report_csv(os.path.join(cfg.out_dir, "report.csv"), report, rid)
-    _write_summary_csv(
-        os.path.join(cfg.out_dir, "summary.csv"), report, rid, baseline_wall, deviation
-    )
+    _write_csv(os.path.join(cfg.out_dir, "report.csv"), _report_rows(report, rid))
+    summary = _summary_rows(report, rid, baseline_wall, deviation)
+    _write_csv(os.path.join(cfg.out_dir, "summary.csv"), summary)
 
     if report.converged:
         print(
@@ -213,10 +184,51 @@ def cmd_parareal(cfg: RunConfig, args) -> int:
     return 3
 
 
-def _deviation_mk(traj: Trajectory, baseline: Trajectory, problem: Problem, boundaries) -> tuple:
-    """Largest |ΔT_max| (mK) of a Parareal run from its baseline, and at its window boundaries."""
-    deviation, at_boundaries = max_temperature_deviation(traj, baseline, problem, boundaries)
-    return 1e3 * float(deviation.max()), 1e3 * at_boundaries
+def _deviation_mk(problem: Problem, traj=None, baseline=None, boundaries=None) -> dict:
+    """Largest |ΔT_max| (mK) of a Parareal run from its baseline, and at its window boundaries.
+
+    Both columns are None without a baseline.
+    """
+    max_dev = boundary_dev = None
+    if baseline is not None:
+        deviation, at_boundaries = max_temperature_deviation(traj, baseline, problem, boundaries)
+        max_dev, boundary_dev = 1e3 * float(deviation.max()), 1e3 * at_boundaries
+    return {"max_dev_mK": max_dev, "boundary_dev_mK": boundary_dev}
+
+
+def _study_row(problem: Problem, cfg: RunConfig, n_windows: int, tol_mk, baseline) -> dict:
+    """One ``study_table.csv`` cell; a cell whose run fails leaves its result columns empty."""
+    tol, baseline_traj, baseline_wall = baseline
+    pr_cfg = dataclasses.replace(cfg.parareal, n_windows=n_windows, fine_tol=tol)
+    k_converged = err = max_speed = actual_speed = None
+    deviation = _deviation_mk(problem)
+    try:
+        traj, report = run_parareal(
+            problem, cfg.t_start, cfg.t_end, problem.initial_state(), pr_cfg, cfg.workers
+        )
+    except PartitionError:
+        status = "partition_error"
+    except IntegrationFailed:
+        status = "integration_failed"
+    else:
+        status = "converged" if report.converged else "not_converged"
+        k_converged = report.k_converged
+        err = 1e3 * report.err_per_iter[-1]
+        if report.converged:
+            max_speed = max_possible_speedup(n_windows, k_converged)
+        actual_speed = speedup(report, baseline_wall)
+        deviation = _deviation_mk(problem, traj, baseline_traj, report.boundaries)
+    return {
+        "run_id": run_id(cfg),
+        "N": n_windows,
+        "fine_tol_mK": tol_mk,
+        "K": k_converged,
+        "err_K_mK": err,
+        "max_speedup": max_speed,
+        "actual_speedup": actual_speed,
+        **deviation,
+        "status": status,
+    }
 
 
 def cmd_study(cfg: RunConfig, args) -> int:
@@ -241,55 +253,18 @@ def cmd_study(cfg: RunConfig, args) -> int:
         traj = baselines[tol_mk][1]
         # the reference interpolated onto this run's own times
         errs = 1e3 * max_temperature_deviation(ref_traj, traj, problem)[0]
-        for t, err in zip(traj.times, errs):
-            error_rows.append([rid, tol_mk, float(t), float(err)])
-    _write_csv(
-        os.path.join(cfg.out_dir, "study_errors.csv"),
-        ["run_id", "fine_tol_mK", "time_s", "abs_err_mK"],
-        error_rows,
-    )
+        error_rows += [
+            {"run_id": rid, "fine_tol_mK": tol_mk, "time_s": float(t), "abs_err_mK": float(err)}
+            for t, err in zip(traj.times, errs)
+        ]
+    _write_csv(os.path.join(cfg.out_dir, "study_errors.csv"), error_rows)
 
-    table_rows = []
-    for n_windows in cfg.n_windows_list:
-        for tol_mk in cfg.fine_tol_mk_list:
-            tol, baseline, baseline_wall = baselines[tol_mk]
-            pr_cfg = dataclasses.replace(cfg.parareal, n_windows=n_windows, fine_tol=tol)
-            row = [rid, n_windows, tol_mk, None, None, None, None, None, None]
-            try:
-                traj, report = run_parareal(
-                    problem, cfg.t_start, cfg.t_end, problem.initial_state(), pr_cfg, cfg.workers
-                )
-            except PartitionError:
-                row.append("partition_error")
-            except IntegrationFailed:
-                row.append("integration_failed")
-            else:
-                row[4] = 1e3 * report.err_per_iter[-1]
-                row[6] = speedup(report, baseline_wall)
-                row[7:9] = _deviation_mk(traj, baseline, problem, report.boundaries)
-                if report.converged:
-                    row[3] = report.k_converged
-                    row[5] = max_possible_speedup(n_windows, report.k_converged)
-                    row.append("converged")
-                else:
-                    row.append("not_converged")
-            table_rows.append(row)
-    _write_csv(
-        os.path.join(cfg.out_dir, "study_table.csv"),
-        [
-            "run_id",
-            "N",
-            "fine_tol_mK",
-            "K",
-            "err_K_mK",
-            "max_speedup",
-            "actual_speedup",
-            "max_dev_mK",
-            "boundary_dev_mK",
-            "status",
-        ],
-        table_rows,
-    )
+    table_rows = [
+        _study_row(problem, cfg, n_windows, tol_mk, baselines[tol_mk])
+        for n_windows in cfg.n_windows_list
+        for tol_mk in cfg.fine_tol_mk_list
+    ]
+    _write_csv(os.path.join(cfg.out_dir, "study_table.csv"), table_rows)
     print(f"study: wrote {len(table_rows)} cells to {cfg.out_dir}/study_table.csv")
     return 0
 
@@ -351,10 +326,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PartitionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IntegrationFailed as exc:
+    except (PartitionError, IntegrationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -36,14 +36,13 @@ jump across all window boundaries drops below the requested tolerance.
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import os
-import pickle
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (see below)
 from dataclasses import dataclass, replace
 from functools import partial
-from multiprocessing import Pipe, Process
 
 import numpy as np
 
@@ -59,10 +58,17 @@ from .stepper import (
 
 # perfbench/tracing.py wraps adaptive_integrate and fixed_integrate by
 # replacing them in this module, so they must stay module globals, looked
-# up at call time (never bound at import).  It also replaces
-# ProcessPoolExecutor when it installs, so the name stays imported although
-# nothing here uses it: the fine loop is _FineLoop, and the tracer's pool
-# spans stay empty.
+# up at call time (never bound at import); it finds their counters by
+# keyword and a tolerance only in adaptive_integrate's arguments.  It also
+# replaces ProcessPoolExecutor when it installs, so the name stays imported
+# although nothing here uses it: the fine loop is _FineLoop, and the
+# tracer's pool spans stay empty.
+
+# The fine loop's workers are forked whatever the default start method (it
+# is forkserver on Linux from Python 3.14): they inherit the problem, so it
+# never crosses a pipe, and SIGINT stays blocked across the fork.
+_FORK = multiprocessing.get_context("fork")
+Process, Pipe = _FORK.Process, _FORK.Pipe
 
 __all__ = [
     "PararealConfig",
@@ -153,14 +159,14 @@ def pr_error(boundary_states, fine_states, problem: Problem) -> float:
 
 
 def _propagate(context: str, integrate, problem: Problem, *args):
-    """Call ``integrate(problem, *args, counters)``; return (trajectory, counters, wall s).
+    """Call ``integrate(problem, *args, counters=...)``; return (trajectory, counters, wall s).
 
     A failure re-raises as :class:`IntegrationFailed` prefixed with ``context``.
     """
     counters = StepCounters()
     start = time.perf_counter()
     try:
-        traj = integrate(problem, *args, counters)
+        traj = integrate(problem, *args, counters=counters)
     except IntegrationFailed as exc:
         raise IntegrationFailed(f"{context}: {exc}") from exc
     return traj, counters, time.perf_counter() - start
@@ -219,7 +225,7 @@ class _FineLoop:
     tolerance, its trajectory and its Newton count, the cost on which the
     next solves are dealt longest-first into batches (equal counts deal
     iteration 1 round-robin).
-    The problem reaches a worker once, when it starts, and the tolerance
+    A worker inherits the problem when it is forked and gets the tolerance
     with every batch; each worker has its own pipe.  No thread runs beside
     the caller, so nothing waits for the GIL while the caller solves a
     batch itself.  Workers ignore SIGINT; leaving the ``with`` block, normally
@@ -234,13 +240,6 @@ class _FineLoop:
         self.nr = [1] * n
         self.procs: list[Process] = []
         self.conns: list = []  # this process's end of each worker's pipe
-        if size:
-            try:
-                pickle.dumps(problem)
-            except (pickle.PicklingError, TypeError, AttributeError) as exc:
-                raise IntegrationFailed(
-                    f"the problem cannot be sent to worker processes (run with one worker): {exc}"
-                ) from exc
         try:
             for _ in range(size):
                 conn, child = Pipe()
@@ -414,7 +413,7 @@ def run_parareal(
                     context = f"coarse sweep failed in window {j} during iteration {k}"
                     grid = t_hat[idx[j - 1] : idx[j] + 1]
                     traj, g_counters, g_wall[j - 1] = _propagate(
-                        context, fixed_integrate, problem, grid, u_bounds[j - 1], cfg.coarse_tol
+                        context, fixed_integrate, problem, grid, u_bounds[j - 1]
                     )
                     g_nr[j - 1] = g_counters.nr_iterations
                     u_bounds[j] = parareal_update(

@@ -157,9 +157,5 @@ class Problem(ABC):
         return []
 
     def derived_columns(self) -> tuple[tuple[str, Callable[[float, State], float]], ...]:
-        """Extra trajectory-file columns as ``(name, fn(t, u))`` pairs; default none.
-
-        Build the pairs on each call: functions stored on the instance
-        would stop it from being pickled for the worker processes.
-        """
+        """Extra trajectory-file columns as ``(name, fn(t, u))`` pairs; default none."""
         return ()

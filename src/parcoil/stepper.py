@@ -20,8 +20,8 @@ Two propagator flavors drive them:
   every Parareal window, starts with an estimate of second order, and needs
   no warm-up that the sequential solve does not pay.
 * :func:`fixed_integrate` replays linearized steps on a prescribed grid
-  with no rejection, as required when a coarse sweep must reuse the time
-  steps chosen by an earlier adaptive pass.
+  with no rejection and no tolerance, as required when a coarse sweep
+  must reuse the time steps chosen by an earlier adaptive pass.
 
 Both take each step as ``dt = t_new - t`` from the grid times.  With
 ``linearized`` the adaptive pass takes the same linearized step as the
@@ -439,7 +439,6 @@ def fixed_integrate(
     problem: Problem,
     grid,
     u_a: State,
-    tol: StepperTolerances,
     counters: StepCounters | None = None,
 ) -> Trajectory:
     """Linearized implicit Euler on exactly the given time grid (no rejection).
@@ -447,8 +446,8 @@ def fixed_integrate(
     Each step is one :func:`linearized_euler_step` of ``t_next - t``,
     exactly as in :func:`adaptive_integrate` with ``linearized``: on a
     slice of that pass's grid, started from its state, this replays it bit
-    for bit.  ``tol`` keeps the propagators' common signature and is not
-    read.  A failed step is fatal here: a fixed grid cannot subdivide, so
+    for bit.  No step is rejected, so no tolerance is taken.  A failed
+    step is fatal here: a fixed grid cannot subdivide, so
     :class:`IntegrationFailed` propagates the failure.
     """
     grid = np.asarray(grid, dtype=float)

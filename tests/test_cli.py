@@ -85,6 +85,40 @@ DEGENERATE_CFG = textwrap.dedent(
 )
 
 
+# the column lists of README's Outputs section
+REPORT_COLUMNS = [
+    "run_id",
+    "N",
+    "k",
+    "j",
+    "t_start_s",
+    "t_end_s",
+    "fine_wall_s",
+    "coarse_wall_s",
+    "nr_iters",
+    "nr_fine",
+    "nr_coarse",
+    "fine_tol_t_mK",
+    "fine_steps_rejected",
+]
+SUMMARY_COLUMNS = [
+    "run_id",
+    "N",
+    "K",
+    "k",
+    "err_mK",
+    "load_balance",
+    "n_over_k",
+    "baseline_wall_s",
+    "speedup",
+    "nr_ghat",
+    "ghat_steps",
+    "ghat_steps_rejected",
+    "max_dev_mK",
+    "boundary_dev_mK",
+]
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -284,6 +318,7 @@ class TestParareal:
         )
         assert code == 0
         header, rows = read_csv(os.path.join(out, "summary.csv"))
+        assert header == SUMMARY_COLUMNS
         k_final = int(rows[-1][2])
         assert 1 <= k_final <= 8
         assert float(rows[-1][4]) < 10.0  # err_mK below tol_pr
@@ -296,7 +331,7 @@ class TestParareal:
             assert 0.0 < float(rows[-1][header.index(name)]) < math.inf
         # report.csv holds one row per (iteration, window)
         r_header, r_rows = read_csv(os.path.join(out, "report.csv"))
-        assert r_header[:4] == ["run_id", "N", "k", "j"]
+        assert r_header == REPORT_COLUMNS
         assert len(r_rows) == k_final * 8
         # Newton work per window, split into fine and coarse; iteration 1 sweeps nothing
         total, fine, coarse = (r_header.index(c) for c in ("nr_iters", "nr_fine", "nr_coarse"))
@@ -454,10 +489,28 @@ class TestStudy:
         cfg = write_cfg(tmp_path, text)
         out = str(tmp_path / "out")
         assert main(["study", "--config", cfg, "--out", out, "--workers", "1"]) == 0
-        _, rows = read_csv(os.path.join(out, "study_table.csv"))
+        header, rows = read_csv(os.path.join(out, "study_table.csv"))
         statuses = {r[1]: r[-1] for r in rows}
         assert statuses["2"] == "converged"
         assert statuses["64"] == "partition_error"
+        # a failed cell has no result: every column from K through boundary_dev_mK is empty
+        failed = next(r for r in rows if r[1] == "64")
+        results = slice(header.index("K"), header.index("boundary_dev_mK") + 1)
+        assert failed[results] == [""] * 6
+
+    def test_not_converged_cell(self, tmp_path):
+        # k_max = 1 with tol_pr far below iteration 1's jump at the boundaries
+        text = LINEAR_CFG.replace("tol_pr_mk = 0.001", "tol_pr_mk = 1e-9\nk_max = 1")
+        text += "\n[study]\nn_windows_list = 4\nfine_tol_mk_list = 0.1\n"
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "out")
+        assert main(["study", "--config", cfg, "--out", out, "--workers", "1"]) == 0
+        header, rows = read_csv(os.path.join(out, "study_table.csv"))
+        (row,) = (dict(zip(header, r)) for r in rows)
+        assert row["status"] == "not_converged"
+        assert row["K"] == "" and row["max_speedup"] == ""
+        for name in ("err_K_mK", "actual_speedup", "max_dev_mK", "boundary_dev_mK"):
+            assert 0.0 < float(row[name]) < math.inf
 
     def test_shipped_coil_study_grid(self, tmp_path):
         # the full window-count x tolerance grid of the shipped configuration

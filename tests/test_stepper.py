@@ -306,8 +306,8 @@ class TestFloatContract:
 
     def test_fixed_integrate(self, make):
         problem = make()
-        t_end, _, coarse = CONTRACT_TOLS[make]
-        fixed_integrate(problem, np.linspace(0.0, t_end, 9), problem.initial_state(), coarse)
+        t_end = CONTRACT_TOLS[make][0]
+        fixed_integrate(problem, np.linspace(0.0, t_end, 9), problem.initial_state())
         assert_only_float_tuples(problem.seen, "rhs", "jacobian", "max_temperature")
 
     def test_run_parareal_one_worker(self, make):
@@ -569,15 +569,15 @@ class TestWindowWarmStart:
 class TestFixedIntegrate:
     def test_constant_solution(self):
         still = LinearTestProblem(0.0, (5.0,))
-        traj = fixed_integrate(still, [0.0, 0.5, 1.0], still.initial_state(), TIGHT)
+        traj = fixed_integrate(still, [0.0, 0.5, 1.0], still.initial_state())
         assert np.all(traj.states == 5.0)
 
     def test_linear_repeated_closed_form(self):
-        traj = fixed_integrate(DECAY, [0.0, 0.5, 1.0], DECAY.initial_state(), TIGHT)
+        traj = fixed_integrate(DECAY, [0.0, 0.5, 1.0], DECAY.initial_state())
         assert traj.states[:, 0] == pytest.approx([1.0, 2.0 / 3.0, 4.0 / 9.0], rel=1e-12)
 
     def test_single_interval_matches_one_step(self):
-        via_grid = fixed_integrate(DECAY, [0.0, 0.5], DECAY.initial_state(), TIGHT)
+        via_grid = fixed_integrate(DECAY, [0.0, 0.5], DECAY.initial_state())
         one_step = linearized_euler_step(DECAY, 0.0, 0.5, DECAY.initial_state())
         assert np.array_equal(via_grid.terminal_state, one_step)
 
@@ -585,13 +585,13 @@ class TestFixedIntegrate:
         # a fixed grid cannot subdivide, so a failed step ends the solve
         problem = NanRhs()
         with pytest.raises(IntegrationFailed, match=r"at t=0 \(dt=0.5\): non-finite residual$"):
-            fixed_integrate(problem, [0.0, 0.5, 1.0], problem.initial_state(), TIGHT)
+            fixed_integrate(problem, [0.0, 0.5, 1.0], problem.initial_state())
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            fixed_integrate(DECAY, [0.0, 0.0, 1.0], DECAY.initial_state(), TIGHT)
+            fixed_integrate(DECAY, [0.0, 0.0, 1.0], DECAY.initial_state())
         with pytest.raises(ValueError):
-            fixed_integrate(DECAY, [0.0], DECAY.initial_state(), TIGHT)
+            fixed_integrate(DECAY, [0.0], DECAY.initial_state())
 
 
 def square_matrices(dim):
@@ -647,7 +647,7 @@ class TestLinearizedEulerStep:
         matrix = np.eye(dim) - dt * a
         assume(np.linalg.norm(u0) > 0.1 and np.linalg.cond(matrix) < 100.0)
         counters = StepCounters()
-        traj = fixed_integrate(MatrixLinear(a, u0), [0.0, dt], u0, TIGHT, counters)
+        traj = fixed_integrate(MatrixLinear(a, u0), [0.0, dt], u0, counters)
         exact = np.linalg.solve(matrix, u0)
         assert np.linalg.norm(traj.terminal_state - exact) <= 1e-12 * np.linalg.norm(exact)
         assert counters.nr_iterations == 1
@@ -686,7 +686,7 @@ class TestConvergenceOrder:
             n = 2**k
             h = 1.0 / n
             grid = np.linspace(0.0, 1.0, n + 1)
-            traj = fixed_integrate(DECAY, grid, DECAY.initial_state(), TIGHT)
+            traj = fixed_integrate(DECAY, grid, DECAY.initial_state())
             closed = (1.0 + h) ** (-n)
             assert traj.terminal_state[0] == pytest.approx(closed, rel=1e-10)
             errors.append(abs(traj.terminal_state[0] - math.exp(-1.0)))
