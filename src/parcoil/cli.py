@@ -59,7 +59,7 @@ def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory) -> None
     header = ["time_s", *problem.component_names, "T_max_K", *(name for name, _ in derived)]
     rows = [
         [t, *state, problem.max_temperature(state), *(fn(t, state) for _, fn in derived)]
-        for t, state in zip(traj.times.tolist(), traj.states.tolist())
+        for t, state in zip(traj.times, traj.states)
     ]
     _write_csv(path, rows, header)
 
@@ -78,18 +78,17 @@ def cmd_sequential(cfg: RunConfig, args) -> int:
     problem = make_problem(cfg)
     rid = run_id(cfg)
     traj, wall, counters = _sequential_fine_run(problem, cfg, cfg.parareal.fine_tol)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, traj)
     row = {
         "run_id": rid,
         "wall_s": wall,
-        "steps": traj.n_points - 1,
+        "steps": len(traj.times) - 1,
         "nr_iterations": counters.nr_iterations,
         "steps_rejected": counters.steps_rejected,
     }
     _write_csv(os.path.join(cfg.out_dir, "sequential_summary.csv"), [row])
     print(
-        f"sequential: wall={wall:.3f} s, steps={traj.n_points - 1}, "
+        f"sequential: wall={wall:.3f} s, steps={len(traj.times) - 1}, "
         f"nr_iterations={counters.nr_iterations}, steps_rejected={counters.steps_rejected}"
     )
     return 0
@@ -109,8 +108,8 @@ def _report_rows(report: PararealReport, rid: str) -> list[dict]:
                     "N": report.n_windows,
                     "k": k + 1,
                     "j": j + 1,
-                    "t_start_s": float(bounds[j]),
-                    "t_end_s": float(bounds[j + 1]),
+                    "t_start_s": bounds[j],
+                    "t_end_s": bounds[j + 1],
                     "fine_wall_s": report.time_f_per_window_per_iter[k][j],
                     "coarse_wall_s": report.time_g_per_window_per_iter[k][j],
                     "nr_iters": nr_fine + nr_coarse,
@@ -150,8 +149,6 @@ def _summary_rows(report: PararealReport, rid: str, baseline_wall, deviation: di
 
 def cmd_parareal(cfg: RunConfig, args) -> int:
     baseline_wall = args.baseline_wall
-    if baseline_wall is not None and not 0.0 < baseline_wall < math.inf:
-        raise ConfigError(f"--baseline-wall must be positive and finite, got {baseline_wall}")
     problem = make_problem(cfg)
     rid = run_id(cfg)
     baseline = None
@@ -162,7 +159,6 @@ def cmd_parareal(cfg: RunConfig, args) -> int:
         problem, cfg.t_start, cfg.t_end, problem.initial_state(), cfg.parareal, cfg.workers
     )
     deviation = _deviation_mk(problem, traj, baseline, report.boundaries)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, traj)
     _write_csv(os.path.join(cfg.out_dir, "report.csv"), _report_rows(report, rid))
     summary = _summary_rows(report, rid, baseline_wall, deviation)
@@ -232,11 +228,8 @@ def _study_row(problem: Problem, cfg: RunConfig, n_windows: int, tol_mk, baselin
 
 
 def cmd_study(cfg: RunConfig, args) -> int:
-    if not cfg.n_windows_list or not cfg.fine_tol_mk_list:
-        raise ConfigError("study mode needs non-empty n_windows_list and fine_tol_mk_list")
     problem = make_problem(cfg)
     rid = run_id(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
 
     # One sequential baseline per fine tolerance (reference and speedup denominator).
     baselines = {}
@@ -254,7 +247,7 @@ def cmd_study(cfg: RunConfig, args) -> int:
         # the reference interpolated onto this run's own times
         errs = 1e3 * max_temperature_deviation(ref_traj, traj, problem)[0]
         error_rows += [
-            {"run_id": rid, "fine_tol_mK": tol_mk, "time_s": float(t), "abs_err_mK": float(err)}
+            {"run_id": rid, "fine_tol_mK": tol_mk, "time_s": t, "abs_err_mK": float(err)}
             for t, err in zip(traj.times, errs)
         ]
     _write_csv(os.path.join(cfg.out_dir, "study_errors.csv"), error_rows)
@@ -322,6 +315,16 @@ def main(argv=None) -> int:
             if args.workers < 1:
                 raise ConfigError("--workers must be >= 1")
             cfg = dataclasses.replace(cfg, workers=args.workers)
+        wall = getattr(args, "baseline_wall", None)  # parareal only
+        if wall is not None and not 0.0 < wall < math.inf:
+            raise ConfigError(f"--baseline-wall must be positive and finite, got {wall}")
+        if args.command == "study" and not (cfg.n_windows_list and cfg.fine_tol_mk_list):
+            raise ConfigError("study mode needs non-empty n_windows_list and fine_tol_mk_list")
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            message = f"cannot create output directory {cfg.out_dir}: {exc.strerror}"
+            raise ConfigError(message) from None
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

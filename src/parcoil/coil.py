@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .problem import Problem, State, as_state
 
 __all__ = [
@@ -199,7 +197,7 @@ def coil_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) ->
 
 def axial_field(s: State, params: CoilParams) -> float:
     """Central axial flux density B_z = field_constant * I_theta (T)."""
-    return params.field_constant * float(s[0])
+    return params.field_constant * s[0]
 
 
 def linear_test_rhs(t: float, s: State, rate: float) -> tuple[float, ...]:
@@ -225,7 +223,7 @@ class CoilProblem(Problem):
         return coil_jacobian(t, u, self.params, self.ramp)
 
     def max_temperature(self, u: State) -> float:
-        return float(u[1])
+        return u[1]
 
     def initial_state(self) -> State:
         return as_state([0.0, self.params.t_op])
@@ -256,12 +254,12 @@ class LinearTestProblem(Problem):
     def __init__(self, rate: float = -1.0, u0=(1.0,)):
         self.rate = float(rate)
         self._u0 = as_state(u0)
-        n = self._u0.size
+        n = len(self._u0)
         self._jacobian = tuple(tuple(self.rate * float(i == j) for j in range(n)) for i in range(n))
 
     @property
     def component_names(self) -> tuple[str, ...]:
-        return tuple(f"u_{i}" for i in range(self._u0.size))
+        return tuple(f"u_{i}" for i in range(len(self._u0)))
 
     def rhs(self, t: float, u: State) -> tuple[float, ...]:
         return linear_test_rhs(t, u, self.rate)
@@ -270,10 +268,7 @@ class LinearTestProblem(Problem):
         return self._jacobian
 
     def max_temperature(self, u: State) -> float:
-        return float(max(u))
+        return max(u)
 
     def initial_state(self) -> State:
         return self._u0
-
-    def exact(self, t: float) -> np.ndarray:
-        return self._u0 * math.exp(self.rate * t)

@@ -39,15 +39,16 @@ class PararealReport:
     for windows ``1..k-1``, or ``1..k-2`` when iteration 1 solved at a
     looser tolerance than the later ones), so sums over the matrices count
     only the work done.  ``fine_tol_t_per_iter`` is the fine ``tol_t`` (K)
-    of each iteration's solves.  ``boundary_states`` are the final U_j,
-    j = 0..N, as read-only vectors.  ``ghat_steps_rejected`` and
-    ``rejected_f_per_window_per_iter`` count the trial steps the adaptive
-    coarse pass and each fine solve rejected (0 for a window not solved).
+    of each iteration's solves.  ``boundaries`` are the window boundary
+    times t_j and ``boundary_states`` the final U_j, j = 0..N, as tuples.
+    ``ghat_steps_rejected`` and ``rejected_f_per_window_per_iter`` count
+    the trial steps the adaptive coarse pass and each fine solve rejected
+    (0 for a window not solved).
     """
 
     n_windows: int
     m_coarse_steps: int
-    boundaries: np.ndarray
+    boundaries: tuple[float, ...]
     converged: bool
     k_converged: int | None
     err_per_iter: list[float]
@@ -59,7 +60,7 @@ class PararealReport:
     nr_g_per_window_per_iter: list[list[int]]
     nr_f_per_window_per_iter: list[list[int]]
     fine_tol_t_per_iter: list[float] = field(default_factory=list)
-    boundary_states: list[np.ndarray] = field(default_factory=list)
+    boundary_states: tuple[tuple[float, ...], ...] = ()
     ghat_steps_rejected: int = 0
     rejected_f_per_window_per_iter: list[list[int]] = field(default_factory=list)
 

@@ -39,12 +39,11 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import struct
 import time
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (see below)
 from dataclasses import dataclass, replace
 from functools import partial
-
-import numpy as np
 
 from .diagnostics import PararealReport
 from .problem import Problem, State, Trajectory
@@ -136,11 +135,14 @@ def window_boundary_indices(m: int, n: int) -> list[int]:
 
 def parareal_update(fine_prev: State, coarse_new: State, coarse_prev: State) -> State:
     """Correction ``fine_prev + coarse_new - coarse_prev`` componentwise."""
-    if fine_prev.shape != coarse_new.shape or fine_prev.shape != coarse_prev.shape:
+    if not len(fine_prev) == len(coarse_new) == len(coarse_prev):
         raise ValueError("state dimension mismatch in the correction update")
-    out = fine_prev + coarse_new - coarse_prev
-    out.setflags(write=False)
-    return out
+    return tuple([f + g - h for f, g, h in zip(fine_prev, coarse_new, coarse_prev)])
+
+
+def _bits(u: State) -> bytes:
+    """The bytes of ``u``'s floats: equal keys mean bitwise equal states (-0.0 is not 0.0)."""
+    return struct.pack(f"{len(u)}d", *u)
 
 
 def pr_error(boundary_states, fine_states, problem: Problem) -> float:
@@ -303,10 +305,6 @@ class _FineLoop:
             if isinstance(reply, Exception):
                 failure = failure or reply
                 continue
-            for _, traj, _, _ in reply:
-                # unpickled arrays come back writeable
-                traj.times.setflags(write=False)
-                traj.states.setflags(write=False)
             results += reply
         if lost:
             raise IntegrationFailed(
@@ -316,7 +314,7 @@ class _FineLoop:
         if failure is not None:
             raise failure
         for j, _, _, u_start in windows:
-            self.starts[j - 1] = u_start.tobytes()
+            self.starts[j - 1] = _bits(u_start)
             self.tols[j - 1] = tol
         for j, traj, counters, wall in results:
             self.trajs[j - 1] = traj
@@ -328,12 +326,11 @@ class _FineLoop:
 
 def _stitch(fine_trajs) -> Trajectory:
     """Concatenate window trajectories, keeping the fine value at shared boundaries."""
-    times = [fine_trajs[0].times]
-    states = [fine_trajs[0].states]
+    times, states = list(fine_trajs[0].times), list(fine_trajs[0].states)
     for traj in fine_trajs[1:]:
-        times.append(traj.times[1:])
-        states.append(traj.states[1:])
-    return Trajectory(np.concatenate(times), np.vstack(states))
+        times += traj.times[1:]
+        states += traj.states[1:]
+    return Trajectory(times, states)
 
 
 def run_parareal(
@@ -381,11 +378,11 @@ def run_parareal(
             "adaptive coarse pass failed", ghat, problem, t_0, t_N, u_0, cfg.coarse_tol
         )
         t_hat = coarse_traj.times
-        m = t_hat.size - 1
+        m = len(t_hat) - 1
         idx = window_boundary_indices(m, n)
-        boundaries = t_hat[idx]
+        boundaries = tuple(t_hat[i] for i in idx)
 
-        u_bounds = [coarse_traj.state(i) for i in idx]  # U_j, with U_0 = u_0
+        u_bounds = [coarse_traj.states[i] for i in idx]  # U_j, with U_0 = u_0
         u_coarse = list(u_bounds)  # coarse results of the previous iteration
         err_per_iter: list[float] = []
         fine_tol_t: list[float] = []
@@ -402,8 +399,8 @@ def run_parareal(
             g_nr, g_wall = [0] * n, [0.0] * n
             windows = []  # (j, t_a, t_b, U_{j-1}) of each window to re-solve
             for j in range(1, n + 1):
-                t_a, t_b = float(boundaries[j - 1]), float(boundaries[j])
-                if u_bounds[j - 1].tobytes() == fine.starts[j - 1]:
+                t_a, t_b = boundaries[j - 1], boundaries[j]
+                if _bits(u_bounds[j - 1]) == fine.starts[j - 1]:
                     u_bounds[j] = fine.trajs[j - 1].terminal_state
                     if fine.tols[j - 1] != tol:
                         windows.append((j, t_a, t_b, u_bounds[j - 1]))
@@ -454,6 +451,6 @@ def run_parareal(
         ghat_steps_rejected=ghat_counters.steps_rejected,
         rejected_f_per_window_per_iter=rejected_f,
         fine_tol_t_per_iter=fine_tol_t,
-        boundary_states=list(u_bounds),
+        boundary_states=tuple(u_bounds),
     )
     return trajectory, report

@@ -1,22 +1,20 @@
 """Abstract time-dependent ODE problem and the state/trajectory data model.
 
-A solver state is a sequence of floats (mixed units: amperes for
+A solver state is a tuple of Python floats (mixed units: amperes for
 currents, kelvin for temperatures; the layout is owned by the concrete
-problem): a tuple of Python floats inside the propagators, which is what
-:class:`Problem` methods receive there, and a row of a read-only ``numpy``
-array in a :class:`Trajectory`.  Time is never stored in the state itself,
-it travels with :class:`Trajectory` entries.  States and trajectories are
-treated as immutable values so they can be handed to concurrent workers
-freely.
+problem), and every :class:`Problem` method receives one in that form.
+Time is never stored in the state itself, it travels with
+:class:`Trajectory` entries.  States and trajectories are tuples, so
+immutable values that can be handed to concurrent workers freely.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "State",
@@ -25,88 +23,64 @@ __all__ = [
     "Problem",
 ]
 
-# A state is a sequence of floats: a tuple inside the propagators, a
-# read-only float64 vector from ``as_state`` or a trajectory row outside.
-State = Sequence[float]
+# One Python float per component; as_state makes one from any sequence.
+State = tuple[float, ...]
 
 # Forward-difference perturbation scale for the default Jacobian.
 FD_EPS = 1e-7
 
 
-def as_state(values) -> np.ndarray:
-    """Copy ``values`` into a read-only float64 vector.
+def as_state(values) -> State:
+    """Copy ``values`` into a tuple of Python floats.
 
-    Raises ``ValueError`` if the input is not 1-D or contains NaN/Inf:
-    accepted solver states must be finite.
+    Raises ``ValueError`` if an entry is not a real number (a nested
+    sequence, say) or is NaN/Inf: accepted solver states must be finite.
     """
-    arr = np.array(values, dtype=float, copy=True)
-    if arr.ndim != 1:
-        raise ValueError(f"state must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    try:
+        state = tuple(map(float, values))
+    except TypeError as exc:
+        raise ValueError(f"state must be a flat sequence of floats: {exc}") from None
+    if not all(map(math.isfinite, state)):
         raise ValueError("state contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+    return state
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Ordered sequence of (time, state) pairs produced by a propagator.
 
-    ``times`` is strictly increasing and ``states[i]`` is the solution at
-    ``times[i]``.  The first/last times are the integration start/end by
-    construction (propagators land exactly, no overshoot).
+    ``times`` is a strictly increasing tuple of floats and ``states[i]``,
+    a state tuple, is the solution at ``times[i]``.  The first/last times
+    are the integration start/end by construction (propagators land
+    exactly, no overshoot).  Rows that are all tuples already are kept as
+    they are (the propagators build theirs from checked floats); otherwise
+    every row goes through :func:`as_state`.
     """
 
-    times: np.ndarray
-    states: np.ndarray
+    times: tuple[float, ...]
+    states: tuple[State, ...]
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float, copy=True)
-        states = np.array(self.states, dtype=float, copy=True)
-        if times.ndim != 1:
-            raise ValueError("times must be 1-D")
-        if states.ndim != 2 or states.shape[0] != times.shape[0]:
-            raise ValueError(
-                f"states must be (n_times, dim), got {states.shape} for {times.shape[0]} times"
-            )
-        if times.size < 1:
+        times = tuple(map(float, self.times))
+        states = tuple(self.states)
+        if set(map(type, states)) != {tuple}:
+            states = tuple(map(as_state, states))
+        if not times:
             raise ValueError("trajectory needs at least one entry")
-        if not np.all(np.isfinite(times)):
+        if len(states) != len(times):
+            raise ValueError(f"got {len(states)} states for {len(times)} times")
+        if len(set(map(len, states))) != 1:
+            raise ValueError("states must all have the same dimension")
+        if not all(map(math.isfinite, times)):
             raise ValueError("times contain non-finite entries")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("states contain non-finite entries")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
+        if not all(map(operator.lt, times, times[1:])):
             raise ValueError("times must be strictly increasing")
-        times.setflags(write=False)
-        states.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
     @property
-    def n_points(self) -> int:
-        return self.times.size
-
-    @property
-    def t_start(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-    def state(self, i: int) -> np.ndarray:
-        return self.states[i]
-
-    @property
-    def terminal_state(self) -> np.ndarray:
+    def terminal_state(self) -> State:
         return self.states[-1]
-
-    def state_at_time(self, t: float) -> np.ndarray:
-        """State at an exact grid time ``t`` (bitwise membership)."""
-        i = int(np.searchsorted(self.times, t))
-        if i >= self.times.size or self.times[i] != t:
-            raise KeyError(f"time {t!r} is not a grid point of this trajectory")
-        return self.states[i]
 
 
 class Problem(ABC):
@@ -143,11 +117,11 @@ class Problem(ABC):
 
     @abstractmethod
     def max_temperature(self, u: State) -> float:
-        """Maximum temperature (K) extracted from the state vector."""
+        """Maximum temperature (K) extracted from a state."""
 
     @abstractmethod
     def initial_state(self) -> State:
-        """State at the integration start."""
+        """State at the integration start, a tuple of floats (see :func:`as_state`)."""
 
     def forced_event_times(self, t_a: float, t_b: float) -> list[float]:
         """Times strictly inside ``(t_a, t_b)`` where a step must land.

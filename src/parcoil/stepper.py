@@ -34,14 +34,14 @@ between subsequent iterates below ``tol_nr``) combined with a residual
 decrease check, which guards against false triggers on states whose
 temperature component is insensitive to the remaining error.
 
-Inside the propagators a state is a tuple of Python floats: on a few
-components that is cheaper than numpy and performs the same IEEE
-operations.  Each propagator converts its start state once and builds one
-:class:`Trajectory` from the accepted tuples.  The Newton matrix is solved
-on Python floats too (closed form for two components, Gaussian
-elimination with partial pivoting otherwise), so the stepper is sized for
-lumped systems of a few components: elimination costs O(n^3) interpreted
-operations and loses to LAPACK past about five components.
+A state is a tuple of Python floats: on a few components that is cheaper
+than numpy and performs the same IEEE operations.  Each propagator
+converts its start state once and builds one :class:`Trajectory` from the
+accepted tuples.  The Newton matrix is solved on Python floats too
+(closed form for two components, Gaussian elimination with partial
+pivoting otherwise), so the stepper is sized for lumped systems of a few
+components: elimination costs O(n^3) interpreted operations and loses to
+LAPACK past about five components.
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from .problem import Problem, State, Trajectory
+from .problem import Problem, State, Trajectory, as_state
 
 __all__ = [
     "StepperTolerances",
@@ -212,11 +210,10 @@ def implicit_euler_step(
 ) -> State:
     """Solve ``u - u_prev - dt*rhs(t+dt, u) = 0`` by Newton-Raphson.
 
-    ``u_prev`` and ``guess`` are sequences of floats (tuples inside the
-    propagators); the solution comes back as a tuple of floats.  Starts
-    from ``guess``; converged when the max-temperature change between
-    subsequent iterates is below ``tol.tol_nr`` and the residual norm has
-    decreased from its initial value.  Raises :class:`StepFailed` on
+    ``u_prev`` and ``guess`` are states; the solution comes back as one.
+    Starts from ``guess``; converged when the max-temperature change
+    between subsequent iterates is below ``tol.tol_nr`` and the residual
+    norm has decreased from its initial value.  Raises :class:`StepFailed` on
     non-finite residuals, Jacobians or iterates, on an ``ArithmeticError``
     (a float overflow or division by zero) inside ``rhs`` or the Jacobian,
     on a singular Newton matrix, or when the iteration budget is exhausted.
@@ -366,9 +363,7 @@ def adaptive_integrate(
     """
     if not t_a < t_b:
         raise ValueError("need t_a < t_b")
-    u = tuple(map(float, u_a))
-    if not _all_finite(u):
-        raise ValueError("initial state contains non-finite entries")
+    u = as_state(u_a)
     t = float(t_a)
     # the start slope, for the first step's explicit Euler prediction
     try:
@@ -450,13 +445,12 @@ def fixed_integrate(
     step is fatal here: a fixed grid cannot subdivide, so
     :class:`IntegrationFailed` propagates the failure.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
+    times = tuple(map(float, grid))
+    if len(times) < 2:
         raise ValueError("grid must hold at least start and end times")
-    if not np.all(np.diff(grid) > 0.0):
+    if not all(map(operator.lt, times, times[1:])):
         raise ValueError("grid times must be strictly increasing")
 
-    times = grid.tolist()
     u = tuple(map(float, u_a))
     states = [u]
     for t, t_next in zip(times, times[1:]):
@@ -471,4 +465,4 @@ def fixed_integrate(
         if counters is not None:
             counters.steps_accepted += 1
 
-    return Trajectory(grid, states)
+    return Trajectory(times, states)

@@ -213,6 +213,30 @@ class TestUsageErrors:
         assert "--baseline-wall" in capsys.readouterr().out
 
 
+def never_called(*args, **kwargs):
+    raise AssertionError("a solve started before the output directory existed")
+
+
+class TestOutputDirectory:
+    """An output directory that cannot be created is a configuration error, before any solve."""
+
+    @pytest.mark.parametrize("below_a_file", [False, True], ids=["file", "below_a_file"])
+    @pytest.mark.parametrize("command", ["sequential", "parareal", "study"])
+    def test_uncreatable_out_dir_exits_1(
+        self, tmp_path, monkeypatch, capsys, command, below_a_file
+    ):
+        monkeypatch.setattr(cli, "adaptive_integrate", never_called)
+        monkeypatch.setattr(cli, "run_parareal", never_called)
+        taken = tmp_path / "taken"
+        taken.write_text("a regular file\n")
+        out = str(taken / "sub" if below_a_file else taken)
+        assert main([command, "--config", SHIPPED_COIL_CFG, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}: ")
+        assert "Traceback" not in err
+        assert taken.read_text() == "a regular file\n"
+
+
 class TestSequential:
     def test_linear_terminal_value(self, tmp_path):
         cfg = write_cfg(tmp_path, LINEAR_CFG)
@@ -351,7 +375,7 @@ class TestParareal:
         ghat = adaptive_integrate(
             problem, 0.0, 1.0, problem.initial_state(), coarse_tol, linearized=True
         )
-        i = window_boundary_indices(ghat.n_points - 1, 4)[2]
+        i = window_boundary_indices(len(ghat.times) - 1, 4)[2]
         bad = NanAt(ghat.times[i], ghat.states[i])
         monkeypatch.setattr(cli, "make_problem", lambda cfg: bad)
         argv = ["parareal", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
@@ -482,6 +506,7 @@ class TestStudy:
     def test_empty_study_list_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, LINEAR_CFG)
         assert main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_failed_cell_recorded_not_fatal(self, tmp_path):
         # second window count exceeds the coarse step count -> partition_error status

@@ -172,7 +172,7 @@ class TestCoilParamsValidation:
 
 
 def central_difference_jacobian(problem, t, u, rel=1e-7):
-    dim = u.size
+    dim = len(u)
     jac = np.empty((dim, dim))
     for i in range(dim):
         delta = rel * max(abs(float(u[i])), 1.0)

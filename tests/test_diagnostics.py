@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parcoil import (
     LinearTestProblem,
+    PararealConfig,
     PararealReport,
+    StepperTolerances,
     Trajectory,
+    adaptive_integrate,
     cumulative_fine_times,
     load_balance,
     max_possible_speedup,
     max_temperature_deviation,
+    run_parareal,
     speedup,
 )
+
+FINE = StepperTolerances(tol_nr=1e-8, tol_t=1e-4, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
+# Coarse steps of at most 1/8 give every window count up to 6 enough steps.
+COARSE = StepperTolerances(tol_nr=1e-8, tol_t=5e-3, dt_init=0.1, dt_min=1e-12, dt_max=0.125)
+component = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
 
 
 def synthetic_report(time_f, total_wall=10.0):
@@ -121,3 +132,31 @@ class TestMaxTemperatureDeviation:
         deviation, at_boundaries = max_temperature_deviation(traj, traj, self.PROBLEM)
         assert deviation.tolist() == [0.0, 0.0]
         assert at_boundaries == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        rate=st.floats(-3.0, 1.0),
+        u_0=st.lists(component, min_size=1, max_size=3),
+        n=st.integers(1, 6),
+    )
+    def test_run_to_exactness_reports_the_chained_fine_deviation(self, rate, u_0, n):
+        # tol_pr -> 0 with k_max = N + 2: the run ends at the chained fine solve
+        problem = LinearTestProblem(rate, u_0)
+        cfg = PararealConfig(
+            n_windows=n, tol_pr=1e-30, fine_tol=FINE, coarse_tol=COARSE, k_max=n + 2
+        )
+        traj, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
+        assert report.converged
+        u = problem.initial_state()
+        times, states = [0.0], [u]
+        for a, b in zip(report.boundaries, report.boundaries[1:]):
+            window = adaptive_integrate(problem, a, b, u, FINE)
+            times += window.times[1:]
+            states += window.states[1:]
+            u = window.terminal_state
+        chained = Trajectory(times, states)
+        sequential = adaptive_integrate(problem, 0.0, 1.0, problem.initial_state(), FINE)
+        got, at_got = max_temperature_deviation(traj, sequential, problem, report.boundaries)
+        want, at_want = max_temperature_deviation(chained, sequential, problem, report.boundaries)
+        assert got.tobytes() == want.tobytes()
+        assert at_got.hex() == at_want.hex()

@@ -19,8 +19,13 @@ class TestAsState:
 
     def test_result_is_read_only(self):
         s = as_state([1.0, 2.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             s[0] = 3.0
+
+    def test_result_is_a_tuple_of_python_floats(self):
+        s = as_state(np.array([1.0, -0.0]))
+        assert type(s) is tuple and all(type(x) is float for x in s)
+        assert np.asarray(s).tobytes() == np.array([1.0, -0.0]).tobytes()
 
 
 class TestMaxTemperature:
@@ -47,19 +52,17 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), np.array([[0.0], [np.inf]]))
 
-    def test_exact_time_lookup(self):
-        traj = Trajectory(np.array([0.0, 0.5, 1.0]), np.array([[1.0], [2.0], [3.0]]))
-        assert traj.state_at_time(0.5)[0] == 2.0
-        with pytest.raises(KeyError):
-            traj.state_at_time(0.25)
+    def test_rejects_ragged_states(self):
+        with pytest.raises(ValueError):
+            Trajectory((0.0, 1.0), ((1.0,), (1.0, 2.0)))
 
     def test_terminal_state_and_span(self):
         traj = Trajectory(np.array([2.0, 3.0]), np.array([[1.0, 5.0], [4.0, 6.0]]))
-        assert traj.t_start == 2.0
-        assert traj.t_end == 3.0
-        assert np.array_equal(traj.terminal_state, [4.0, 6.0])
+        assert traj.times == (2.0, 3.0)
+        assert traj.terminal_state == (4.0, 6.0)
 
     def test_states_are_read_only(self):
         traj = Trajectory(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]))
-        with pytest.raises(ValueError):
-            traj.states[0, 0] = 9.0
+        with pytest.raises(TypeError):
+            traj.states[0][0] = 9.0
+        assert type(traj.states) is tuple and all(type(u) is tuple for u in traj.states)

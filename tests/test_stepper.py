@@ -1,4 +1,6 @@
 import math
+import os
+import textwrap
 
 import numpy as np
 import pytest
@@ -26,15 +28,16 @@ from parcoil import (
     predict,
     run_parareal,
 )
-from parcoil import stepper
+from parcoil import cli, stepper
 from parcoil.stepper import REJECT_SHRINK_MIN, SAFETY, _newton_update
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DECAY = LinearTestProblem(-1.0, (1.0,))
 TIGHT = StepperTolerances(tol_nr=1e-10, tol_t=1.0, dt_init=0.5, dt_min=1e-12, dt_max=1.0)
 
 
 def central_difference_jacobian(problem, t, u, delta=1e-6):
-    dim = u.size
+    dim = len(u)
     jac = np.empty((dim, dim))
     for i in range(dim):
         up, dn = np.array(u, dtype=float), np.array(u, dtype=float)
@@ -73,6 +76,9 @@ class CubicDecay(Problem):
 
     def initial_state(self):
         return as_state([1.0, 2.0])
+
+    def derived_columns(self):
+        return (("u_sum", lambda t, u: math.fsum(u)),)
 
 
 class PowerSaturation(Problem):
@@ -179,12 +185,12 @@ class ConstantSlope(Problem):
 
 def forward_difference_reference(problem, t, u, eps=1e-7):
     f0 = np.asarray(problem.rhs(t, u))
-    jac = np.empty((u.size, u.size))
-    for i in range(u.size):
-        delta = eps * max(abs(float(u[i])), 1.0)
-        up = u.copy()
+    jac = np.empty((len(u), len(u)))
+    for i in range(len(u)):
+        delta = eps * max(abs(u[i]), 1.0)
+        up = list(u)
         up[i] += delta
-        jac[:, i] = (np.asarray(problem.rhs(t, up)) - f0) / delta
+        jac[:, i] = (np.asarray(problem.rhs(t, tuple(up))) - f0) / delta
     return jac
 
 
@@ -200,7 +206,7 @@ class TestDefaultJacobian:
         problem = CubicDecay()
         u0 = problem.initial_state()
         u = implicit_euler_step(problem, 0.0, 0.1, u0, u0, TIGHT)
-        residual = u - u0 - 0.1 * np.asarray(problem.rhs(0.1, u))
+        residual = np.asarray(u) - u0 - 0.1 * np.asarray(problem.rhs(0.1, u))
         assert np.max(np.abs(residual)) < 1e-9
 
 
@@ -220,7 +226,7 @@ class TestOverflow:
         traj = adaptive_integrate(problem, 0.0, 20.0, problem.initial_state(), tol, counters)
         assert counters.steps_rejected >= 1
         assert traj.times[1] <= 8.0
-        assert traj.t_end == 20.0
+        assert traj.times[-1] == 20.0
         assert traj.terminal_state[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -238,7 +244,7 @@ class TestArithmeticError:
         traj = adaptive_integrate(problem, 0.0, 20.0, problem.initial_state(), tol, counters)
         assert counters.steps_rejected >= 1
         assert traj.times[1] <= 8.0
-        assert traj.t_end == 20.0
+        assert traj.times[-1] == 20.0
         assert traj.terminal_state[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -251,7 +257,7 @@ class RecordsStates:
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.seen = {"rhs": [], "jacobian": [], "max_temperature": []}
+        self.seen = {"rhs": [], "jacobian": [], "max_temperature": [], "derived_columns": []}
 
     def rhs(self, t, u):
         self.seen["rhs"].append(is_float_tuple(u))
@@ -264,6 +270,16 @@ class RecordsStates:
     def max_temperature(self, u):
         self.seen["max_temperature"].append(is_float_tuple(u))
         return super().max_temperature(u)
+
+    def derived_columns(self):
+        def recorded(fn):
+            def column(t, u):
+                self.seen["derived_columns"].append(is_float_tuple(u))
+                return fn(t, u)
+
+            return column
+
+        return tuple((name, recorded(fn)) for name, fn in super().derived_columns())
 
 
 class RecordingCoil(RecordsStates, CoilProblem):
@@ -284,6 +300,40 @@ CONTRACT_TOLS = {
         2.0,
         StepperTolerances(tol_nr=1e-8, tol_t=1e-4, dt_init=0.05, dt_min=1e-12, dt_max=0.25),
         StepperTolerances(tol_nr=1e-8, tol_t=5e-3, dt_init=0.1, dt_min=1e-12, dt_max=0.5),
+    ),
+}
+
+
+# The cubic runs through the CLI as a linear_test config whose problem is replaced.
+CONTRACT_CFGS = {
+    RecordingCoil: open(os.path.join(REPO_ROOT, "configs", "ni_coil.cfg")).read(),
+    RecordingCubic: textwrap.dedent(
+        """
+        [run]
+        problem = linear_test
+        t_end = 2.0
+
+        [parareal]
+        n_windows = 4
+        tol_pr_mk = 10
+
+        [fine]
+        tol_nr_mk = 1e-5
+        tol_t_mk = 0.1
+        dt_init = 0.05
+        dt_min = 1e-12
+        dt_max = 0.25
+
+        [coarse]
+        tol_t_mk = 5
+        dt_init = 0.1
+        dt_min = 1e-12
+        dt_max = 0.5
+
+        [study]
+        n_windows_list = 2, 4
+        fine_tol_mk_list = 1, 0.1
+        """
     ),
 }
 
@@ -314,12 +364,22 @@ class TestFloatContract:
         problem = make()
         t_end, fine, coarse = CONTRACT_TOLS[make]
         cfg = PararealConfig(n_windows=4, tol_pr=1e-2, fine_tol=fine, coarse_tol=coarse)
-        _, report = run_parareal(problem, 0.0, t_end, problem.initial_state(), cfg, n_workers=1)
-        assert_only_float_tuples(problem.seen, "rhs", "jacobian")
-        # The only other callers are the boundary comparisons, which read
-        # trajectory rows: two per window and iteration.
-        outside = problem.seen["max_temperature"].count(False)
-        assert outside == 2 * cfg.n_windows * report.iterations_run
+        run_parareal(problem, 0.0, t_end, problem.initial_state(), cfg, n_workers=1)
+        # the boundary comparisons read trajectory rows, which are the same tuples
+        assert_only_float_tuples(problem.seen, "rhs", "jacobian", "max_temperature")
+
+    def test_cli_parareal_with_baseline_and_study(self, make, tmp_path, monkeypatch):
+        # the deviation, the boundary states and the trajectory writer pass tuples too
+        problem = make()
+        monkeypatch.setattr(cli, "make_problem", lambda cfg: problem)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONTRACT_CFGS[make])
+        for command in (["parareal", "--with-baseline"], ["study"]):
+            out = str(tmp_path / command[0])
+            assert cli.main([*command, "--config", str(cfg), "--out", out, "--workers", "1"]) == 0
+        assert problem.seen["derived_columns"], "no derived column was written"
+        names = ("rhs", "jacobian", "max_temperature", "derived_columns")
+        assert_only_float_tuples(problem.seen, *names)
 
 
 class TestImplicitEulerStep:
@@ -412,9 +472,9 @@ class TestAdaptiveIntegrate:
         still = LinearTestProblem(0.0, (3.0,))
         span = StepperTolerances(tol_nr=1e-8, tol_t=1e-8, dt_init=1.0, dt_min=1e-12, dt_max=1.0)
         traj = adaptive_integrate(still, 0.0, 1.0, still.initial_state(), span)
-        assert traj.n_points == 2
+        assert len(traj.times) == 2
         assert np.array_equal(traj.times, [0.0, 1.0])
-        assert np.all(traj.states == 3.0)
+        assert np.all(np.asarray(traj.states) == 3.0)
 
     def test_linear_terminal_value(self):
         # per-step tolerance 1e-4 over ~90 accepted steps bounds the global
@@ -457,7 +517,7 @@ class TestAdaptiveIntegrate:
         traj = adaptive_integrate(
             coil_problem, 0.0, 30.0, coil_problem.initial_state(), fine_tols, counters
         )
-        assert counters.steps_accepted == traj.n_points - 1
+        assert counters.steps_accepted == len(traj.times) - 1
         assert counters.nr_iterations >= counters.steps_accepted
 
 
@@ -555,13 +615,13 @@ class TestWindowWarmStart:
             seq = adaptive_integrate(
                 problem, 0.0, 1.0, problem.initial_state(), self.TOL, StepCounters()
             )
-        m = seq.n_points - 1
+        m = len(seq.times) - 1
         i = data.draw(st.integers(0, m - 1))
         k = data.draw(st.integers(i + 1, m))
-        t_i, t_k = float(seq.times[i]), float(seq.times[k])
+        t_i, t_k = seq.times[i], seq.times[k]
         counters = StepCounters()
         window = adaptive_integrate(problem, t_i, t_k, seq.states[i], self.TOL, counters)
-        assert window.t_end == t_k
+        assert window.times[-1] == t_k
         span = sum(nr for t, nr in work if t_i <= t < t_k)
         assert counters.nr_iterations <= span + self.EXCESS
 
@@ -570,11 +630,12 @@ class TestFixedIntegrate:
     def test_constant_solution(self):
         still = LinearTestProblem(0.0, (5.0,))
         traj = fixed_integrate(still, [0.0, 0.5, 1.0], still.initial_state())
-        assert np.all(traj.states == 5.0)
+        assert np.all(np.asarray(traj.states) == 5.0)
 
     def test_linear_repeated_closed_form(self):
         traj = fixed_integrate(DECAY, [0.0, 0.5, 1.0], DECAY.initial_state())
-        assert traj.states[:, 0] == pytest.approx([1.0, 2.0 / 3.0, 4.0 / 9.0], rel=1e-12)
+        closed_form = [1.0, 2.0 / 3.0, 4.0 / 9.0]
+        assert np.asarray(traj.states)[:, 0] == pytest.approx(closed_form, rel=1e-12)
 
     def test_single_interval_matches_one_step(self):
         via_grid = fixed_integrate(DECAY, [0.0, 0.5], DECAY.initial_state())
@@ -673,7 +734,7 @@ class TestLinearizedEulerStep:
         traj = adaptive_integrate(
             growth, 0.0, 1.0, growth.initial_state(), tol, counters, linearized=True
         )
-        assert traj.t_end == 1.0 and 0.5 not in np.diff(traj.times)
+        assert traj.times[-1] == 1.0 and 0.5 not in np.diff(traj.times)
         assert counters.steps_rejected >= 1
         assert counters.nr_iterations == counters.steps_accepted + counters.steps_rejected
 

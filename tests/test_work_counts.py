@@ -71,6 +71,18 @@ def test_parareal_counts_at_one_worker():
     assert [sum(row) for row in report.nr_f_per_window_per_iter] == [1167, 1038]
 
 
+def test_shipped_deviation_from_the_sequential_run():
+    # summary.csv's max_dev_mK and boundary_dev_mK with --with-baseline
+    cfg = load_run_config(SHIPPED_COIL_CFG)
+    problem = make_problem(cfg)
+    u_0 = problem.initial_state()
+    traj, report = run_parareal(problem, cfg.t_start, cfg.t_end, u_0, cfg.parareal, n_workers=1)
+    baseline = adaptive_integrate(problem, cfg.t_start, cfg.t_end, u_0, cfg.parareal.fine_tol)
+    deviation, at_boundaries = max_temperature_deviation(traj, baseline, problem, report.boundaries)
+    assert round(1e3 * deviation.max(), 2) == 9.09
+    assert round(1e3 * at_boundaries, 2) == 2.67
+
+
 def test_one_newton_iteration_per_coarse_step():
     cfg = load_run_config(SHIPPED_COIL_CFG)
     problem = make_problem(cfg)
