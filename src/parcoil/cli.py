@@ -55,13 +55,17 @@ def _write_csv(path: str, rows: list, header: list[str] | None = None) -> None:
 
 
 def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory) -> None:
+    """Write the trajectory as :func:`_write_csv` would, every cell a float, one format per row."""
     derived = problem.derived_columns()
     header = ["time_s", *problem.component_names, "T_max_K", *(name for name, _ in derived)]
+    line = ",".join(["{:.12g}"] * len(header)) + "\r\n"
     rows = [
-        [t, *state, problem.max_temperature(state), *(fn(t, state) for _, fn in derived)]
+        line.format(t, *state, problem.max_temperature(state), *(fn(t, state) for _, fn in derived))
         for t, state in zip(traj.times, traj.states)
     ]
-    _write_csv(path, rows, header)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(header)
+        handle.write("".join(rows))
 
 
 def _sequential_fine_run(problem: Problem, cfg: RunConfig, tol: StepperTolerances):
@@ -188,7 +192,7 @@ def _deviation_mk(problem: Problem, traj=None, baseline=None, boundaries=None) -
     max_dev = boundary_dev = None
     if baseline is not None:
         deviation, at_boundaries = max_temperature_deviation(traj, baseline, problem, boundaries)
-        max_dev, boundary_dev = 1e3 * float(deviation.max()), 1e3 * at_boundaries
+        max_dev, boundary_dev = 1e3 * max(deviation), 1e3 * at_boundaries
     return {"max_dev_mK": max_dev, "boundary_dev_mK": boundary_dev}
 
 
@@ -245,9 +249,9 @@ def cmd_study(cfg: RunConfig, args) -> int:
     for tol_mk in cfg.fine_tol_mk_list:
         traj = baselines[tol_mk][1]
         # the reference interpolated onto this run's own times
-        errs = 1e3 * max_temperature_deviation(ref_traj, traj, problem)[0]
+        errs = max_temperature_deviation(ref_traj, traj, problem)[0]
         error_rows += [
-            {"run_id": rid, "fine_tol_mK": tol_mk, "time_s": t, "abs_err_mK": float(err)}
+            {"run_id": rid, "fine_tol_mK": tol_mk, "time_s": t, "abs_err_mK": 1e3 * err}
             for t, err in zip(traj.times, errs)
         ]
     _write_csv(os.path.join(cfg.out_dir, "study_errors.csv"), error_rows)

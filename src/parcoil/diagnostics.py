@@ -4,15 +4,16 @@ Wall-clock fields are the only non-deterministic report content; every
 convergence and error field is bit-reproducible across repeated runs and
 worker counts.  Newton iteration counts are kept alongside the wall times
 as a deterministic load proxy, so CI can assert load-related properties
-without flaky timing comparisons.
+without flaky timing comparisons.  Everything here works on Python
+floats and lists; the max-temperature deviation interpolates linearly by
+``np.interp``'s rules, bit for bit, without importing numpy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = [
     "PararealReport",
@@ -118,13 +119,36 @@ def cumulative_fine_times(report: PararealReport) -> list[float]:
     return [sum(row[j] for row in matrix) for j in range(n)]
 
 
-def max_temperature_deviation(traj, ref, problem, boundaries=()) -> tuple[np.ndarray, float]:
+def _interp(x, xp, fp) -> list[float]:
+    """Piecewise-linear interpolation of ``fp`` over the increasing grid ``xp`` at each ``x``.
+
+    Follows ``np.interp`` operation for operation, so the floats agree bit
+    for bit: the end value outside the grid, ``fp[j]`` on a grid time and
+    at the last one, and otherwise ``slope * (x - xp[j]) + fp[j]``.  Only
+    ``np.interp``'s retry of a NaN result is left out; with finite values
+    that needs an infinite slope, which no trajectory's times give.
+    """
+    last = len(xp) - 1
+    out = []
+    for v in x:
+        j = bisect_right(xp, v) - 1
+        if j < 0:
+            out.append(fp[0])
+        elif j == last or xp[j] == v:
+            out.append(fp[j])
+        else:
+            slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+            out.append(slope * (v - xp[j]) + fp[j])
+    return out
+
+
+def max_temperature_deviation(traj, ref, problem, boundaries=()) -> tuple[list[float], float]:
     """|T_max(traj) - T_max(ref)| (K), with linear interpolation between grid points.
 
     Returns the deviation at each of ``ref``'s times, ``traj`` interpolated
-    onto them, and the largest deviation at the ``boundaries`` times (the
-    window boundaries of a Parareal run), both interpolated there; 0.0 when
-    no boundaries are given.
+    onto them, as a list of floats, and the largest deviation at the
+    ``boundaries`` times (the window boundaries of a Parareal run), both
+    interpolated there; 0.0 when no boundaries are given.
 
     The boundary deviation also holds ``ref``'s own linear-interpolation
     error between its grid points, which the deviation at ``ref``'s times
@@ -132,9 +156,13 @@ def max_temperature_deviation(traj, ref, problem, boundaries=()) -> tuple[np.nda
     grid's N = 24, 10 mK cell reads 13.93 mK at the boundaries against
     12.66 mK at the reference's times.
     """
-    t_max = np.array([problem.max_temperature(u) for u in traj.states])
-    ref_t_max = np.array([problem.max_temperature(u) for u in ref.states])
-    deviation = np.abs(np.interp(ref.times, traj.times, t_max) - ref_t_max)
-    at = np.asarray(boundaries, dtype=float)
-    at_boundaries = np.abs(np.interp(at, traj.times, t_max) - np.interp(at, ref.times, ref_t_max))
-    return deviation, float(at_boundaries.max(initial=0.0))
+    t_max = [problem.max_temperature(u) for u in traj.states]
+    ref_t_max = [problem.max_temperature(u) for u in ref.states]
+    deviation = [abs(a - b) for a, b in zip(_interp(ref.times, traj.times, t_max), ref_t_max)]
+    at_boundaries = [
+        abs(a - b)
+        for a, b in zip(
+            _interp(boundaries, traj.times, t_max), _interp(boundaries, ref.times, ref_t_max)
+        )
+    ]
+    return deviation, max(at_boundaries, default=0.0)

@@ -117,7 +117,10 @@ class Problem(ABC):
 
     @abstractmethod
     def max_temperature(self, u: State) -> float:
-        """Maximum temperature (K) extracted from a state."""
+        """Maximum temperature (K) extracted from a state.
+
+        ``trajectory.csv`` formats the value as a float (``{:.12g}``).
+        """
 
     @abstractmethod
     def initial_state(self) -> State:
@@ -131,5 +134,10 @@ class Problem(ABC):
         return []
 
     def derived_columns(self) -> tuple[tuple[str, Callable[[float, State], float]], ...]:
-        """Extra trajectory-file columns as ``(name, fn(t, u))`` pairs; default none."""
+        """Extra trajectory-file columns as ``(name, fn(t, u))`` pairs; default none.
+
+        Each ``fn`` returns a float: ``trajectory.csv`` formats every cell
+        with ``{:.12g}``, unlike the other tables, which also hold ints and
+        empty cells.
+        """
         return ()

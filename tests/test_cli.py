@@ -12,9 +12,11 @@ import pytest
 
 from parcoil import (
     LinearTestProblem,
+    StepperTolerances,
     adaptive_integrate,
     cli,
     load_run_config,
+    make_problem,
     window_boundary_indices,
 )
 from parcoil.cli import main
@@ -621,3 +623,30 @@ class TestCsvFormatting:
         for row in rows:
             for cell in row[1:]:
                 assert len(cell.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 13
+
+    @staticmethod
+    def _csv_writer_reference(path, problem, traj):
+        # the trajectory writer before it formatted one row per call
+        derived = problem.derived_columns()
+        header = ["time_s", *problem.component_names, "T_max_K", *(name for name, _ in derived)]
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for t, state in zip(traj.times, traj.states):
+                row = [t, *state, problem.max_temperature(state), *(fn(t, state) for _, fn in derived)]
+                writer.writerow([f"{v:.12g}" for v in row])
+
+    @pytest.mark.parametrize("case", ["coil", "linear_three_components"])
+    def test_trajectory_bytes_match_the_csv_writer(self, tmp_path, case):
+        if case == "coil":
+            cfg = load_run_config(SHIPPED_COIL_CFG)
+            problem, t_end, tol = make_problem(cfg), cfg.t_end, cfg.parareal.fine_tol
+        else:
+            problem, t_end = LinearTestProblem(-1.0, (1.0, 2.0, 3.0)), 1.0
+            tol = StepperTolerances(tol_nr=1e-8, tol_t=1e-5, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
+        traj = adaptive_integrate(problem, 0.0, t_end, problem.initial_state(), tol)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_trajectory_csv(str(got), problem, traj)
+        self._csv_writer_reference(str(want), problem, traj)
+        assert len(traj.times) > 100
+        assert got.read_bytes() == want.read_bytes()

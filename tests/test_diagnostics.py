@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,14 +125,14 @@ class TestMaxTemperatureDeviation:
         ref = Trajectory(np.array([0.0, 1.0, 3.0, 4.0]), np.zeros((4, 2)) + [[0.0, -1.0]])
         deviation, at_boundaries = max_temperature_deviation(traj, ref, self.PROBLEM, [0.0, 2.0])
         # traj's T_max interpolated onto ref's times: 0, 2, 2, 0
-        assert deviation.tolist() == [0.0, 2.0, 2.0, 0.0]
+        assert deviation == [0.0, 2.0, 2.0, 0.0]
         # at t = 2 traj reads 4, which no reference time sees
         assert at_boundaries == 4.0
 
     def test_no_boundaries(self):
         traj = Trajectory(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [3.0, 0.0]]))
         deviation, at_boundaries = max_temperature_deviation(traj, traj, self.PROBLEM)
-        assert deviation.tolist() == [0.0, 0.0]
+        assert deviation == [0.0, 0.0]
         assert at_boundaries == 0.0
 
     @settings(max_examples=20, deadline=None)
@@ -158,5 +160,41 @@ class TestMaxTemperatureDeviation:
         sequential = adaptive_integrate(problem, 0.0, 1.0, problem.initial_state(), FINE)
         got, at_got = max_temperature_deviation(traj, sequential, problem, report.boundaries)
         want, at_want = max_temperature_deviation(chained, sequential, problem, report.boundaries)
-        assert got.tobytes() == want.tobytes()
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
         assert at_got.hex() == at_want.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_interpolation_matches_np_interp_bit_for_bit(self, data):
+        # one component, so T_max is the state itself
+        problem = LinearTestProblem(-1.0, (0.0,))
+        value = st.floats(-1e4, 1e4)
+
+        def grid(label):
+            # strictly increasing, gaps of at least 1e-6 s, so every slope is finite
+            start = data.draw(st.floats(-1e3, 1e3), f"{label} start")
+            gaps = data.draw(st.lists(st.floats(1e-6, 1e2), max_size=39), f"{label} gaps")
+            times = list(itertools.accumulate(gaps, initial=start))
+            values = data.draw(st.lists(value, min_size=len(times), max_size=len(times)), label)
+            return times, values
+
+        xp, fp = grid("traj")
+        ref_times, ref_fp = grid("ref")
+        # query times inside and outside the grids, on their times and at both ends
+        query = st.one_of(
+            st.sampled_from(xp),
+            st.sampled_from(ref_times),
+            st.floats(xp[0], xp[-1]),
+            st.floats(-1e4, 1e4),
+        )
+        at = data.draw(st.lists(query, max_size=40), "at")
+        traj = Trajectory(xp, [(f,) for f in fp])
+        ref = Trajectory(ref_times, [(f,) for f in ref_fp])
+
+        deviation, at_boundaries = max_temperature_deviation(traj, ref, problem, at)
+
+        want = np.abs(np.interp(ref_times, xp, fp) - np.array(ref_fp))
+        at_want = np.abs(np.interp(at, xp, fp) - np.interp(at, ref_times, ref_fp)).max(initial=0.0)
+        assert all(type(v) is float for v in deviation)
+        assert list(map(float.hex, deviation)) == list(map(float.hex, want.tolist()))
+        assert at_boundaries.hex() == float(at_want).hex()
