@@ -42,20 +42,22 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_csv(path: str, rows: list, header: list[str] | None = None) -> None:
-    """Write ``rows`` under ``header``, or ``{column: value}`` rows under their own keys."""
-    if header is None:
-        header = list(rows[0])
-        rows = [row.values() for row in rows]
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """Write ``{column: value}`` rows under the first row's keys."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
+        writer.writerow(list(rows[0]))
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(v) for v in row.values()])
 
 
 def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory) -> None:
-    """Write the trajectory as :func:`_write_csv` would, every cell a float, one format per row."""
+    """Write the trajectory, one ``{:.12g}`` format call per row.
+
+    Every cell must be a float (or an int, formatted like one): unlike
+    :func:`_fmt`, the row format writes no empty cell for None and raises
+    ``TypeError`` instead.
+    """
     derived = problem.derived_columns()
     header = ["time_s", *problem.component_names, "T_max_K", *(name for name, _ in derived)]
     line = ",".join(["{:.12g}"] * len(header)) + "\r\n"

@@ -127,6 +127,7 @@ def _interp(x, xp, fp) -> list[float]:
     at the last one, and otherwise ``slope * (x - xp[j]) + fp[j]``.  Only
     ``np.interp``'s retry of a NaN result is left out; with finite values
     that needs an infinite slope, which no trajectory's times give.
+    Pure Python, so that parcoil runs on the standard library alone.
     """
     last = len(xp) - 1
     out = []

@@ -626,7 +626,7 @@ class TestCsvFormatting:
 
     @staticmethod
     def _csv_writer_reference(path, problem, traj):
-        # the trajectory writer before it formatted one row per call
+        # the trajectory writer before it formatted one row per call: csv.writer and _fmt
         derived = problem.derived_columns()
         header = ["time_s", *problem.component_names, "T_max_K", *(name for name, _ in derived)]
         with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -634,7 +634,7 @@ class TestCsvFormatting:
             writer.writerow(header)
             for t, state in zip(traj.times, traj.states):
                 row = [t, *state, problem.max_temperature(state), *(fn(t, state) for _, fn in derived)]
-                writer.writerow([f"{v:.12g}" for v in row])
+                writer.writerow([cli._fmt(v) for v in row])
 
     @pytest.mark.parametrize("case", ["coil", "linear_three_components"])
     def test_trajectory_bytes_match_the_csv_writer(self, tmp_path, case):
