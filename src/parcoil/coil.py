@@ -120,11 +120,8 @@ def hts_resistivity(j: float, j_c: float, e_c: float, n: float) -> float:
     """
     if j_c <= 0.0:
         raise ValueError("critical current density must be positive (critical surface collapsed)")
-    p = n - 1.0
-    if p == 0.0:
-        return e_c / j_c
     try:
-        return (e_c / j_c) * (abs(j) / j_c) ** p
+        return (e_c / j_c) * (abs(j) / j_c) ** (n - 1.0)
     except OverflowError:
         return math.inf
 
@@ -231,16 +228,10 @@ class CoilProblem(Problem):
     def forced_event_times(self, t_a: float, t_b: float) -> list[float]:
         return [t for t in self.ramp.breakpoint_times if t_a < t < t_b]
 
-    def source_current(self, t: float) -> float:
-        return source_current(t, self.ramp)
-
-    def axial_field(self, u: State) -> float:
-        return axial_field(u, self.params)
-
     def derived_columns(self) -> tuple:
         return (
-            ("B_z_T", lambda t, u: self.axial_field(u)),
-            ("I_source_A", lambda t, u: self.source_current(t)),
+            ("B_z_T", lambda t, u: axial_field(u, self.params)),
+            ("I_source_A", lambda t, u: source_current(t, self.ramp)),
         )
 
 

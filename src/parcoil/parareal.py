@@ -12,25 +12,25 @@ standard correction
 
     U_j  <-  fine(U_{j-1}, previous iteration) + coarse(U_{j-1}, new) - coarse(U_{j-1}, previous)
 
-and a concurrent fine solve on every window whose start value changed.
-The fine propagator F is one object, opened before the coarse pass: it
-keeps each window's last fine solve and deals the windows to re-solve
-into cost-balanced batches on their last Newton counts.  This process
-solves the first batch, and up to P-1 worker processes, fed through one
-pipe each, solve the rest (P fine solves at once, never more than N in
-all; P = 1 starts no process).
+and a concurrent fine solve.  The fine propagator F is one object,
+opened before the coarse pass: it keeps each window's last fine solve
+under a key (start bytes, tolerance), re-solves exactly the windows
+whose key changed, and deals them into cost-balanced batches on their
+last Newton counts.  This process solves the first batch, and up to P-1
+worker processes, fed through one pipe each, solve the rest (P fine
+solves at once, never more than N in all; P = 1 starts no process).
 
 Iteration 1's fine results only seed the first correction, so they are
 solved at a looser tolerance (:attr:`PararealConfig.first_fine_tol`, after
 Maday & Mula's adaptive Parareal); every later iteration solves at the
 target ``fine_tol``, and a run never stops after a loose iteration.
 A window whose start is bitwise equal to that of its last fine solve is
-not swept: U_j is its last fine result, exactly, and the window is
-re-solved only if that solve was loose.  U_0 never changes, so after k
-iterations the first k boundaries (k-1 when iteration 1 was loose) equal
-the chained fine solve bit for bit, and a run ends with a zero error by
-iteration N+1 (N+2).  Convergence is declared when the max-temperature
-jump across all window boundaries drops below the requested tolerance.
+not swept: U_j is its last fine result, exactly, and F re-solves it only
+at a new tolerance.  U_0 never changes, so after k iterations the first
+k boundaries (k-1 when iteration 1 was loose) equal the chained fine
+solve bit for bit, and a run ends with a zero error by iteration N+1
+(N+2).  Convergence is declared when the max-temperature jump across all
+window boundaries drops below the requested tolerance.
 """
 
 from __future__ import annotations
@@ -223,10 +223,10 @@ def _fine_worker(conn, problem):
 class _FineLoop:
     """The fine propagator F over ``n`` windows: this process plus ``size`` workers.
 
-    It keeps each window's last fine solve: its start state (bytes), its
-    tolerance, its trajectory and its Newton count, the cost on which the
-    next solves are dealt longest-first into batches (equal counts deal
-    iteration 1 round-robin).
+    It keeps each window's last fine solve: the key (start bytes,
+    tolerance) that decides whether to re-solve it, its trajectory, and
+    its Newton count, the cost on which re-solves are dealt longest-first
+    into batches (equal counts deal iteration 1 round-robin).
     A worker inherits the problem when it is forked and gets the tolerance
     with every batch; each worker has its own pipe.  No thread runs beside
     the caller, so nothing waits for the GIL while the caller solves a
@@ -236,8 +236,7 @@ class _FineLoop:
 
     def __init__(self, problem: Problem, n: int, size: int):
         self.problem = problem
-        self.starts: list[bytes | None] = [None] * n
-        self.tols: list[StepperTolerances | None] = [None] * n
+        self.keys: list[tuple[bytes, StepperTolerances] | None] = [None] * n
         self.trajs: list[Trajectory | None] = [None] * n
         self.nr = [1] * n
         self.procs: list[Process] = []
@@ -274,19 +273,31 @@ class _FineLoop:
         for conn in self.conns:
             conn.close()
 
-    def solve(
-        self, k: int, windows, tol: StepperTolerances
-    ) -> tuple[list[int], list[int], list[float]]:
-        """Fine-solve the ``(j, t_a, t_b, u_start)`` windows of iteration ``k`` at ``tol``.
+    def reused(self, j: int, u: State) -> State | None:
+        """Window ``j``'s last fine result if that solve started at exactly ``u``, else None."""
+        key = self.keys[j - 1]
+        return self.trajs[j - 1].terminal_state if key and key[0] == _bits(u) else None
 
-        Returns the iteration's Newton, rejected-step and wall rows, zero
-        for the windows not given.  The workers get their batches first,
-        then this process solves the first batch.  A worker's exception is
-        re-raised here; a worker that died raises :class:`IntegrationFailed`
-        naming the windows whose results never came.
+    def solve(
+        self, k: int, tol: StepperTolerances, boundaries, starts
+    ) -> tuple[list[int], list[int], list[float]]:
+        """Iteration ``k``'s fine solve at ``tol`` from the window starts U_0..U_{N-1}.
+
+        Re-solves each window whose key (start bytes, ``tol``) changed and
+        returns the iteration's Newton, rejected-step and wall rows, zero
+        elsewhere.  The workers get their batches first, then this process
+        solves the first batch.  A worker's exception is re-raised here; a
+        worker that died raises :class:`IntegrationFailed` naming the
+        windows whose results never came.
         """
         n = len(self.nr)
         nr_row, rejected_row, wall_row = [0] * n, [0] * n, [0.0] * n
+        keys = [(_bits(u), tol) for u in starts]
+        windows = [
+            (j, boundaries[j - 1], boundaries[j], u)
+            for j, u in enumerate(starts, 1)
+            if keys[j - 1] != self.keys[j - 1]
+        ]
         if not windows:
             return nr_row, rejected_row, wall_row
         costs = [self.nr[j - 1] for j, *_ in windows]
@@ -313,9 +324,7 @@ class _FineLoop:
             )
         if failure is not None:
             raise failure
-        for j, _, _, u_start in windows:
-            self.starts[j - 1] = _bits(u_start)
-            self.tols[j - 1] = tol
+        self.keys = keys
         for j, traj, counters, wall in results:
             self.trajs[j - 1] = traj
             self.nr[j - 1] = nr_row[j - 1] = counters.nr_iterations
@@ -347,11 +356,10 @@ def run_parareal(
     run report.  Iteration 1 fine-solves every window at
     ``cfg.first_fine_tol``, later iterations at ``cfg.fine_tol``.  From
     iteration 2 on, only windows whose start value changed since their
-    last fine solve are swept and fine-solved, and those whose last solve
-    was at another tolerance are fine-solved; the others keep their last
+    last fine solve are swept; F re-solves those and the windows whose
+    last solve was at another tolerance, and the others keep their last
     fine trajectory and report zero work.  A run may stop only after an
-    iteration at ``cfg.fine_tol``.  A run
-    that exhausts ``cfg.k_max`` without meeting ``cfg.tol_pr`` is NOT an
+    iteration at ``cfg.fine_tol``.  A run that exhausts ``cfg.k_max`` without meeting ``cfg.tol_pr`` is NOT an
     error: it returns normally with ``report.converged`` False and
     ``report.k_converged`` None, so callers must check the report.
     :class:`PartitionError` and :class:`IntegrationFailed` propagate with
@@ -392,21 +400,16 @@ def run_parareal(
             tol = cfg.first_fine_tol if k == 1 else cfg.fine_tol
             # Sequential coarse sweep on the frozen grid, each window followed
             # by U_j <- F(U_{j-1}^k) + G(U_{j-1}^{k+1}) - G(U_{j-1}^k); iteration
-            # 1 keeps the Ĝ values.  A window whose start is bitwise unchanged
-            # since its last fine solve is not swept and carries U_j = F(U_{j-1})
-            # without the correction; that solve is repeated only if it was
-            # made at another tolerance (a loose iteration 1).
+            # 1 keeps the Ĝ values.  A window that F last solved from exactly
+            # U_{j-1} is not swept and carries U_j = F(U_{j-1}) without the
+            # correction.  F then re-solves the windows whose start or
+            # tolerance changed.
             g_nr, g_wall = [0] * n, [0.0] * n
-            windows = []  # (j, t_a, t_b, U_{j-1}) of each window to re-solve
             for j in range(1, n + 1):
-                t_a, t_b = boundaries[j - 1], boundaries[j]
-                if _bits(u_bounds[j - 1]) == fine.starts[j - 1]:
-                    u_bounds[j] = fine.trajs[j - 1].terminal_state
-                    if fine.tols[j - 1] != tol:
-                        windows.append((j, t_a, t_b, u_bounds[j - 1]))
-                    continue
-                windows.append((j, t_a, t_b, u_bounds[j - 1]))
-                if k > 1:
+                u_fine = fine.reused(j, u_bounds[j - 1])
+                if u_fine is not None:
+                    u_bounds[j] = u_fine
+                elif k > 1:
                     context = f"coarse sweep failed in window {j} during iteration {k}"
                     grid = t_hat[idx[j - 1] : idx[j] + 1]
                     traj, g_counters, g_wall[j - 1] = _propagate(
@@ -420,7 +423,7 @@ def run_parareal(
             nr_g.append(g_nr)
             time_g.append(g_wall)
 
-            f_nr, f_rejected, f_wall = fine.solve(k, windows, tol)
+            f_nr, f_rejected, f_wall = fine.solve(k, tol, boundaries, u_bounds[:-1])
             nr_f.append(f_nr)
             rejected_f.append(f_rejected)
             time_f.append(f_wall)

@@ -320,15 +320,6 @@ def estimate_lte(problem: Problem, u_solved: State, u_predicted: State) -> float
     return abs(problem.max_temperature(u_solved) - problem.max_temperature(u_predicted))
 
 
-def _next_stop(t: float, t_b: float, events, ev_idx: int) -> tuple[float, int]:
-    """First forced event strictly after ``t``, else ``t_b``."""
-    while ev_idx < len(events) and events[ev_idx] <= t:
-        ev_idx += 1
-    if ev_idx < len(events):
-        return events[ev_idx], ev_idx
-    return t_b, ev_idx
-
-
 def adaptive_integrate(
     problem: Problem,
     t_a: float,
@@ -373,19 +364,19 @@ def adaptive_integrate(
     if not _all_finite(slope):
         raise IntegrationFailed(f"non-finite rhs at the start state, t={t:.6g}")
 
-    events = list(problem.forced_event_times(t_a, t_b))
+    stops = deque([*problem.forced_event_times(t_a, t_b), t_b])  # where a step must land
     times = [t]
     states = [u]
     history: deque = deque(maxlen=2)
     history.append((t, u))
 
     dt = tol.dt_init
-    ev_idx = 0
 
     while t < t_b:
-        stop, ev_idx = _next_stop(t, t_b, events, ev_idx)
-        gap = stop - t
-        t_new = stop if dt >= gap else t + dt
+        while stops[0] <= t:
+            stops.popleft()
+        gap = stops[0] - t
+        t_new = stops[0] if dt >= gap else t + dt
         dt_step = t_new - t  # the step fixed_integrate takes on this grid
         if not t_new > t:
             raise IntegrationFailed(f"step size {dt:.3g} cannot advance time at t={t:.6g}")
@@ -397,35 +388,29 @@ def adaptive_integrate(
             else:
                 u_new = implicit_euler_step(problem, t, dt_step, u, guess, tol, counters)
         except StepFailed:
-            dt = 0.5 * dt_step
-            if counters is not None:
-                counters.steps_rejected += 1
-            if dt < tol.dt_min:
-                raise IntegrationFailed(
-                    f"step size underflow at t={t:.6g}: Newton kept failing above dt_min"
-                ) from None
-            continue
+            shrink, reason = 0.5, "Newton kept failing above dt_min"
+        else:
+            lte = estimate_lte(problem, u_new, guess)
+            if lte >= tol.tol_t:
+                shrink = max(REJECT_SHRINK_MIN, min(0.5, SAFETY * math.sqrt(tol.tol_t / lte)))
+                reason = f"tolerance tol_t={tol.tol_t:g} unattainable"
+            else:
+                t, u = t_new, u_new
+                times.append(t)
+                states.append(u)
+                history.append((t, u))
+                if counters is not None:
+                    counters.steps_accepted += 1
+                dt = SAFETY * dt_step * math.sqrt(tol.tol_t / max(lte, LTE_FLOOR_REL * tol.tol_t))
+                dt = min(tol.dt_max, max(tol.dt_min, dt))
+                continue
 
-        lte = estimate_lte(problem, u_new, guess)
-        if lte >= tol.tol_t:
-            shrink = SAFETY * math.sqrt(tol.tol_t / lte)
-            dt = dt_step * max(REJECT_SHRINK_MIN, min(0.5, shrink))
-            if counters is not None:
-                counters.steps_rejected += 1
-            if dt < tol.dt_min:
-                raise IntegrationFailed(
-                    f"step size underflow at t={t:.6g}: tolerance tol_t={tol.tol_t:g} unattainable"
-                )
-            continue
-
-        t, u = t_new, u_new
-        times.append(t)
-        states.append(u)
-        history.append((t, u))
+        # the step is rejected, on its Newton solve or on its error estimate
+        dt = dt_step * shrink
         if counters is not None:
-            counters.steps_accepted += 1
-        dt = SAFETY * dt_step * math.sqrt(tol.tol_t / max(lte, LTE_FLOOR_REL * tol.tol_t))
-        dt = min(tol.dt_max, max(tol.dt_min, dt))
+            counters.steps_rejected += 1
+        if dt < tol.dt_min:
+            raise IntegrationFailed(f"step size underflow at t={t:.6g}: {reason}")
 
     return Trajectory(times, states)
 

@@ -21,6 +21,7 @@ from parcoil import (
     PararealReport,
     StepperTolerances,
     adaptive_integrate,
+    axial_field,
     cumulative_fine_times,
     fixed_integrate,
     load_balance,
@@ -186,7 +187,7 @@ def test_criterion_6_forced_events(coil, coil_cells, fine_reference):
 
 def test_criterion_7_field_delay(coil, fine_reference):
     ref_traj, _ = fine_reference
-    b_z = np.array([coil.axial_field(u) for u in ref_traj.states])
+    b_z = np.array([axial_field(u, coil.params) for u in ref_traj.states])
     plateau = b_z.max()
     t_cross = ref_traj.times[np.argmax(b_z >= 0.95 * plateau)]
     plateau_start = coil.ramp.breakpoint_times[0]

@@ -505,6 +505,22 @@ class TestStudy:
         _, rows = read_csv(os.path.join(out, "study_table.csv"))
         assert len(rows) == 4
 
+    def test_deterministic_across_workers(self, tmp_path):
+        text = LINEAR_CFG + "\n[study]\nn_windows_list = 2, 4\nfine_tol_mk_list = 0.1, 0.01\n"
+        cfg = write_cfg(tmp_path, text)
+        outs = [str(tmp_path / name) for name in ("w1", "w2")]
+        assert main(["study", "--config", cfg, "--out", outs[0], "--workers", "1"]) == 0
+        assert main(["study", "--config", cfg, "--out", outs[1], "--workers", "2"]) == 0
+        errors = [open(os.path.join(out, "study_errors.csv"), "rb").read() for out in outs]
+        assert errors[0] == errors[1]
+        # every column but the wall-clock one matches byte for byte
+        (h1, rows1), (h2, rows2) = [read_csv(os.path.join(out, "study_table.csv")) for out in outs]
+        timed = h1.index("actual_speedup")
+        assert h1 == h2 and len(rows1) == 4
+        assert [r[:timed] + r[timed + 1 :] for r in rows1] == [
+            r[:timed] + r[timed + 1 :] for r in rows2
+        ]
+
     def test_empty_study_list_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, LINEAR_CFG)
         assert main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

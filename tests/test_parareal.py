@@ -574,9 +574,10 @@ class TestFineResults:
         results = []  # every fine trajectory F keeps, as it keeps it
         solve = parareal._FineLoop.solve
 
-        def recording_solve(self, k, windows, tol):
-            rows = solve(self, k, windows, tol)
-            results.extend(self.trajs[j - 1] for j, *_ in windows)
+        def recording_solve(self, k, tol, boundaries, starts):
+            kept = list(self.trajs)
+            rows = solve(self, k, tol, boundaries, starts)
+            results.extend(traj for traj, old in zip(self.trajs, kept) if traj is not old)
             return rows
 
         monkeypatch.setattr(parareal._FineLoop, "solve", recording_solve)
@@ -589,6 +590,49 @@ class TestFineResults:
         assert all(is_float_tuple(traj.times) and type(traj.states) is tuple for traj in results)
         assert type(report.boundary_states) is tuple
         assert all(map(is_float_tuple, states))
+
+
+class TestFineLoopKeys:
+    """F alone decides what it re-solves: each window whose (start bytes, tolerance) key changed."""
+
+    BOUNDARIES = (0.0, 0.25, 0.5, 0.75, 1.0)
+    STARTS = [(1.0,), (0.0,), (0.5,), (0.25,)]  # U_0..U_3
+    LOOSE = loosened(LIN_FINE, 10.0)
+
+    def solve_sequence(self, size):
+        """Solve one fixed sequence of window starts; the Newton and rejected rows of each solve."""
+        problem = LinearTestProblem(-1.0, (1.0,))
+        rows = []
+        with parareal._FineLoop(problem, 4, size) as fine:
+
+            def solve(k, tol, starts):
+                kept = list(fine.trajs)
+                nr, rejected, wall = fine.solve(k, tol, self.BOUNDARIES, starts)
+                rows.append((nr, rejected))
+                solved = [traj is not old for traj, old in zip(fine.trajs, kept)]
+                assert solved == [x > 0 for x in nr] == [x > 0.0 for x in wall]
+                return solved
+
+            assert solve(1, self.LOOSE, self.STARTS) == [True] * 4
+            # the same starts at a new tolerance
+            assert solve(2, LIN_FINE, self.STARTS) == [True] * 4
+            # the same starts at the same tolerance
+            assert solve(3, LIN_FINE, self.STARTS) == [False] * 4
+            assert rows[-1] == ([0] * 4, [0] * 4)
+            # one changed start
+            changed = [*self.STARTS[:2], (0.4,), self.STARTS[3]]
+            assert solve(4, LIN_FINE, changed) == [False, False, True, False]
+
+            want = adaptive_integrate(problem, 0.5, 0.75, (0.4,), LIN_FINE).terminal_state
+            assert bits(fine.reused(3, (0.4,))) == bits(want)
+            assert fine.reused(3, (0.5,)) is None
+            assert fine.reused(2, (0.0,)) == fine.trajs[1].terminal_state
+            assert fine.reused(2, (-0.0,)) is None
+        assert not multiprocessing.active_children()
+        return rows
+
+    def test_re_solves_exactly_the_changed_keys_at_any_worker_count(self):
+        assert self.solve_sequence(0) == self.solve_sequence(1)
 
 
 class TestFineBatches:

@@ -568,6 +568,32 @@ class TestStepController:
         assert REJECT_SHRINK_MIN < factors[1] < 0.5
         assert factors[2] == REJECT_SHRINK_MIN
 
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_newton_failure_underflow(self, linearized):
+        # every trial fails on the NaN Jacobian: 0.1, 0.05 and 0.025 are
+        # rejected, and the halved 0.0125 is below dt_min
+        problem = NanJacobian(((-1.0, 0.0), (0.0, -2.0)), (1.0, 2.0))
+        tol = StepperTolerances(tol_nr=1e-9, tol_t=1.0, dt_init=0.1, dt_min=0.02, dt_max=0.5)
+        counters = StepCounters()
+        message = r"^step size underflow at t=0\.25: Newton kept failing above dt_min$"
+        with pytest.raises(IntegrationFailed, match=message):
+            adaptive_integrate(
+                problem, 0.25, 1.0, problem.initial_state(), tol, counters, linearized=linearized
+            )
+        assert counters == StepCounters(nr_iterations=3, steps_accepted=0, steps_rejected=3)
+
+    def test_unattainable_tolerance_underflow(self):
+        # each trial shrinks by REJECT_SHRINK_MIN: 0.1 and 0.02 are rejected,
+        # and 0.004 is below dt_min
+        fast = LinearTestProblem(-1000.0, (1.0,))
+        tol = StepperTolerances(tol_nr=1e-8, tol_t=1e-13, dt_init=0.1, dt_min=0.015, dt_max=0.5)
+        counters = StepCounters()
+        message = r"^step size underflow at t=0\.25: tolerance tol_t=1e-13 unattainable$"
+        with pytest.raises(IntegrationFailed, match=message):
+            adaptive_integrate(fast, 0.25, 1.0, fast.initial_state(), tol, counters)
+        assert counters.steps_accepted == 0
+        assert counters.steps_rejected == 2
+
     @pytest.mark.parametrize("make", [NanRhs, DividesByZero], ids=["nan", "zero-division"])
     @pytest.mark.parametrize("linearized", [False, True])
     def test_bad_rhs_at_the_start_fails_at_once(self, make, linearized):
