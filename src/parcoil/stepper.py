@@ -37,11 +37,17 @@ temperature component is insensitive to the remaining error.
 A state is a tuple of Python floats: on a few components that is cheaper
 than numpy and performs the same IEEE operations.  Each propagator
 converts its start state once and builds one :class:`Trajectory` from the
-accepted tuples.  The Newton matrix is solved on Python floats too
-(closed form for two components, Gaussian elimination with partial
-pivoting otherwise), so the stepper is sized for lumped systems of a few
-components: elimination costs O(n^3) interpreted operations and loses to
-LAPACK past about five components.
+accepted tuples.  The Newton matrix is solved on Python floats too, by
+Gaussian elimination with partial pivoting, so the stepper is sized for
+lumped systems of a few components: elimination costs O(n^3) interpreted
+operations and loses to LAPACK past about five components.
+
+A two-component state (the coil) takes a scalar step: both step functions
+unpack it once and run the residual, the closed-form 2x2 solve, the
+update and the finiteness checks on local floats, with the float
+operations of the tuple step in the same order, so the results are the
+same to the bit.  This skips the tuple building of the general path: on
+the coil an implicit Euler step costs about two thirds of the tuple step.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
+from math import isfinite
 
 from .problem import Problem, State, Trajectory, as_state
 
@@ -141,27 +148,17 @@ def _residual(problem: Problem, t: float, dt: float, u: State, u_prev: State) ->
 def _newton_update(dt: float, jac, r: tuple) -> tuple:
     """Solve ``(I - dt*jac) du = -r`` for the Newton update ``du``.
 
-    Two-component systems use the closed-form inverse; other sizes use
-    Gaussian elimination with partial pivoting.  Both run on Python
-    floats, which on a few components costs a fraction of a LAPACK call;
-    elimination takes O(n^3) interpreted operations, so past about five
-    components LAPACK would be faster.  Raises :class:`StepFailed` on a
-    non-finite Jacobian or an exactly zero pivot (the singularity test of
-    LAPACK's ``dgesv``).  Python float products and quotients overflow to
-    ``inf`` without raising, so overflow surfaces as a non-finite update,
-    which the caller turns into :class:`StepFailed`.
+    Gaussian elimination with partial pivoting on Python floats, which on
+    a few components costs a fraction of a LAPACK call; it takes O(n^3)
+    interpreted operations, so past about five components LAPACK would be
+    faster.  The step functions solve two-component systems in closed form
+    themselves and call this for every other size.  Raises
+    :class:`StepFailed` on a non-finite Jacobian or an exactly zero pivot
+    (the singularity test of LAPACK's ``dgesv``).  Python float products
+    and quotients overflow to ``inf`` without raising, so overflow surfaces
+    as a non-finite update, which the caller turns into :class:`StepFailed`.
     """
     n = len(r)
-    if n == 2:
-        (a, b), (c, d) = jac
-        if not _all_finite((a, b, c, d)):
-            raise StepFailed("non-finite Jacobian")
-        m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
-        det = m00 * m11 - m01 * m10
-        if det == 0.0:
-            raise StepFailed("singular Newton matrix: zero determinant")
-        r0, r1 = r
-        return ((m01 * r1 - m11 * r0) / det, (m10 * r0 - m00 * r1) / det)
     # augmented rows [I - dt*jac | -r]
     rows = []
     for i, (jac_row, r_i) in enumerate(zip(jac, r, strict=True)):
@@ -199,6 +196,22 @@ def _newton_update(dt: float, jac, r: tuple) -> tuple:
     return tuple(du)
 
 
+def _solve_2x2(dt: float, jac, r0: float, r1: float) -> tuple[float, float]:
+    """The Newton update ``(du0, du1)`` of a two-component system, in closed form.
+
+    Raises :class:`StepFailed` on a non-finite Jacobian or a zero
+    determinant.
+    """
+    (a, b), (c, d) = jac
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+        raise StepFailed("non-finite Jacobian")
+    m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
+    det = m00 * m11 - m01 * m10
+    if det == 0.0:
+        raise StepFailed("singular Newton matrix: zero determinant")
+    return (m01 * r1 - m11 * r0) / det, (m10 * r0 - m00 * r1) / det
+
+
 def implicit_euler_step(
     problem: Problem,
     t: float,
@@ -227,6 +240,38 @@ def implicit_euler_step(
     u = guess
     iters = 0
     try:
+        if len(u_prev) == 2:
+            # the tuple path below on local floats, with the same operations
+            p0, p1 = u_prev
+            x0, x1 = u
+            f0, f1 = problem.rhs(t_new, u)
+            r0 = x0 - p0 - dt * f0
+            r1 = x1 - p1 - dt * f1
+            if not (isfinite(r0) and isfinite(r1)):
+                raise StepFailed("non-finite residual at the initial guess")
+            r0_norm = math.hypot(r0, r1)
+            r_floor = 1e-14 * (1.0 + math.hypot(p0, p1))
+            temp = problem.max_temperature(u)
+            for _ in range(tol.nr_max_iters):
+                iters += 1
+                du0, du1 = _solve_2x2(dt, newton_jacobian(problem, t_new, u), r0, r1)
+                x0 = x0 + du0
+                x1 = x1 + du1
+                if not (isfinite(x0) and isfinite(x1)):
+                    raise StepFailed("non-finite Newton iterate")
+                u = (x0, x1)
+                f0, f1 = problem.rhs(t_new, u)
+                r0 = x0 - p0 - dt * f0
+                r1 = x1 - p1 - dt * f1
+                if not (isfinite(r0) and isfinite(r1)):
+                    raise StepFailed("non-finite residual")
+                temp_new = problem.max_temperature(u)
+                r_norm = math.hypot(r0, r1)
+                if abs(temp_new - temp) < tol.tol_nr and (r_norm < r0_norm or r_norm <= r_floor):
+                    return u
+                temp = temp_new
+            raise StepFailed(f"no convergence within {tol.nr_max_iters} iterations")
+
         r = _residual(problem, t_new, dt, u, u_prev)
         if not _all_finite(r):
             raise StepFailed("non-finite residual at the initial guess")
@@ -279,6 +324,22 @@ def linearized_euler_step(
     """
     t_new = t + dt
     try:
+        if len(u) == 2:
+            # the tuple path below on local floats, with the same operations:
+            # the residual keeps u - u, so that dt*f == 0 gives 0.0, not -0.0
+            x0, x1 = u
+            f0, f1 = problem.rhs(t_new, u)
+            r0 = x0 - x0 - dt * f0
+            r1 = x1 - x1 - dt * f1
+            if not (isfinite(r0) and isfinite(r1)):
+                raise StepFailed("non-finite residual")
+            du0, du1 = _solve_2x2(dt, newton_jacobian(problem, t_new, u), r0, r1)
+            x0 = x0 + du0
+            x1 = x1 + du1
+            if not (isfinite(x0) and isfinite(x1)):
+                raise StepFailed("non-finite linearized step")
+            return (x0, x1)
+
         r = _residual(problem, t_new, dt, u, u)
         if not _all_finite(r):
             raise StepFailed("non-finite residual")
@@ -342,10 +403,11 @@ def adaptive_integrate(
     call per call), later steps extrapolate the last two accepted states
     linearly.  A step rejected on its error estimate retries at
     ``dt * max(REJECT_SHRINK_MIN, min(0.5, SAFETY*sqrt(tol_t/lte)))``, a
-    failed Newton step at half the step; the accepted step feeds an
-    order-1 controller.  Raises :class:`IntegrationFailed` at once if
-    ``rhs(t_a, u_a)`` is non-finite or raises ``ArithmeticError``, and if
-    the step size underflows ``tol.dt_min`` through repeated rejection.
+    failed Newton step or a non-finite (NaN or infinite) error estimate at
+    half the step; the accepted step feeds an order-1 controller.  Raises
+    :class:`IntegrationFailed` at once if ``rhs(t_a, u_a)`` is non-finite
+    or raises ``ArithmeticError``, and if the step size underflows
+    ``tol.dt_min`` through repeated rejection.
 
     Each step uses ``dt = t_new - t``, so with ``linearized``
     :func:`fixed_integrate` on any slice of the returned grid, started from
@@ -391,10 +453,7 @@ def adaptive_integrate(
             shrink, reason = 0.5, "Newton kept failing above dt_min"
         else:
             lte = estimate_lte(problem, u_new, guess)
-            if lte >= tol.tol_t:
-                shrink = max(REJECT_SHRINK_MIN, min(0.5, SAFETY * math.sqrt(tol.tol_t / lte)))
-                reason = f"tolerance tol_t={tol.tol_t:g} unattainable"
-            else:
+            if lte < tol.tol_t:  # False for NaN, so a NaN estimate is rejected
                 t, u = t_new, u_new
                 times.append(t)
                 states.append(u)
@@ -404,6 +463,11 @@ def adaptive_integrate(
                 dt = SAFETY * dt_step * math.sqrt(tol.tol_t / max(lte, LTE_FLOOR_REL * tol.tol_t))
                 dt = min(tol.dt_max, max(tol.dt_min, dt))
                 continue
+            if isfinite(lte):
+                shrink = max(REJECT_SHRINK_MIN, min(0.5, SAFETY * math.sqrt(tol.tol_t / lte)))
+                reason = f"tolerance tol_t={tol.tol_t:g} unattainable"
+            else:  # NaN or inf: halved, as a failed Newton solve is
+                shrink, reason = 0.5, "non-finite error estimate"
 
         # the step is rejected, on its Newton solve or on its error estimate
         dt = dt_step * shrink

@@ -7,6 +7,7 @@ moves one of them changes the numerics, and must say so.  Wall time is
 never checked here.
 """
 
+import collections
 import dataclasses
 import os
 
@@ -22,6 +23,7 @@ from parcoil import (
     run_parareal,
     window_boundary_indices,
 )
+from parcoil import coil, stepper
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED_COIL_CFG = os.path.join(REPO_ROOT, "configs", "ni_coil.cfg")
@@ -144,3 +146,42 @@ def test_linear_three_component_counts():
     assert report.nr_ghat == 23
     assert report.nr_g_per_iter == [0, 20, 17]
     assert [sum(row) for row in report.nr_f_per_window_per_iter] == [1008, 905, 765]
+
+
+def test_layer_boundaries_count_the_work(monkeypatch):
+    # the benchmark's per-layer counts wrap stepper.newton_jacobian and
+    # coil.coil_rhs: one Jacobian per counted Newton iteration, and a pinned
+    # number of rhs calls, on the sequential solve, Ĝ and a parareal run
+    calls = collections.Counter()
+    jacobian, rhs = stepper.newton_jacobian, coil.coil_rhs
+
+    def counting_jacobian(*args):
+        calls["jacobian"] += 1
+        return jacobian(*args)
+
+    def counting_rhs(*args):
+        calls["rhs"] += 1
+        return rhs(*args)
+
+    monkeypatch.setattr(stepper, "newton_jacobian", counting_jacobian)
+    monkeypatch.setattr(coil, "coil_rhs", counting_rhs)
+    cfg = load_run_config(SHIPPED_COIL_CFG)
+    problem = make_problem(cfg)
+    u_0 = problem.initial_state()
+    counts = []
+    for tol, linearized in ((cfg.parareal.fine_tol, False), (cfg.parareal.coarse_tol, True)):
+        calls.clear()
+        counters = StepCounters()
+        adaptive_integrate(
+            problem, cfg.t_start, cfg.t_end, u_0, tol, counters, linearized=linearized
+        )
+        assert calls["jacobian"] == counters.nr_iterations
+        counts.append((calls["rhs"], calls["jacobian"]))
+    calls.clear()
+    _, report = run_parareal(problem, cfg.t_start, cfg.t_end, u_0, cfg.parareal, n_workers=1)
+    newton = report.nr_ghat + sum(report.nr_g_per_iter)
+    newton += sum(map(sum, report.nr_f_per_window_per_iter))
+    assert calls["jacobian"] == newton
+    counts.append((calls["rhs"], calls["jacobian"]))
+    # (rhs, Jacobian) calls: sequential fine solve, Ĝ, parareal at one worker
+    assert counts == [(2264, 1152), (130, 129), (4591, 2441)]
