@@ -19,6 +19,14 @@ whose key changed, and deals them into cost-balanced batches on their
 last Newton counts.  This process solves the first batch, and up to P-1
 worker processes, fed through one pipe each, solve the rest (P fine
 solves at once, never more than N in all; P = 1 starts no process).
+When this process may run on exactly P CPUs, each of the P processes is
+pinned to one of them for the run: left to the scheduler on the 2-CPU
+host the benchmark was measured on, a forked worker and its caller ran
+the batches on the same CPU in most runs, each batch taking about twice
+its CPU time in wall time, and pinning the worker alone did not stop it.
+With fewer or more CPUs, or without ``os.sched_setaffinity``, nothing is
+pinned.  P defaults to the number of CPUs this process may run on,
+capped at N.
 
 Iteration 1's fine results only seed the first correction, so they are
 solved at a looser tolerance (:attr:`PararealConfig.first_fine_tol`, after
@@ -204,8 +212,13 @@ def _solve_batch(problem, tol, k, windows):
     return results
 
 
-def _fine_worker(conn, problem):
-    """Worker process body: answer each ``(k, tol, windows)`` with its results or its exception."""
+def _fine_worker(conn, problem, cpu):
+    """Worker process body: answer each ``(k, tol, windows)`` with its results or its exception.
+
+    It first pins itself to ``cpu``, unless that is None.
+    """
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     while True:
@@ -220,6 +233,19 @@ def _fine_worker(conn, problem):
         conn.send(reply)
 
 
+def _allowed_cpus() -> set[int] | None:
+    """The CPUs this process may run on, or None where the platform cannot tell or set them."""
+    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "sched_setaffinity"):
+        return None
+    return os.sched_getaffinity(0)
+
+
+def _caller_cpus(size: int) -> set[int] | None:
+    """This process's CPUs if there are exactly ``size + 1``, one per loop process, else None."""
+    mask = _allowed_cpus() if size >= 1 else None
+    return mask if mask is not None and len(mask) == size + 1 else None
+
+
 class _FineLoop:
     """The fine propagator F over ``n`` windows: this process plus ``size`` workers.
 
@@ -232,6 +258,14 @@ class _FineLoop:
     the caller, so nothing waits for the GIL while the caller solves a
     batch itself.  Workers ignore SIGINT; leaving the ``with`` block, normally
     or by any exception (Ctrl-C included), terminates and joins them.
+
+    When this process's allowed CPUs (``os.sched_getaffinity(0)``) number
+    exactly ``size + 1``, process i of the loop (0 is this one) runs on
+    the i-th lowest of them only: each worker pins itself as it starts and
+    this process after the forks, so the fine solves of one iteration run
+    at the same time rather than sharing one CPU.  :meth:`close`, which also
+    runs when ``__init__`` fails, stops the workers and then restores this
+    process's mask.
     """
 
     def __init__(self, problem: Problem, n: int, size: int):
@@ -241,10 +275,12 @@ class _FineLoop:
         self.nr = [1] * n
         self.procs: list[Process] = []
         self.conns: list = []  # this process's end of each worker's pipe
+        self.mask = _caller_cpus(size)  # restored on close when not None
+        cpus = sorted(self.mask) if self.mask else [None] * (size + 1)
         try:
-            for _ in range(size):
+            for cpu in cpus[1:]:
                 conn, child = Pipe()
-                proc = Process(target=_fine_worker, args=(child, problem), daemon=True)
+                proc = Process(target=_fine_worker, args=(child, problem, cpu), daemon=True)
                 self.conns.append(conn)
                 self.procs.append(proc)
                 # SIGINT stays blocked across the fork, until the worker ignores it
@@ -254,6 +290,8 @@ class _FineLoop:
                 finally:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 child.close()  # a later worker must not inherit it, or a death shows no EOF
+            if self.mask:
+                os.sched_setaffinity(0, {cpus[0]})
         except BaseException:
             self.close()
             raise
@@ -265,13 +303,17 @@ class _FineLoop:
         self.close()
 
     def close(self) -> None:
-        started = [proc for proc in self.procs if proc.pid is not None]
-        for proc in started:
-            proc.terminate()
-        for proc in started:
-            proc.join()
-        for conn in self.conns:
-            conn.close()
+        try:
+            started = [proc for proc in self.procs if proc.pid is not None]
+            for proc in started:
+                proc.terminate()
+            for proc in started:
+                proc.join()
+            for conn in self.conns:
+                conn.close()
+        finally:
+            if self.mask:
+                os.sched_setaffinity(0, self.mask)
 
     def reused(self, j: int, u: State) -> State | None:
         """Window ``j``'s last fine result if that solve started at exactly ``u``, else None."""
@@ -369,7 +411,8 @@ def run_parareal(
         raise ValueError("need t_0 < t_N")
     n = cfg.n_windows
     if n_workers is None:
-        n_workers = min(n, os.cpu_count() or 1)
+        allowed = _allowed_cpus()  # the set the fine loop's placement reads
+        n_workers = min(n, len(allowed) if allowed is not None else os.cpu_count() or 1)
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import multiprocessing
@@ -751,6 +752,37 @@ class TestFineLoopFailures:
         assert not multiprocessing.active_children()
 
 
+ALLOWED_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextlib.contextmanager
+def lowest_cpus(count):
+    """Run the block on this process's ``count`` lowest allowed CPUs; restore its mask after."""
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, set(sorted(mask)[:count]))
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+def refuse_to_pin(pid, cpus):
+    raise AssertionError(f"pinned process {pid} to {cpus}")
+
+
+def counting_processes(monkeypatch) -> list:
+    """Patch the fine loop's ``Process``; the list of every process it makes."""
+    started = []
+    process = parareal.Process
+
+    def counting_process(*args, **kwargs):
+        started.append(process(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(parareal, "Process", counting_process)
+    return started
+
+
 class TestWorkerGroup:
     CFG = TestFineLoopFailures.CFG
 
@@ -761,14 +793,7 @@ class TestWorkerGroup:
         assert not multiprocessing.active_children()
 
     def test_workers_capped_at_window_count(self, monkeypatch):
-        started = []
-        process = parareal.Process
-
-        def counting_process(*args, **kwargs):
-            started.append(process(*args, **kwargs))
-            return started[-1]
-
-        monkeypatch.setattr(parareal, "Process", counting_process)
+        started = counting_processes(monkeypatch)
         problem = LinearTestProblem(-1.0, (1.0,))
         cfg = dataclasses.replace(self.CFG, n_windows=2)
         one = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
@@ -778,6 +803,133 @@ class TestWorkerGroup:
         assert bits(one[0].states) == bits(five[0].states)
         assert one[1].nr_f_per_window_per_iter == five[1].nr_f_per_window_per_iter
         assert not multiprocessing.active_children()
+
+
+@pytest.fixture
+def two_cpus():
+    """This process's mask cut to its two lowest allowed CPUs, for the caller and one worker."""
+    if ALLOWED_CPUS < 2:
+        pytest.skip("needs two allowed CPUs")
+    with lowest_cpus(2):
+        yield os.sched_getaffinity(0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+class TestCpuPlacement:
+    """One CPU per fine-loop process when the caller's mask holds one each; no timing measured."""
+
+    CFG = TestFineLoopFailures.CFG
+    BOUNDARIES = TestFineLoopKeys.BOUNDARIES
+    STARTS = TestFineLoopKeys.STARTS
+
+    def run(self, problem, n_workers):
+        return run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers)
+
+    def test_caller_and_worker_each_get_their_own_cpu(self, two_cpus):
+        with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 1) as fine:
+            # the worker has pinned itself once it has answered a batch
+            fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
+            caller = os.sched_getaffinity(0)
+            worker = os.sched_getaffinity(fine.procs[0].pid)
+        assert caller == {sorted(two_cpus)[0]}
+        assert worker == {sorted(two_cpus)[1]}
+        assert os.sched_getaffinity(0) == two_cpus
+
+    def test_mask_restored_after_a_normal_exit(self, two_cpus):
+        problem = LinearTestProblem(-1.0, (1.0,))
+        assert bits(self.run(problem, 2)[0].states) == bits(self.run(problem, 1)[0].states)
+        assert os.sched_getaffinity(0) == two_cpus
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_mask_restored_after_a_fine_solve_exception(self, two_cpus, where):
+        if where == "caller":
+            cfg = dataclasses.replace(self.CFG, fine_tol=TestFineLoopFailures.HOPELESS)
+            problem = LinearTestProblem(-1.0, (1.0,))
+        else:
+            cfg, problem = self.CFG, NanInWorker()
+        with pytest.raises(IntegrationFailed, match=r"during iteration 1"):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=2)
+        assert os.sched_getaffinity(0) == two_cpus
+        assert not multiprocessing.active_children()
+
+    def test_mask_restored_after_an_interrupt(self, two_cpus):
+        with pytest.raises(KeyboardInterrupt):
+            with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 1) as fine:
+                fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
+                raise KeyboardInterrupt
+        assert os.sched_getaffinity(0) == two_cpus
+        assert not multiprocessing.active_children()
+
+    def test_mask_restored_after_a_start_that_fails_part_way(self, two_cpus, monkeypatch):
+        process = parareal.Process
+
+        class ForksThenFails(process):
+            def start(self):
+                super().start()
+                raise OSError("start failed after the fork")
+
+        monkeypatch.setattr(parareal, "Process", ForksThenFails)
+        with pytest.raises(OSError, match="after the fork"):
+            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 1)
+        assert os.sched_getaffinity(0) == two_cpus
+        assert not multiprocessing.active_children()
+
+    def test_a_failed_restore_still_stops_the_workers(self, two_cpus, monkeypatch):
+        def cannot_restore(pid, cpus):
+            raise OSError("mask no longer valid")
+
+        with monkeypatch.context() as patch:  # undone before two_cpus restores the mask
+            with pytest.raises(OSError, match="no longer valid"):
+                with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 1) as fine:
+                    fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
+                    patch.setattr(os, "sched_setaffinity", cannot_restore)
+        assert fine.procs[0].exitcode is not None
+        assert not multiprocessing.active_children()
+
+    def test_more_allowed_cpus_than_processes_pins_nothing(self, monkeypatch):
+        problem = LinearTestProblem(-1.0, (1.0,))
+        one, _ = self.run(problem, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+            patch.setattr(os, "sched_setaffinity", refuse_to_pin)  # in the forked worker too
+            started = counting_processes(patch)
+            two, _ = self.run(problem, 2)
+        assert len(started) == 1
+        assert bits(two.states) == bits(one.states)
+        assert not multiprocessing.active_children()
+
+    def test_one_allowed_cpu_pins_nothing(self, monkeypatch):
+        problem = LinearTestProblem(-1.0, (1.0,))
+        one, one_report = self.run(problem, 1)
+        with lowest_cpus(1):
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "sched_setaffinity", refuse_to_pin)  # in the forked worker too
+                started = counting_processes(patch)
+                two, two_report = self.run(problem, 2)
+        assert len(started) == 1
+        assert bits(two.states) == bits(one.states)
+        assert two_report.nr_f_per_window_per_iter == one_report.nr_f_per_window_per_iter
+        assert not multiprocessing.active_children()
+
+    def test_no_affinity_calls_pins_nothing_and_counts_every_cpu(self, monkeypatch):
+        problem = LinearTestProblem(-1.0, (1.0,))
+        one, _ = self.run(problem, 1)
+        monkeypatch.delattr(os, "sched_setaffinity")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        started = counting_processes(monkeypatch)
+        default, _ = self.run(problem, None)
+        assert len(started) == min(self.CFG.n_windows, os.cpu_count() or 1) - 1
+        assert bits(default.states) == bits(one.states)
+        assert not multiprocessing.active_children()
+
+    def test_default_workers_under_one_allowed_cpu_start_no_process(self, monkeypatch):
+        problem = LinearTestProblem(-1.0, (1.0,))
+        one, _ = self.run(problem, 1)
+        started = counting_processes(monkeypatch)
+        with lowest_cpus(1):
+            default, _ = self.run(problem, None)
+        assert started == []
+        assert bits(default.states) == bits(one.states)
 
 
 class TestCoarseFailures:
