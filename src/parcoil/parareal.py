@@ -20,7 +20,8 @@ last Newton counts.  This process solves the first batch, and up to P-1
 worker processes, fed through one pipe each, solve the rest (P fine
 solves at once, never more than N in all; P = 1 starts no process).
 When this process may run on exactly P CPUs, each of the P processes is
-pinned to one of them for the run: left to the scheduler on the 2-CPU
+pinned to one of them for the run: this process pins each worker right
+after its fork, and then itself.  Left to the scheduler on the 2-CPU
 host the benchmark was measured on, a forked worker and its caller ran
 the batches on the same CPU in most runs, each batch taking about twice
 its CPU time in wall time, and pinning the worker alone did not stop it.
@@ -49,7 +50,6 @@ import os
 import signal
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (see below)
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -67,9 +67,9 @@ from .stepper import (
 # replacing them in this module, so they must stay module globals, looked
 # up at call time (never bound at import); it finds their counters by
 # keyword and a tolerance only in adaptive_integrate's arguments.  It also
-# replaces ProcessPoolExecutor when it installs, so the name stays imported
-# although nothing here uses it: the fine loop is _FineLoop, and the
-# tracer's pool spans stay empty.
+# reads and replaces ProcessPoolExecutor when it installs, so the name
+# resolves here (see __getattr__ below) although nothing here uses it: the
+# fine loop is _FineLoop, and the tracer's pool spans stay empty.
 
 # The fine loop's workers are forked whatever the default start method (it
 # is forkserver on Linux from Python 3.14): they inherit the problem, so it
@@ -85,6 +85,16 @@ __all__ = [
     "pr_error",
     "run_parareal",
 ]
+
+
+def __getattr__(name):
+    # Imported on first access only: concurrent.futures pulls in logging,
+    # subprocess and queue, about 12 ms of every command's start-up.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PartitionError(Exception):
@@ -212,13 +222,8 @@ def _solve_batch(problem, tol, k, windows):
     return results
 
 
-def _fine_worker(conn, problem, cpu):
-    """Worker process body: answer each ``(k, tol, windows)`` with its results or its exception.
-
-    It first pins itself to ``cpu``, unless that is None.
-    """
-    if cpu is not None:
-        os.sched_setaffinity(0, {cpu})
+def _fine_worker(conn, problem):
+    """Worker process body: answer each ``(k, tol, windows)`` with its results or its exception."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     while True:
@@ -261,9 +266,11 @@ class _FineLoop:
 
     When this process's allowed CPUs (``os.sched_getaffinity(0)``) number
     exactly ``size + 1``, process i of the loop (0 is this one) runs on
-    the i-th lowest of them only: each worker pins itself as it starts and
-    this process after the forks, so the fine solves of one iteration run
-    at the same time rather than sharing one CPU.  :meth:`close`, which also
+    the i-th lowest of them only: this process pins each worker right
+    after its fork, and then itself, so the fine solves of one iteration
+    run at the same time rather than sharing one CPU.  A worker that pinned
+    itself would still run on this process's CPU until it did, and the
+    caller's own pin would wait for it.  :meth:`close`, which also
     runs when ``__init__`` fails, stops the workers and then restores this
     process's mask.
     """
@@ -280,13 +287,15 @@ class _FineLoop:
         try:
             for cpu in cpus[1:]:
                 conn, child = Pipe()
-                proc = Process(target=_fine_worker, args=(child, problem, cpu), daemon=True)
+                proc = Process(target=_fine_worker, args=(child, problem), daemon=True)
                 self.conns.append(conn)
                 self.procs.append(proc)
                 # SIGINT stays blocked across the fork, until the worker ignores it
                 mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 try:
                     proc.start()
+                    if cpu is not None:
+                        os.sched_setaffinity(proc.pid, {cpu})
                 finally:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 child.close()  # a later worker must not inherit it, or a death shows no EOF

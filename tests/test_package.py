@@ -2,20 +2,23 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import parcoil
 from parcoil import coil, config, diagnostics, parareal, problem, stepper
 
 MODULES = (coil, config, diagnostics, parareal, problem, stepper)
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Import, build the shipped problem and run a command, then report numpy's absence.
+# Import, build the shipped problem and run a command, then report which
+# of numpy and concurrent.futures were imported.
 COMMAND_PATH = """
 import sys
 import parcoil
 import parcoil.cli
 parcoil.make_problem(parcoil.load_run_config(sys.argv[1]))
 assert parcoil.cli.main(["sequential", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-print("numpy" in sys.modules)
+print(sorted({"numpy", "concurrent.futures"} & set(sys.modules)))
 """
 
 
@@ -43,5 +46,16 @@ def test_command_path_imports_no_numpy(tmp_path):
         text=True,
         check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_process_pool_executor_resolves_on_first_access():
+    import concurrent.futures
+
+    assert parareal.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+
+
+def test_unknown_parareal_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        parareal.no_such_name

@@ -827,8 +827,7 @@ class TestCpuPlacement:
 
     def test_caller_and_worker_each_get_their_own_cpu(self, two_cpus):
         with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 1) as fine:
-            # the worker has pinned itself once it has answered a batch
-            fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
+            # both are pinned once the loop is open, before the worker gets any batch
             caller = os.sched_getaffinity(0)
             worker = os.sched_getaffinity(fine.procs[0].pid)
         assert caller == {sorted(two_cpus)[0]}
@@ -874,6 +873,21 @@ class TestCpuPlacement:
         assert os.sched_getaffinity(0) == two_cpus
         assert not multiprocessing.active_children()
 
+    def test_mask_restored_after_a_worker_pin_that_fails(self, two_cpus, monkeypatch):
+        set_affinity = os.sched_setaffinity
+
+        def cannot_pin_a_worker(pid, cpus):
+            if pid != 0:
+                raise OSError(f"cannot pin process {pid}")
+            set_affinity(pid, cpus)
+
+        with monkeypatch.context() as patch:  # undone before two_cpus restores the mask
+            patch.setattr(os, "sched_setaffinity", cannot_pin_a_worker)
+            with pytest.raises(OSError, match="cannot pin process"):
+                parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 1)
+            assert os.sched_getaffinity(0) == two_cpus
+        assert not multiprocessing.active_children()
+
     def test_a_failed_restore_still_stops_the_workers(self, two_cpus, monkeypatch):
         def cannot_restore(pid, cpus):
             raise OSError("mask no longer valid")
@@ -891,7 +905,7 @@ class TestCpuPlacement:
         one, _ = self.run(problem, 1)
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-            patch.setattr(os, "sched_setaffinity", refuse_to_pin)  # in the forked worker too
+            patch.setattr(os, "sched_setaffinity", refuse_to_pin)  # caller and worker alike
             started = counting_processes(patch)
             two, _ = self.run(problem, 2)
         assert len(started) == 1
@@ -903,7 +917,7 @@ class TestCpuPlacement:
         one, one_report = self.run(problem, 1)
         with lowest_cpus(1):
             with monkeypatch.context() as patch:
-                patch.setattr(os, "sched_setaffinity", refuse_to_pin)  # in the forked worker too
+                patch.setattr(os, "sched_setaffinity", refuse_to_pin)  # caller and worker alike
                 started = counting_processes(patch)
                 two, two_report = self.run(problem, 2)
         assert len(started) == 1
