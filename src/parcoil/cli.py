@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import os
 import sys
 import time
@@ -80,9 +79,7 @@ def _sequential_fine_run(problem: Problem, cfg: RunConfig, tol: StepperTolerance
     return traj, wall, counters
 
 
-def cmd_sequential(cfg: RunConfig, args) -> int:
-    problem = make_problem(cfg)
-    rid = run_id(cfg)
+def cmd_sequential(problem: Problem, cfg: RunConfig, rid: str, args) -> int:
     traj, wall, counters = _sequential_fine_run(problem, cfg, cfg.parareal.fine_tol)
     _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, traj)
     row = {
@@ -128,11 +125,25 @@ def _report_rows(report: PararealReport, rid: str) -> list[dict]:
     return rows
 
 
-def _summary_rows(report: PararealReport, rid: str, baseline_wall, deviation: dict) -> list[dict]:
-    """``summary.csv``: one row per iteration; ``deviation`` is :func:`_deviation_mk`'s columns."""
+def _summary_rows(
+    problem: Problem, traj: Trajectory, report: PararealReport, rid: str, baseline
+) -> list[dict]:
+    """``summary.csv``: one row per iteration.
+
+    ``baseline`` is the sequential run's ``(trajectory, wall)``, or None;
+    without it the four baseline columns are empty.  The deviations are
+    the largest |ΔT_max| (mK) from the baseline, and at the window boundaries.
+    """
     lb = load_balance(cumulative_fine_times(report))
     n_over_k = max_possible_speedup(report.n_windows, report.k_converged) if report.converged else None
-    speed = speedup(report, baseline_wall) if baseline_wall is not None else None
+    baseline_wall = speed = max_dev = boundary_dev = None
+    if baseline is not None:
+        baseline_traj, baseline_wall = baseline
+        speed = speedup(report, baseline_wall)
+        deviation, at_boundaries = max_temperature_deviation(
+            traj, baseline_traj, problem, report.boundaries
+        )
+        max_dev, boundary_dev = 1e3 * max(deviation), 1e3 * at_boundaries
     return [
         {
             "run_id": rid,
@@ -147,27 +158,24 @@ def _summary_rows(report: PararealReport, rid: str, baseline_wall, deviation: di
             "nr_ghat": report.nr_ghat,
             "ghat_steps": report.m_coarse_steps,
             "ghat_steps_rejected": report.ghat_steps_rejected,
-            **deviation,
+            "max_dev_mK": max_dev,
+            "boundary_dev_mK": boundary_dev,
         }
         for k, err in enumerate(report.err_per_iter, start=1)
     ]
 
 
-def cmd_parareal(cfg: RunConfig, args) -> int:
-    baseline_wall = args.baseline_wall
-    problem = make_problem(cfg)
-    rid = run_id(cfg)
+def cmd_parareal(problem: Problem, cfg: RunConfig, rid: str, args) -> int:
     baseline = None
     if args.with_baseline:
-        baseline, baseline_wall, _ = _sequential_fine_run(problem, cfg, cfg.parareal.fine_tol)
+        baseline = _sequential_fine_run(problem, cfg, cfg.parareal.fine_tol)[:2]
 
     traj, report = run_parareal(
         problem, cfg.t_start, cfg.t_end, problem.initial_state(), cfg.parareal, cfg.workers
     )
-    deviation = _deviation_mk(problem, traj, baseline, report.boundaries)
     _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, traj)
     _write_csv(os.path.join(cfg.out_dir, "report.csv"), _report_rows(report, rid))
-    summary = _summary_rows(report, rid, baseline_wall, deviation)
+    summary = _summary_rows(problem, traj, report, rid, baseline)
     _write_csv(os.path.join(cfg.out_dir, "summary.csv"), summary)
 
     if report.converged:
@@ -186,24 +194,19 @@ def cmd_parareal(cfg: RunConfig, args) -> int:
     return 3
 
 
-def _deviation_mk(problem: Problem, traj=None, baseline=None, boundaries=None) -> dict:
-    """Largest |ΔT_max| (mK) of a Parareal run from its baseline, and at its window boundaries.
-
-    Both columns are None without a baseline.
-    """
-    max_dev = boundary_dev = None
-    if baseline is not None:
-        deviation, at_boundaries = max_temperature_deviation(traj, baseline, problem, boundaries)
-        max_dev, boundary_dev = 1e3 * max(deviation), 1e3 * at_boundaries
-    return {"max_dev_mK": max_dev, "boundary_dev_mK": boundary_dev}
+# The summary.csv columns a study cell takes from its run's last row, and the
+# three that study_table.csv names differently.
+_STUDY_COLUMNS = ("K", "err_mK", "n_over_k", "speedup", "max_dev_mK", "boundary_dev_mK")
+_STUDY_RENAMES = {"err_mK": "err_K_mK", "n_over_k": "max_speedup", "speedup": "actual_speedup"}
 
 
-def _study_row(problem: Problem, cfg: RunConfig, n_windows: int, tol_mk, baseline) -> dict:
+def _study_row(
+    problem: Problem, cfg: RunConfig, rid: str, n_windows: int, tol_mk, baseline
+) -> dict:
     """One ``study_table.csv`` cell; a cell whose run fails leaves its result columns empty."""
     tol, baseline_traj, baseline_wall = baseline
     pr_cfg = dataclasses.replace(cfg.parareal, n_windows=n_windows, fine_tol=tol)
-    k_converged = err = max_speed = actual_speed = None
-    deviation = _deviation_mk(problem)
+    last = {}
     try:
         traj, report = run_parareal(
             problem, cfg.t_start, cfg.t_end, problem.initial_state(), pr_cfg, cfg.workers
@@ -214,29 +217,12 @@ def _study_row(problem: Problem, cfg: RunConfig, n_windows: int, tol_mk, baselin
         status = "integration_failed"
     else:
         status = "converged" if report.converged else "not_converged"
-        k_converged = report.k_converged
-        err = 1e3 * report.err_per_iter[-1]
-        if report.converged:
-            max_speed = max_possible_speedup(n_windows, k_converged)
-        actual_speed = speedup(report, baseline_wall)
-        deviation = _deviation_mk(problem, traj, baseline_traj, report.boundaries)
-    return {
-        "run_id": run_id(cfg),
-        "N": n_windows,
-        "fine_tol_mK": tol_mk,
-        "K": k_converged,
-        "err_K_mK": err,
-        "max_speedup": max_speed,
-        "actual_speedup": actual_speed,
-        **deviation,
-        "status": status,
-    }
+        last = _summary_rows(problem, traj, report, rid, (baseline_traj, baseline_wall))[-1]
+    results = {_STUDY_RENAMES.get(c, c): last.get(c) for c in _STUDY_COLUMNS}
+    return {"run_id": rid, "N": n_windows, "fine_tol_mK": tol_mk, **results, "status": status}
 
 
-def cmd_study(cfg: RunConfig, args) -> int:
-    problem = make_problem(cfg)
-    rid = run_id(cfg)
-
+def cmd_study(problem: Problem, cfg: RunConfig, rid: str, args) -> int:
     # One sequential baseline per fine tolerance (reference and speedup denominator).
     baselines = {}
     for tol_mk in cfg.fine_tol_mk_list:
@@ -259,7 +245,7 @@ def cmd_study(cfg: RunConfig, args) -> int:
     _write_csv(os.path.join(cfg.out_dir, "study_errors.csv"), error_rows)
 
     table_rows = [
-        _study_row(problem, cfg, n_windows, tol_mk, baselines[tol_mk])
+        _study_row(problem, cfg, rid, n_windows, tol_mk, baselines[tol_mk])
         for n_windows in cfg.n_windows_list
         for tol_mk in cfg.fine_tol_mk_list
     ]
@@ -292,16 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory (overrides the config)")
         cmd.add_argument("--workers", type=int, help="worker count for the fine loop")
         if name == "parareal":
-            baseline = cmd.add_mutually_exclusive_group()
-            baseline.add_argument(
+            cmd.add_argument(
                 "--with-baseline",
                 action="store_true",
                 help="co-execute a sequential fine baseline to report the actual speedup",
-            )
-            baseline.add_argument(
-                "--baseline-wall",
-                type=float,
-                help="externally measured sequential wall time (s) for the speedup column",
             )
     return parser
 
@@ -321,9 +301,6 @@ def main(argv=None) -> int:
             if args.workers < 1:
                 raise ConfigError("--workers must be >= 1")
             cfg = dataclasses.replace(cfg, workers=args.workers)
-        wall = getattr(args, "baseline_wall", None)  # parareal only
-        if wall is not None and not 0.0 < wall < math.inf:
-            raise ConfigError(f"--baseline-wall must be positive and finite, got {wall}")
         if args.command == "study" and not (cfg.n_windows_list and cfg.fine_tol_mk_list):
             raise ConfigError("study mode needs non-empty n_windows_list and fine_tol_mk_list")
         try:
@@ -331,7 +308,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             message = f"cannot create output directory {cfg.out_dir}: {exc.strerror}"
             raise ConfigError(message) from None
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](make_problem(cfg), cfg, run_id(cfg), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

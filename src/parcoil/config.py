@@ -175,12 +175,12 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError("missing required key 't_end' in section [run]")
     t_end = _number("run", "t_end", run["t_end"])
     if not t_start < t_end:
-        raise ConfigError("need t_start < t_end")
+        raise ConfigError("keys 't_start' and 't_end' in [run] need t_start < t_end")
     optional = {}
     if "workers" in run:
         optional["workers"] = _number("run", "workers", run["workers"], integer=True)
         if optional["workers"] < 1:
-            raise ConfigError("workers must be >= 1")
+            raise ConfigError("key 'workers' in [run] must be >= 1")
     if "out_dir" in run:
         optional["out_dir"] = run["out_dir"].strip()
         if not optional["out_dir"]:
@@ -212,13 +212,13 @@ def load_run_config(path: str) -> RunConfig:
             "study", "n_windows_list", study["n_windows_list"], integer=True
         )
         if any(v < 1 for v in optional["n_windows_list"]):
-            raise ConfigError("n_windows_list must hold positive integers")
+            raise ConfigError("key 'n_windows_list' in [study] must hold positive integers")
     if "fine_tol_mk_list" in study:
         optional["fine_tol_mk_list"] = _number_list(
             "study", "fine_tol_mk_list", study["fine_tol_mk_list"]
         )
         if any(v <= 0 for v in optional["fine_tol_mk_list"]):
-            raise ConfigError("fine_tol_mk_list entries must be positive")
+            raise ConfigError("key 'fine_tol_mk_list' in [study] must hold positive numbers")
 
     return RunConfig(
         problem_name=problem_name,

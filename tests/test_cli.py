@@ -201,18 +201,18 @@ class TestUsageErrors:
         argv = ["sequential", "--config", self.LINEAR, "--bogus"]
         self.assert_usage_error(argv, capsys, "--bogus")
 
-    def test_baseline_flags_are_exclusive(self, tmp_path, capsys):
+    def test_baseline_wall_is_an_unknown_flag(self, tmp_path, capsys):
+        # the speedup's denominator is measured by --with-baseline, never typed in
         out = tmp_path / "out"
-        argv = ["parareal", "--config", self.LINEAR, "--out", str(out)]
-        argv += ["--with-baseline", "--baseline-wall", "2.5"]
-        self.assert_usage_error(argv, capsys, "not allowed with argument")
+        argv = ["parareal", "--config", self.LINEAR, "--out", str(out), "--baseline-wall", "2.5"]
+        self.assert_usage_error(argv, capsys, "unrecognized arguments: --baseline-wall 2.5")
         assert not out.exists()
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["parareal", "--help"])
         assert exit_info.value.code == 0
-        assert "--baseline-wall" in capsys.readouterr().out
+        assert "--with-baseline" in capsys.readouterr().out
 
 
 def never_called(*args, **kwargs):
@@ -421,25 +421,14 @@ class TestParareal:
         assert len(rows) == 1  # one iteration executed
         assert rows[0][2] == ""  # K absent
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-    def test_baseline_wall_must_be_positive_and_finite(self, tmp_path, capsys, value):
-        cfg = write_cfg(tmp_path, LINEAR_CFG)
-        out = tmp_path / "out"
-        argv = ["parareal", "--config", cfg, "--out", str(out), "--baseline-wall", value]
-        assert main(argv) == 1
-        assert "--baseline-wall must be positive and finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_baseline_wall_sets_speedup(self, tmp_path):
+    def test_no_baseline_columns_without_with_baseline(self, tmp_path):
         cfg = write_cfg(tmp_path, LINEAR_CFG)
         out = str(tmp_path / "out")
-        argv = ["parareal", "--config", cfg, "--out", out, "--workers", "1", "--baseline-wall", "2.5"]
-        assert main(argv) == 0
+        assert main(["parareal", "--config", cfg, "--out", out, "--workers", "1"]) == 0
         header, rows = read_csv(os.path.join(out, "summary.csv"))
-        assert rows[-1][header.index("baseline_wall_s")] == "2.5"
-        assert float(rows[-1][header.index("speedup")]) > 0.0
-        # no baseline trajectory to measure the deviation from
-        assert rows[-1][header.index("max_dev_mK")] == ""
+        columns = ("baseline_wall_s", "speedup", "max_dev_mK", "boundary_dev_mK")
+        baseline = [header.index(c) for c in columns]
+        assert rows and all(row[i] == "" for row in rows for i in baseline)
 
     def test_partition_error_exit_and_hint(self, tmp_path, capsys):
         text = DEGENERATE_CFG.replace("dt_init = 0.25", "dt_init = 1.0").replace(
@@ -496,6 +485,39 @@ class TestStudy:
         e_header, e_rows = read_csv(os.path.join(out, "study_errors.csv"))
         assert e_header == ["run_id", "fine_tol_mK", "time_s", "abs_err_mK"]
         assert e_rows, "error curve must have rows"
+
+    def test_cell_is_its_runs_last_summary_row(self, tmp_path):
+        # the study's one cell has the parareal run's own window count and fine tolerances
+        text = LINEAR_CFG.replace("[fine]\ntol_nr_mk = 1e-5", "[fine]\ntol_nr_mk = 0.1")
+        text += "\n[study]\nn_windows_list = 4\nfine_tol_mk_list = 0.1\n"
+        cfg = write_cfg(tmp_path, text)
+        par, study = str(tmp_path / "par"), str(tmp_path / "study")
+        argv = ["parareal", "--config", cfg, "--out", par, "--workers", "1", "--with-baseline"]
+        assert main(argv) == 0
+        assert main(["study", "--config", cfg, "--out", study, "--workers", "1"]) == 0
+        header, rows = read_csv(os.path.join(par, "summary.csv"))
+        last = dict(zip(header, rows[-1]))
+        header, rows = read_csv(os.path.join(study, "study_table.csv"))
+        (cell,) = (dict(zip(header, row)) for row in rows)
+        # study_table.csv name -> summary.csv column
+        names = {
+            "run_id": "run_id",
+            "N": "N",
+            "K": "K",
+            "err_K_mK": "err_mK",
+            "max_speedup": "n_over_k",
+            "max_dev_mK": "max_dev_mK",
+            "boundary_dev_mK": "boundary_dev_mK",
+        }
+        assert {name: cell[name] for name in names} == {n: last[c] for n, c in names.items()}
+        assert [cell[name] for name in list(names)[2:]] == [
+            "3",
+            "0.000590307815074",
+            "1.33333333333",
+            "0.0124160359887",
+            "0.0222744449877",
+        ]
+        assert cell["status"] == "converged"
 
     def test_grid_shape(self, tmp_path):
         text = LINEAR_CFG + "\n[study]\nn_windows_list = 2, 4\nfine_tol_mk_list = 0.1, 0.01\n"
@@ -583,6 +605,13 @@ class TestInterrupt:
         monkeypatch.setattr(cli, "run_parareal", self._interrupt)
         cfg = write_cfg(tmp_path, LINEAR_CFG)
         assert main(["parareal", "--config", cfg, "--out", str(tmp_path / "o")]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+
+    def test_study(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_parareal", self._interrupt)
+        text = LINEAR_CFG + "\n[study]\nn_windows_list = 4\nfine_tol_mk_list = 0.1\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 130
         assert capsys.readouterr().err == "interrupted\n"
 
     @pytest.mark.parametrize("to_group", [False, True], ids=["process", "process_group"])

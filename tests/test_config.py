@@ -91,6 +91,51 @@ class TestNonFiniteNumbers:
         assert_config_error(write_cfg(tmp_path, text), f"[{section}]", f"'{key}'")
 
 
+class TestRejectedBeforeOutput:
+    RUN = "[run]\nproblem = linear_test\nt_end = 1.0\n"
+
+    @pytest.mark.parametrize(
+        "text, flags, names",
+        [
+            ("[run]\nproblem = linear_test\nt_end = abc\n", [], ["[run]", "'t_end'"]),
+            (RUN + "workers = 2.5\n", [], ["[run]", "'workers'"]),
+            (RUN + "[fine]\ndt_min = 1.0\n", [], ["[fine]", "dt_min"]),
+            (RUN + "no_equals_sign\n", [], ["cannot parse", "no_equals_sign"]),
+            ("[fine]\ndt_min = 1e-9\n", [], ["[run]"]),
+            ("[run]\nproblem = linear_test\n", [], ["[run]", "'t_end'"]),
+            (RUN + "t_start = 2\n", [], ["[run]", "'t_start'", "'t_end'"]),
+            (RUN + "workers = 0\n", [], ["[run]", "'workers'"]),
+            (RUN, ["--workers", "0"], ["--workers"]),
+            (RUN + "[linear_test]\ninitial = ,\n", [], ["[linear_test]", "initial"]),
+            (RUN + "[study]\nn_windows_list = 0\n", [], ["[study]", "'n_windows_list'"]),
+            (RUN + "[study]\nfine_tol_mk_list = 0\n", [], ["[study]", "'fine_tol_mk_list'"]),
+        ],
+        ids=[
+            "t_end_not_a_number",
+            "workers_not_an_integer",
+            "invalid_fine_settings",
+            "line_without_equals",
+            "no_run_section",
+            "no_t_end",
+            "t_start_after_t_end",
+            "workers_0",
+            "workers_flag_0",
+            "empty_initial",
+            "n_windows_list_0",
+            "fine_tol_mk_list_0",
+        ],
+    )
+    def test_exit_1_names_the_key_and_creates_nothing(self, tmp_path, capsys, text, flags, names):
+        out = tmp_path / "out"
+        argv = ["parareal", "--config", write_cfg(tmp_path, text), "--out", str(out), *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for name in names:
+            assert name in err
+        assert not out.exists()
+
+
 class TestShippedConfigs:
     def test_coil_config_shows_every_default(self, tmp_path):
         # Without [study], the shipped file holds only defaults besides the
