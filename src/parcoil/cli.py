@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import os
 import sys
-import time
 
 from .config import ConfigError, RunConfig, load_run_config, make_problem, run_id
 from .diagnostics import (
@@ -28,9 +27,9 @@ from .diagnostics import (
     max_temperature_deviation,
     speedup,
 )
-from .parareal import PartitionError, run_parareal
+from .parareal import PartitionError, _propagate, run_parareal
 from .problem import Problem, Trajectory
-from .stepper import IntegrationFailed, StepCounters, StepperTolerances, adaptive_integrate
+from .stepper import IntegrationFailed, StepperTolerances, adaptive_integrate
 
 __all__ = ["main"]
 
@@ -69,18 +68,15 @@ def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory) -> None
         handle.write("".join(rows))
 
 
-def _sequential_fine_run(problem: Problem, cfg: RunConfig, tol: StepperTolerances):
-    counters = StepCounters()
-    start = time.perf_counter()
-    traj = adaptive_integrate(
-        problem, cfg.t_start, cfg.t_end, problem.initial_state(), tol, counters
+def _sequential_fine_run(context: str, problem: Problem, cfg: RunConfig, tol: StepperTolerances):
+    return _propagate(
+        context, adaptive_integrate, problem, cfg.t_start, cfg.t_end, problem.initial_state(), tol
     )
-    wall = time.perf_counter() - start
-    return traj, wall, counters
 
 
 def cmd_sequential(problem: Problem, cfg: RunConfig, rid: str, args) -> int:
-    traj, wall, counters = _sequential_fine_run(problem, cfg, cfg.parareal.fine_tol)
+    context = "sequential fine solve failed"
+    traj, counters, wall = _sequential_fine_run(context, problem, cfg, cfg.parareal.fine_tol)
     _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, traj)
     row = {
         "run_id": rid,
@@ -168,7 +164,9 @@ def _summary_rows(
 def cmd_parareal(problem: Problem, cfg: RunConfig, rid: str, args) -> int:
     baseline = None
     if args.with_baseline:
-        baseline = _sequential_fine_run(problem, cfg, cfg.parareal.fine_tol)[:2]
+        context = "sequential baseline failed"
+        traj, _, wall = _sequential_fine_run(context, problem, cfg, cfg.parareal.fine_tol)
+        baseline = traj, wall
 
     traj, report = run_parareal(
         problem, cfg.t_start, cfg.t_end, problem.initial_state(), cfg.parareal, cfg.workers
@@ -229,7 +227,8 @@ def cmd_study(problem: Problem, cfg: RunConfig, rid: str, args) -> int:
         tol = dataclasses.replace(
             cfg.parareal.fine_tol, tol_nr=1e-3 * tol_mk, tol_t=1e-3 * tol_mk
         )
-        traj, wall, _ = _sequential_fine_run(problem, cfg, tol)
+        context = f"sequential baseline at fine tolerance {tol_mk:g} mK failed"
+        traj, _, wall = _sequential_fine_run(context, problem, cfg, tol)
         baselines[tol_mk] = (tol, traj, wall)
 
     ref_traj = baselines[min(cfg.fine_tol_mk_list)][1]

@@ -219,6 +219,11 @@ def load_run_config(path: str) -> RunConfig:
         )
         if any(v <= 0 for v in optional["fine_tol_mk_list"]):
             raise ConfigError("key 'fine_tol_mk_list' in [study] must hold positive numbers")
+    for key in ("n_windows_list", "fine_tol_mk_list"):
+        values = optional.get(key, ())
+        repeats = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeats:
+            raise ConfigError(f"key '{key}' in [study] repeats {repeats[0]:g}")
 
     return RunConfig(
         problem_name=problem_name,

@@ -18,16 +18,12 @@ under a key (start bytes, tolerance), re-solves exactly the windows
 whose key changed, and deals them into cost-balanced batches on their
 last Newton counts.  This process solves the first batch, and up to P-1
 worker processes, fed through one pipe each, solve the rest (P fine
-solves at once, never more than N in all; P = 1 starts no process).
-When this process may run on exactly P CPUs, each of the P processes is
-pinned to one of them for the run: this process pins each worker right
-after its fork, and then itself.  Left to the scheduler on the 2-CPU
-host the benchmark was measured on, a forked worker and its caller ran
-the batches on the same CPU in most runs, each batch taking about twice
-its CPU time in wall time, and pinning the worker alone did not stop it.
-With fewer or more CPUs, or without ``os.sched_setaffinity``, nothing is
-pinned.  P defaults to the number of CPUs this process may run on,
-capped at N.
+solves at once; P = 1 starts no process).  :class:`_FineLoop` alone
+decides P and pins its processes to CPUs; its docstring gives the rule.
+It pins because, left to the scheduler on the 2-CPU host the benchmark
+was measured on, a forked worker and its caller ran the batches on the
+same CPU in most runs, each batch taking about twice its CPU time in
+wall time, and pinning the worker alone did not stop it.
 
 Iteration 1's fine results only seed the first correction, so they are
 solved at a looser tolerance (:attr:`PararealConfig.first_fine_tol`, after
@@ -200,8 +196,6 @@ def _fine_batches(costs, n_batches: int) -> list[list[int]]:
     by batch index).  Equal costs deal the windows round-robin.  Empty
     batches are dropped.
     """
-    if n_batches < 1:
-        raise ValueError("need at least one batch")
     loads = [0] * min(n_batches, len(costs))
     batches: list[list[int]] = [[] for _ in loads]
     for i in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
@@ -245,14 +239,13 @@ def _allowed_cpus() -> set[int] | None:
     return os.sched_getaffinity(0)
 
 
-def _caller_cpus(size: int) -> set[int] | None:
-    """This process's CPUs if there are exactly ``size + 1``, one per loop process, else None."""
-    mask = _allowed_cpus() if size >= 1 else None
-    return mask if mask is not None and len(mask) == size + 1 else None
-
-
 class _FineLoop:
-    """The fine propagator F over ``n`` windows: this process plus ``size`` workers.
+    """The fine propagator F over ``n`` windows, run by P processes: this one and P-1 workers.
+
+    P = min(``n_workers``, ``n``).  ``n_workers`` defaults to the number of
+    CPUs this process may run on (``os.sched_getaffinity(0)``), or to
+    ``os.cpu_count()`` where the platform cannot tell; below 1 it is a
+    ``ValueError``, raised before any process starts.
 
     It keeps each window's last fine solve: the key (start bytes,
     tolerance) that decides whether to re-solve it, its trajectory, and
@@ -264,26 +257,31 @@ class _FineLoop:
     batch itself.  Workers ignore SIGINT; leaving the ``with`` block, normally
     or by any exception (Ctrl-C included), terminates and joins them.
 
-    When this process's allowed CPUs (``os.sched_getaffinity(0)``) number
-    exactly ``size + 1``, process i of the loop (0 is this one) runs on
-    the i-th lowest of them only: this process pins each worker right
-    after its fork, and then itself, so the fine solves of one iteration
-    run at the same time rather than sharing one CPU.  A worker that pinned
-    itself would still run on this process's CPU until it did, and the
-    caller's own pin would wait for it.  :meth:`close`, which also
-    runs when ``__init__`` fails, stops the workers and then restores this
-    process's mask.
+    When P > 1 and this process's allowed CPUs number exactly P, process i
+    of the loop (0 is this one) runs on the i-th lowest of them only: this
+    process pins each worker right after its fork, and then itself, so the
+    fine solves of one iteration run at the same time rather than sharing
+    one CPU.  A worker that pinned itself would still run on this
+    process's CPU until it did, and the caller's own pin would wait for
+    it.  :meth:`close`, which also runs when ``__init__`` fails after the
+    checks, stops the workers and then restores this process's mask.
     """
 
-    def __init__(self, problem: Problem, n: int, size: int):
+    def __init__(self, problem: Problem, n: int, n_workers: int | None = None):
+        allowed = _allowed_cpus()
+        if n_workers is None:
+            n_workers = len(allowed) if allowed is not None else os.cpu_count() or 1
+        if n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
+        p = min(n_workers, n)
         self.problem = problem
         self.keys: list[tuple[bytes, StepperTolerances] | None] = [None] * n
         self.trajs: list[Trajectory | None] = [None] * n
         self.nr = [1] * n
         self.procs: list[Process] = []
         self.conns: list = []  # this process's end of each worker's pipe
-        self.mask = _caller_cpus(size)  # restored on close when not None
-        cpus = sorted(self.mask) if self.mask else [None] * (size + 1)
+        self.mask = allowed if p > 1 and len(allowed or ()) == p else None  # restored on close
+        cpus = sorted(self.mask) if self.mask else [None] * p
         try:
             for cpu in cpus[1:]:
                 conn, child = Pipe()
@@ -414,21 +412,16 @@ def run_parareal(
     error: it returns normally with ``report.converged`` False and
     ``report.k_converged`` None, so callers must check the report.
     :class:`PartitionError` and :class:`IntegrationFailed` propagate with
-    iteration/window context.
+    iteration/window context.  ``n_workers`` goes to :class:`_FineLoop`,
+    which sets P from it.
     """
     if not t_0 < t_N:
         raise ValueError("need t_0 < t_N")
     n = cfg.n_windows
-    if n_workers is None:
-        allowed = _allowed_cpus()  # the set the fine loop's placement reads
-        n_workers = min(n, len(allowed) if allowed is not None else os.cpu_count() or 1)
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-
     wall_start = time.perf_counter()
 
     # The workers start first, so their start-up overlaps Ĝ.
-    with _FineLoop(problem, n, min(n_workers, n) - 1) as fine:
+    with _FineLoop(problem, n, n_workers) as fine:
         # Iteration 1: one adaptive coarse solve over the whole interval
         # yields the coarse grid, the windows, and the initial boundary values.
         # It takes the sweeps' linearized step, so a sweep from a start Ĝ

@@ -313,8 +313,9 @@ class TestSequential:
         monkeypatch.setattr(cli, "make_problem", lambda cfg: NanAt(0.0, (1.0,)))
         cfg = write_cfg(tmp_path, LINEAR_CFG)
         assert main(["sequential", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "error: non-finite rhs at the start state, t=0\n" == err
+        assert capsys.readouterr().err == (
+            "error: sequential fine solve failed: non-finite rhs at the start state, t=0\n"
+        )
 
 
 class TestParareal:
@@ -385,6 +386,15 @@ class TestParareal:
         assert capsys.readouterr().err == (
             "error: fine propagator failed in window 3 during iteration 1: "
             f"non-finite rhs at the start state, t={ghat.times[i]:.6g}\n"
+        )
+
+    def test_non_finite_rhs_at_the_start_fails_the_baseline(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "make_problem", lambda cfg: NanAt(0.0, (1.0,)))
+        cfg = write_cfg(tmp_path, LINEAR_CFG)
+        argv = ["parareal", "--config", cfg, "--out", str(tmp_path / "o"), "--with-baseline"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: sequential baseline failed: non-finite rhs at the start state, t=0\n"
         )
 
     def test_rejected_step_columns(self, tmp_path):
@@ -562,6 +572,16 @@ class TestStudy:
         failed = next(r for r in rows if r[1] == "64")
         results = slice(header.index("K"), header.index("boundary_dev_mK") + 1)
         assert failed[results] == [""] * 6
+
+    def test_non_finite_rhs_at_the_start_fails_the_baseline(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "make_problem", lambda cfg: NanAt(0.0, (1.0,)))
+        text = LINEAR_CFG + "\n[study]\nn_windows_list = 4\nfine_tol_mk_list = 0.1\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: sequential baseline at fine tolerance 0.1 mK failed: "
+            "non-finite rhs at the start state, t=0\n"
+        )
 
     def test_not_converged_cell(self, tmp_path):
         # k_max = 1 with tol_pr far below iteration 1's jump at the boundaries

@@ -109,6 +109,16 @@ class TestRejectedBeforeOutput:
             (RUN + "[linear_test]\ninitial = ,\n", [], ["[linear_test]", "initial"]),
             (RUN + "[study]\nn_windows_list = 0\n", [], ["[study]", "'n_windows_list'"]),
             (RUN + "[study]\nfine_tol_mk_list = 0\n", [], ["[study]", "'fine_tol_mk_list'"]),
+            (
+                RUN + "[study]\nn_windows_list = 4, 4\n",
+                [],
+                ["'n_windows_list' in [study] repeats 4"],
+            ),
+            (
+                RUN + "[study]\nfine_tol_mk_list = 0.1, 1e-1\n",
+                [],
+                ["'fine_tol_mk_list' in [study] repeats 0.1"],
+            ),
         ],
         ids=[
             "t_end_not_a_number",
@@ -123,6 +133,8 @@ class TestRejectedBeforeOutput:
             "empty_initial",
             "n_windows_list_0",
             "fine_tol_mk_list_0",
+            "n_windows_list_repeat",
+            "fine_tol_mk_list_repeat",
         ],
     )
     def test_exit_1_names_the_key_and_creates_nothing(self, tmp_path, capsys, text, flags, names):

@@ -604,7 +604,7 @@ class TestFineLoopKeys:
         """Solve one fixed sequence of window starts; the Newton and rejected rows of each solve."""
         problem = LinearTestProblem(-1.0, (1.0,))
         rows = []
-        with parareal._FineLoop(problem, 4, size) as fine:
+        with parareal._FineLoop(problem, 4, size + 1) as fine:
 
             def solve(k, tol, starts):
                 kept = list(fine.trajs)
@@ -792,6 +792,15 @@ class TestWorkerGroup:
         assert report.converged
         assert not multiprocessing.active_children()
 
+    def test_zero_workers_is_a_value_error(self, monkeypatch):
+        started = counting_processes(monkeypatch)
+        mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        problem = LinearTestProblem(-1.0, (1.0,))
+        with pytest.raises(ValueError, match="n_workers"):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=0)
+        assert started == []
+        assert mask is None or os.sched_getaffinity(0) == mask
+
     def test_workers_capped_at_window_count(self, monkeypatch):
         started = counting_processes(monkeypatch)
         problem = LinearTestProblem(-1.0, (1.0,))
@@ -826,7 +835,7 @@ class TestCpuPlacement:
         return run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers)
 
     def test_caller_and_worker_each_get_their_own_cpu(self, two_cpus):
-        with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 1) as fine:
+        with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
             # both are pinned once the loop is open, before the worker gets any batch
             caller = os.sched_getaffinity(0)
             worker = os.sched_getaffinity(fine.procs[0].pid)
@@ -853,7 +862,7 @@ class TestCpuPlacement:
 
     def test_mask_restored_after_an_interrupt(self, two_cpus):
         with pytest.raises(KeyboardInterrupt):
-            with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 1) as fine:
+            with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
                 fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
                 raise KeyboardInterrupt
         assert os.sched_getaffinity(0) == two_cpus
@@ -869,7 +878,7 @@ class TestCpuPlacement:
 
         monkeypatch.setattr(parareal, "Process", ForksThenFails)
         with pytest.raises(OSError, match="after the fork"):
-            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 1)
+            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2)
         assert os.sched_getaffinity(0) == two_cpus
         assert not multiprocessing.active_children()
 
@@ -884,7 +893,7 @@ class TestCpuPlacement:
         with monkeypatch.context() as patch:  # undone before two_cpus restores the mask
             patch.setattr(os, "sched_setaffinity", cannot_pin_a_worker)
             with pytest.raises(OSError, match="cannot pin process"):
-                parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 1)
+                parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2)
             assert os.sched_getaffinity(0) == two_cpus
         assert not multiprocessing.active_children()
 
@@ -894,7 +903,7 @@ class TestCpuPlacement:
 
         with monkeypatch.context() as patch:  # undone before two_cpus restores the mask
             with pytest.raises(OSError, match="no longer valid"):
-                with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 1) as fine:
+                with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
                     fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
                     patch.setattr(os, "sched_setaffinity", cannot_restore)
         assert fine.procs[0].exitcode is not None
