@@ -50,19 +50,18 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 
 
 def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory) -> None:
-    """Write the trajectory, one ``{:.12g}`` format call per row.
+    """Write the trajectory column by column, one ``%.12g`` format per row.
 
-    Every cell must be a float (or an int, formatted like one): unlike
-    :func:`_fmt`, the row format writes no empty cell for None and raises
-    ``TypeError`` instead.
+    Every cell must be a number: unlike :func:`_fmt`, the row format writes
+    no empty cell for None and raises ``TypeError``, before the file is opened.
     """
     derived = problem.derived_columns()
     header = ["time_s", *problem.component_names, "T_max_K", *(name for name, _ in derived)]
-    line = ",".join(["{:.12g}"] * len(header)) + "\r\n"
-    rows = [
-        line.format(t, *state, problem.max_temperature(state), *(fn(t, state) for _, fn in derived))
-        for t, state in zip(traj.times, traj.states)
-    ]
+    times, states = traj.times, traj.states
+    extra = ([fn(t, u) for t, u in zip(times, states)] for _, fn in derived)
+    columns = zip(times, *zip(*states), map(problem.max_temperature, states), *extra)
+    line = ",".join(["%.12g"] * len(header)) + "\r\n"
+    rows = [line % row for row in columns]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(header)
         handle.write("".join(rows))
@@ -116,6 +115,7 @@ def _report_rows(report: PararealReport, rid: str) -> list[dict]:
                     "nr_coarse": nr_coarse,
                     "fine_tol_t_mK": 1e3 * report.fine_tol_t_per_iter[k],
                     "fine_steps_rejected": report.rejected_f_per_window_per_iter[k][j],
+                    "fine_steps": report.accepted_f_per_window_per_iter[k][j],
                 }
             )
     return rows

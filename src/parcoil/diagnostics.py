@@ -43,8 +43,9 @@ class PararealReport:
     of each iteration's solves.  ``boundaries`` are the window boundary
     times t_j and ``boundary_states`` the final U_j, j = 0..N, as tuples.
     ``ghat_steps_rejected`` and ``rejected_f_per_window_per_iter`` count
-    the trial steps the adaptive coarse pass and each fine solve rejected
-    (0 for a window not solved).
+    the trial steps the adaptive coarse pass and each fine solve rejected,
+    and ``accepted_f_per_window_per_iter`` the steps each fine solve
+    accepted (0 for a window not solved).
     """
 
     n_windows: int
@@ -64,6 +65,7 @@ class PararealReport:
     boundary_states: tuple[tuple[float, ...], ...] = ()
     ghat_steps_rejected: int = 0
     rejected_f_per_window_per_iter: list[list[int]] = field(default_factory=list)
+    accepted_f_per_window_per_iter: list[list[int]] = field(default_factory=list)
 
     @property
     def iterations_run(self) -> int:

@@ -329,18 +329,18 @@ class _FineLoop:
 
     def solve(
         self, k: int, tol: StepperTolerances, boundaries, starts
-    ) -> tuple[list[int], list[int], list[float]]:
+    ) -> tuple[list[int], list[int], list[float], list[int]]:
         """Iteration ``k``'s fine solve at ``tol`` from the window starts U_0..U_{N-1}.
 
         Re-solves each window whose key (start bytes, ``tol``) changed and
-        returns the iteration's Newton, rejected-step and wall rows, zero
-        elsewhere.  The workers get their batches first, then this process
-        solves the first batch.  A worker's exception is re-raised here; a
-        worker that died raises :class:`IntegrationFailed` naming the
-        windows whose results never came.
+        returns the iteration's Newton, rejected-step, wall and accepted-step
+        rows, zero elsewhere.  The workers get their batches first, then
+        this process solves the first batch.  A worker's exception is
+        re-raised here; a worker that died raises :class:`IntegrationFailed`
+        naming the windows whose results never came.
         """
         n = len(self.nr)
-        nr_row, rejected_row, wall_row = [0] * n, [0] * n, [0.0] * n
+        nr_row, rejected_row, wall_row, accepted_row = [0] * n, [0] * n, [0.0] * n, [0] * n
         keys = [(_bits(u), tol) for u in starts]
         windows = [
             (j, boundaries[j - 1], boundaries[j], u)
@@ -348,7 +348,7 @@ class _FineLoop:
             if keys[j - 1] != self.keys[j - 1]
         ]
         if not windows:
-            return nr_row, rejected_row, wall_row
+            return nr_row, rejected_row, wall_row, accepted_row
         costs = [self.nr[j - 1] for j, *_ in windows]
         batches = [[windows[i] for i in b] for b in _fine_batches(costs, len(self.conns) + 1)]
         for conn, batch in zip(self.conns, batches[1:]):
@@ -379,7 +379,8 @@ class _FineLoop:
             self.nr[j - 1] = nr_row[j - 1] = counters.nr_iterations
             rejected_row[j - 1] = counters.steps_rejected
             wall_row[j - 1] = wall
-        return nr_row, rejected_row, wall_row
+            accepted_row[j - 1] = counters.steps_accepted
+        return nr_row, rejected_row, wall_row, accepted_row
 
 
 def _stitch(fine_trajs) -> Trajectory:
@@ -439,7 +440,7 @@ def run_parareal(
         u_coarse = list(u_bounds)  # coarse results of the previous iteration
         err_per_iter: list[float] = []
         fine_tol_t: list[float] = []
-        time_g, nr_g, time_f, nr_f, rejected_f = [], [], [], [], []
+        time_g, nr_g, time_f, nr_f, rejected_f, accepted_f = [], [], [], [], [], []
 
         for k in range(1, cfg.k_max + 1):
             tol = cfg.first_fine_tol if k == 1 else cfg.fine_tol
@@ -468,10 +469,11 @@ def run_parareal(
             nr_g.append(g_nr)
             time_g.append(g_wall)
 
-            f_nr, f_rejected, f_wall = fine.solve(k, tol, boundaries, u_bounds[:-1])
+            f_nr, f_rejected, f_wall, f_accepted = fine.solve(k, tol, boundaries, u_bounds[:-1])
             nr_f.append(f_nr)
             rejected_f.append(f_rejected)
             time_f.append(f_wall)
+            accepted_f.append(f_accepted)
             fine_tol_t.append(tol.tol_t)
 
             err_per_iter.append(
@@ -498,6 +500,7 @@ def run_parareal(
         nr_f_per_window_per_iter=nr_f,
         ghat_steps_rejected=ghat_counters.steps_rejected,
         rejected_f_per_window_per_iter=rejected_f,
+        accepted_f_per_window_per_iter=accepted_f,
         fine_tol_t_per_iter=fine_tol_t,
         boundary_states=tuple(u_bounds),
     )

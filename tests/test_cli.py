@@ -9,10 +9,14 @@ import textwrap
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from parcoil import (
+    CoilProblem,
     LinearTestProblem,
     StepperTolerances,
+    Trajectory,
     adaptive_integrate,
     cli,
     load_run_config,
@@ -102,6 +106,7 @@ REPORT_COLUMNS = [
     "nr_coarse",
     "fine_tol_t_mK",
     "fine_steps_rejected",
+    "fine_steps",
 ]
 SUMMARY_COLUMNS = [
     "run_id",
@@ -396,6 +401,24 @@ class TestParareal:
         assert capsys.readouterr().err == (
             "error: sequential baseline failed: non-finite rhs at the start state, t=0\n"
         )
+
+    @pytest.mark.parametrize("config", ["coil", "linear"])
+    def test_fine_steps_add_up_to_the_trajectory(self, tmp_path, config):
+        # each window's last fine solve is the one stitched into the trajectory
+        cfg = SHIPPED_COIL_CFG if config == "coil" else write_cfg(tmp_path, LINEAR_CFG)
+        out = str(tmp_path / "out")
+        assert main(["parareal", "--config", cfg, "--out", out, "--workers", "2"]) == 0
+        header, rows = read_csv(os.path.join(out, "report.csv"))
+        last = {}
+        for row in rows:
+            k, j, steps = (int(row[header.index(c)]) for c in ("k", "j", "fine_steps"))
+            assert (steps > 0) == (int(row[header.index("nr_fine")]) > 0)
+            if k == 1:
+                assert steps > 0
+            if steps:
+                last[j] = steps
+        _, traj_rows = read_csv(os.path.join(out, "trajectory.csv"))
+        assert len(traj_rows) - 1 == sum(last.values())
 
     def test_rejected_step_columns(self, tmp_path):
         outs = [str(tmp_path / name) for name in ("w1", "w2")]
@@ -715,3 +738,95 @@ class TestCsvFormatting:
         self._csv_writer_reference(str(want), problem, traj)
         assert len(traj.times) > 100
         assert got.read_bytes() == want.read_bytes()
+
+
+def row_format_reference(path, problem, traj):
+    """The trajectory writer before it built columns: one ``{:.12g}`` format call per row."""
+    derived = problem.derived_columns()
+    header = ["time_s", *problem.component_names, "T_max_K", *(name for name, _ in derived)]
+    line = ",".join(["{:.12g}"] * len(header)) + "\r\n"
+    rows = [
+        line.format(t, *state, problem.max_temperature(state), *(fn(t, state) for _, fn in derived))
+        for t, state in zip(traj.times, traj.states)
+    ]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(header)
+        handle.write("".join(rows))
+
+
+class Tabled(LinearTestProblem):
+    """A linear problem whose derived columns read their values from per-time tables."""
+
+    def __init__(self, n, tables):
+        super().__init__(-1.0, (1.0,) * n)
+        self.tables = tables
+
+    def derived_columns(self):
+        return tuple(
+            (f"d_{i}", lambda t, u, table=table: table[t]) for i, table in enumerate(self.tables)
+        )
+
+
+# signed zeros, subnormals, the ends of the float range and integer-valued floats
+CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.7976931348623157e308]),
+    st.integers(-(10**15), 10**15).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+DERIVED = st.one_of(
+    CELL,
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+)
+
+
+@st.composite
+def trajectories(draw, n_components):
+    times = sorted(draw(st.sets(st.floats(-1e6, 1e6), min_size=1, max_size=12)))
+    states = [tuple(draw(CELL) for _ in range(n_components)) for _ in times]
+    return Trajectory(tuple(times), tuple(states))
+
+
+# tmp_path is shared by a test's examples: each example overwrites the same two files
+DRAWN = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestTrajectoryWriter:
+    """The column-wise ``%.12g`` writer against the row-wise ``{:.12g}`` one, byte for byte."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, problem, traj):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_trajectory_csv(str(got), problem, traj)
+        row_format_reference(str(want), problem, traj)
+        assert got.read_bytes() == want.read_bytes()
+
+    @settings(DRAWN, max_examples=150)
+    @given(data=st.data(), n=st.integers(1, 4), n_derived=st.integers(0, 3))
+    def test_drawn_cells(self, tmp_path, data, n, n_derived):
+        traj = data.draw(trajectories(n), label="trajectory")
+        tables = [{t: data.draw(DERIVED) for t in traj.times} for _ in range(n_derived)]
+        self.assert_same_bytes(tmp_path, Tabled(n, tables), traj)
+
+    @settings(DRAWN, max_examples=100)
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_linear_problem(self, tmp_path, data, n):
+        traj = data.draw(trajectories(n), label="trajectory")
+        self.assert_same_bytes(tmp_path, LinearTestProblem(-1.0, (1.0,) * n), traj)
+
+    @settings(DRAWN, max_examples=100)
+    @given(data=st.data())
+    def test_coil_problem(self, tmp_path, data):
+        # the coil's own derived columns: the axial field and the source current
+        traj = data.draw(trajectories(2), label="trajectory")
+        self.assert_same_bytes(tmp_path, CoilProblem(), traj)
+
+    @pytest.mark.parametrize("bad", [None, "1.0"], ids=["None", "str"])
+    def test_a_cell_that_is_not_a_number_writes_no_file(self, tmp_path, bad):
+        traj = Trajectory((0.0, 1.0, 2.0), ((1.0,), (0.5,), (0.25,)))
+        problem = Tabled(1, [{0.0: 1.0, 1.0: bad, 2.0: 3.0}])
+        path = tmp_path / "trajectory.csv"
+        with pytest.raises(TypeError):
+            cli._write_trajectory_csv(str(path), problem, traj)
+        assert not path.exists()

@@ -608,10 +608,11 @@ class TestFineLoopKeys:
 
             def solve(k, tol, starts):
                 kept = list(fine.trajs)
-                nr, rejected, wall = fine.solve(k, tol, self.BOUNDARIES, starts)
+                nr, rejected, wall, accepted = fine.solve(k, tol, self.BOUNDARIES, starts)
                 rows.append((nr, rejected))
                 solved = [traj is not old for traj, old in zip(fine.trajs, kept)]
                 assert solved == [x > 0 for x in nr] == [x > 0.0 for x in wall]
+                assert solved == [x > 0 for x in accepted]
                 return solved
 
             assert solve(1, self.LOOSE, self.STARTS) == [True] * 4

@@ -1,4 +1,4 @@
-"""The scalar two-component step against the tuple-path step it replaces.
+"""The scalar two-component step and loop against the tuple paths they replace.
 
 The reference below is the tuple path of ``implicit_euler_step``,
 ``linearized_euler_step`` and the closed-form 2x2 Newton update as they
@@ -6,26 +6,38 @@ were before two-component states got their own scalar path.  The scalar
 path must give the same bits (compared by ``float.hex``, so 0.0 and -0.0
 differ), the same Newton count and the same ``StepFailed`` message, on
 well-posed steps and on every way a step can fail.
+
+The second reference is ``adaptive_integrate``'s loop as it was before it
+took a two-component state's prediction and error estimate on local
+floats: every trial step through ``predict`` and ``estimate_lte``.  The
+loop must give the same times, state bits and work counters, or the same
+``IntegrationFailed`` message.
 """
 
 import math
 import operator
 
-from hypothesis import given, settings
+from collections import deque
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parcoil import (
     CoilParams,
     CoilProblem,
+    IntegrationFailed,
     Problem,
     RampSchedule,
     StepCounters,
     StepFailed,
     StepperTolerances,
+    Trajectory,
+    adaptive_integrate,
     as_state,
     implicit_euler_step,
     linearized_euler_step,
 )
+from parcoil.stepper import LTE_FLOOR_REL, REJECT_SHRINK_MIN, SAFETY
 
 # -- reference: the tuple path ----------------------------------------------
 
@@ -326,3 +338,170 @@ class TestAgainstTheTuplePath:
         u_prev = (data.draw(st.sampled_from([scale, -scale])), data.draw(ENTRY))
         guess = data.draw(guesses(u_prev), label="guess")
         assert_same_steps(Linear2(a, (0.0, 0.0)), 0.0, dt, u_prev, guess, tol)
+
+
+# -- reference: the loop through predict and estimate_lte ---------------------
+
+
+def reference_predict(history, t_next, slope):
+    if len(history) == 1:
+        ((t0, u0),) = history
+        dt = t_next - t0
+        return tuple([a + dt * b for a, b in zip(u0, slope)])
+    (t0, u0), (t1, u1) = history[-2], history[-1]
+    w = (t_next - t1) / (t1 - t0)
+    return tuple([b + w * (b - a) for a, b in zip(u0, u1)])
+
+
+def reference_estimate_lte(problem, u_solved, u_predicted):
+    if len(u_solved) != len(u_predicted):
+        raise ValueError("state dimension mismatch")
+    return abs(problem.max_temperature(u_solved) - problem.max_temperature(u_predicted))
+
+
+def reference_integrate(problem, t_a, t_b, u_a, tol, counters, *, linearized=False):
+    u = as_state(u_a)
+    t = float(t_a)
+    try:
+        slope = tuple(map(float, problem.rhs(t, u)))
+    except ArithmeticError as exc:
+        raise IntegrationFailed(f"rhs failed at the start state, t={t:.6g}: {exc}") from exc
+    if not _all_finite(slope):
+        raise IntegrationFailed(f"non-finite rhs at the start state, t={t:.6g}")
+
+    stops = deque([*problem.forced_event_times(t_a, t_b), t_b])
+    times = [t]
+    states = [u]
+    history = deque(maxlen=2)
+    history.append((t, u))
+    dt = tol.dt_init
+    while t < t_b:
+        while stops[0] <= t:
+            stops.popleft()
+        gap = stops[0] - t
+        t_new = stops[0] if dt >= gap else t + dt
+        dt_step = t_new - t
+        if not t_new > t:
+            raise IntegrationFailed(f"step size {dt:.3g} cannot advance time at t={t:.6g}")
+
+        guess = reference_predict(history, t_new, slope)
+        try:
+            if linearized:
+                u_new = linearized_euler_step(problem, t, dt_step, u, counters)
+            else:
+                u_new = implicit_euler_step(problem, t, dt_step, u, guess, tol, counters)
+        except StepFailed:
+            shrink, reason = 0.5, "Newton kept failing above dt_min"
+        else:
+            lte = reference_estimate_lte(problem, u_new, guess)
+            if lte < tol.tol_t:
+                t, u = t_new, u_new
+                times.append(t)
+                states.append(u)
+                history.append((t, u))
+                counters.steps_accepted += 1
+                dt = SAFETY * dt_step * math.sqrt(tol.tol_t / max(lte, LTE_FLOOR_REL * tol.tol_t))
+                dt = min(tol.dt_max, max(tol.dt_min, dt))
+                continue
+            if math.isfinite(lte):
+                shrink = max(REJECT_SHRINK_MIN, min(0.5, SAFETY * math.sqrt(tol.tol_t / lte)))
+                reason = f"tolerance tol_t={tol.tol_t:g} unattainable"
+            else:
+                shrink, reason = 0.5, "non-finite error estimate"
+        dt = dt_step * shrink
+        counters.steps_rejected += 1
+        if dt < tol.dt_min:
+            raise IntegrationFailed(f"step size underflow at t={t:.6g}: {reason}")
+    return Trajectory(times, states)
+
+
+def integration_outcome(integrate, problem, t_a, t_b, u_a, tol, linearized):
+    """``(kind, value, counters)`` of one call, floats as hex strings."""
+    counters = StepCounters()
+    try:
+        traj = integrate(problem, t_a, t_b, u_a, tol, counters, linearized=linearized)
+    except IntegrationFailed as exc:
+        return "failed", str(exc), counters
+    times = tuple(map(float.hex, traj.times))
+    return "trajectory", (times, tuple(tuple(map(float.hex, u)) for u in traj.states)), counters
+
+
+def assert_same_loops(problem, t_a, t_b, u_a, tol, linearized):
+    got = integration_outcome(adaptive_integrate, problem, t_a, t_b, u_a, tol, linearized)
+    want = integration_outcome(reference_integrate, problem, t_a, t_b, u_a, tol, linearized)
+    assert got == want
+    return got
+
+
+def coil(plateau):
+    ramp = RampSchedule(((50.0, plateau), (150.0, plateau), (200.0, 0.0)))
+    return CoilProblem(CoilParams(), ramp)
+
+
+# the fine tolerances of the shipped configs and the benchmark's, and the coarse ones
+LOOP_TOL_MK = st.one_of(
+    st.sampled_from([0.01, 0.1, 1.0, 3.0, 10.0, 20.0]), st.floats(0.01, 20.0)
+)
+# at 0.01 mK the implicit steps across the ramp's start of the plateau are
+# rejected on their error estimate
+REJECTING = {
+    "plateau": 140.0,
+    "t_a": 45.0,
+    "span": 10.0,
+    "current": 0.0,
+    "temperature": 77.0,
+    "tol_mk": 0.01,
+    "dt_max": 2.0,
+    "linearized": False,
+}
+
+
+class TestLoopAgainstThePredictPath:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        plateau=st.floats(100.0, 200.0),
+        # starts on, before and between the ramp's breakpoints (50, 150, 200 s)
+        t_a=st.one_of(st.sampled_from([0.0, 45.0, 50.0, 145.0, 150.0]), st.floats(0.0, 195.0)),
+        span=st.floats(0.5, 60.0),
+        current=st.one_of(st.just(0.0), st.floats(0.0, 200.0)),
+        temperature=st.one_of(st.just(77.0), st.floats(77.0, 85.0)),
+        tol_mk=LOOP_TOL_MK,
+        dt_max=st.sampled_from([0.5, 2.0]),
+        linearized=st.booleans(),
+    )
+    @example(**REJECTING)
+    def test_coil_intervals(
+        self, plateau, t_a, span, current, temperature, tol_mk, dt_max, linearized
+    ):
+        tol = StepperTolerances(
+            tol_nr=1e-3 * tol_mk, tol_t=1e-3 * tol_mk, dt_init=0.1, dt_min=1e-9, dt_max=dt_max
+        )
+        u_a = (current, temperature)
+        assert_same_loops(coil(plateau), t_a, t_a + span, u_a, tol, linearized)
+
+    def test_the_rejecting_example_rejects(self):
+        args = dict(REJECTING)
+        tol_mk, dt_max = args.pop("tol_mk"), args.pop("dt_max")
+        tol = StepperTolerances(tol_nr=1e-3 * tol_mk, tol_t=1e-3 * tol_mk, dt_max=dt_max)
+        u_a = (args["current"], args["temperature"])
+        t_a = args["t_a"]
+        kind, _, counters = assert_same_loops(
+            coil(args["plateau"]), t_a, t_a + args["span"], u_a, tol, args["linearized"]
+        )
+        assert kind == "trajectory"
+        assert counters.steps_rejected > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.tuples(st.tuples(ENTRY, ENTRY), st.tuples(ENTRY, ENTRY)),
+        b=st.tuples(ENTRY, ENTRY),
+        u_a=states(st.one_of(SPECIAL, st.floats(-1e3, 1e3))),
+        tol_t=st.floats(1e-6, 1e-1),
+        dt_min=st.sampled_from([1e-3, 1e-2]),
+        linearized=st.booleans(),
+    )
+    def test_random_linear_systems(self, a, b, u_a, tol_t, dt_min, linearized):
+        # max(u) as the temperature: either component decides the estimate;
+        # stiff or growing systems end in a step-size underflow, compared too
+        tol = StepperTolerances(tol_nr=tol_t, tol_t=tol_t, dt_init=0.1, dt_min=dt_min, dt_max=0.5)
+        assert_same_loops(Linear2(a, b), 0.0, 2.0, u_a, tol, linearized)
