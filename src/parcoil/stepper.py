@@ -48,10 +48,10 @@ update and the finiteness checks on local floats, with the float
 operations of the tuple step in the same order, so the results are the
 same to the bit.  This skips the tuple building of the general path: on
 the coil an implicit Euler step costs about two thirds of the tuple step.
-:func:`adaptive_integrate` does the same around the step: from a call's
-second step on, it extrapolates a two-component prediction and takes the
-error estimate on local floats, with :func:`predict`'s and
-:func:`estimate_lte`'s operations in their order.
+:func:`adaptive_integrate` takes one prediction and one error estimate
+per trial step on every state size; from a call's second step on, a
+two-component state extrapolates its prediction on local floats, with the
+operations of the tuple extrapolation in their order.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ __all__ = [
     "newton_jacobian",
     "implicit_euler_step",
     "linearized_euler_step",
-    "predict",
-    "estimate_lte",
     "adaptive_integrate",
     "fixed_integrate",
 ]
@@ -359,32 +357,6 @@ def linearized_euler_step(
             counters.nr_iterations += 1
 
 
-def predict(history, t_next: float, slope) -> State:
-    """Prediction at ``t_next`` from the last accepted results.
-
-    ``history`` holds up to two ``(time, state)`` pairs with increasing
-    times: one pair gives the explicit Euler step along ``slope``, the rhs
-    at that pair; two give componentwise linear extrapolation to
-    ``t_next`` (``slope`` is then unused).
-    """
-    if len(history) == 0:
-        raise ValueError("predict needs at least one history entry")
-    if len(history) == 1:
-        ((t0, u0),) = history
-        dt = t_next - t0
-        return tuple([a + dt * b for a, b in zip(u0, slope)])
-    (t0, u0), (t1, u1) = history[-2], history[-1]
-    w = (t_next - t1) / (t1 - t0)
-    return tuple([b + w * (b - a) for a, b in zip(u0, u1)])
-
-
-def estimate_lte(problem: Problem, u_solved: State, u_predicted: State) -> float:
-    """Local truncation error proxy: |max_T(solved) - max_T(predicted)| in K."""
-    if len(u_solved) != len(u_predicted):
-        raise ValueError("state dimension mismatch")
-    return abs(problem.max_temperature(u_solved) - problem.max_temperature(u_predicted))
-
-
 def adaptive_integrate(
     problem: Problem,
     t_a: float,
@@ -402,15 +374,17 @@ def adaptive_integrate(
     with ``linearized``, taken as one :func:`linearized_euler_step` from
     the last accepted state), and accepted when the
     estimated local truncation error of the max temperature (the solution
-    minus the prediction) is below ``tol.tol_t``.  The first step predicts
-    the explicit Euler step ``u_a + dt*rhs(t_a, u_a)`` (one extra ``rhs``
-    call per call), later steps extrapolate the last two accepted states
-    linearly.  A step rejected on its error estimate retries at
+    minus the prediction, ``lte = |max_T(u_new) - max_T(guess)|``) is
+    below ``tol.tol_t``.  The first step predicts the explicit Euler step
+    ``u_a + dt*rhs(t_a, u_a)`` (one extra ``rhs`` call per call), later
+    steps extrapolate the last two accepted states linearly.  A step
+    rejected on its error estimate retries at
     ``dt * max(REJECT_SHRINK_MIN, min(0.5, SAFETY*sqrt(tol_t/lte)))``, a
     failed Newton step or a non-finite (NaN or infinite) error estimate at
     half the step; the accepted step feeds an order-1 controller.  Raises
-    :class:`IntegrationFailed` at once if ``rhs(t_a, u_a)`` is non-finite
-    or raises ``ArithmeticError``, and if the step size underflows
+    ``ValueError`` if ``rhs(t_a, u_a)`` has not one component per state
+    component, :class:`IntegrationFailed` at once if it is non-finite or
+    raises ``ArithmeticError``, and if the step size underflows
     ``tol.dt_min`` through repeated rejection.
 
     Each step uses ``dt = t_new - t``, so with ``linearized``
@@ -427,18 +401,19 @@ def adaptive_integrate(
         slope = tuple(map(float, problem.rhs(t, u)))
     except ArithmeticError as exc:
         raise IntegrationFailed(f"rhs failed at the start state, t={t:.6g}: {exc}") from exc
+    if len(slope) != len(u):
+        raise ValueError(f"rhs gave {len(slope)} components for a state of {len(u)}")
     if not _all_finite(slope):
         raise IntegrationFailed(f"non-finite rhs at the start state, t={t:.6g}")
 
     stops = deque([*problem.forced_event_times(t_a, t_b), t_b])  # where a step must land
     times = [t]
     states = [u]
-    history: deque = deque(maxlen=2)
-    history.append((t, u))
+    t_prev = u_prev = None  # the accepted point before (t, u), once there is one
 
     dt = tol.dt_init
-    # a two-component state (the coil) takes predict's extrapolation and
-    # estimate_lte's difference on local floats, with the same operations
+    # a two-component state (the coil) extrapolates on local floats, with
+    # the operations of the tuple extrapolation
     scalar = len(u) == 2
     max_t = problem.max_temperature
 
@@ -451,13 +426,16 @@ def adaptive_integrate(
         if not t_new > t:
             raise IntegrationFailed(f"step size {dt:.3g} cannot advance time at t={t:.6g}")
 
-        fast = scalar and len(history) == 2
-        if fast:
-            (t0, (a0, a1)), (t1, (b0, b1)) = history
-            w = (t_new - t1) / (t1 - t0)
-            guess = (b0 + w * (b0 - a0), b1 + w * (b1 - a1))
+        if u_prev is None:  # the explicit Euler step along the start slope
+            guess = tuple([a + dt_step * b for a, b in zip(u, slope)])
         else:
-            guess = predict(history, t_new, slope)
+            w = (t_new - t) / (t - t_prev)
+            if scalar:
+                a0, a1 = u_prev
+                b0, b1 = u
+                guess = (b0 + w * (b0 - a0), b1 + w * (b1 - a1))
+            else:
+                guess = tuple([b + w * (b - a) for a, b in zip(u_prev, u)])
         try:
             if linearized:
                 u_new = linearized_euler_step(problem, t, dt_step, u, counters)
@@ -466,12 +444,11 @@ def adaptive_integrate(
         except StepFailed:
             shrink, reason = 0.5, "Newton kept failing above dt_min"
         else:
-            lte = abs(max_t(u_new) - max_t(guess)) if fast else estimate_lte(problem, u_new, guess)
+            lte = abs(max_t(u_new) - max_t(guess))
             if lte < tol.tol_t:  # False for NaN, so a NaN estimate is rejected
-                t, u = t_new, u_new
+                t_prev, u_prev, t, u = t, u, t_new, u_new
                 times.append(t)
                 states.append(u)
-                history.append((t, u))
                 if counters is not None:
                     counters.steps_accepted += 1
                 dt = SAFETY * dt_step * math.sqrt(tol.tol_t / max(lte, LTE_FLOOR_REL * tol.tol_t))

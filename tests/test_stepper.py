@@ -19,13 +19,11 @@ from parcoil import (
     StepperTolerances,
     adaptive_integrate,
     as_state,
-    estimate_lte,
     fixed_integrate,
     hts_resistivity,
     implicit_euler_step,
     linearized_euler_step,
     newton_jacobian,
-    predict,
     run_parareal,
 )
 from parcoil import cli, stepper
@@ -442,38 +440,6 @@ class TestImplicitEulerStep:
         assert counters.nr_iterations >= 1
 
 
-class TestPredict:
-    def test_constant_from_single_entry(self):
-        assert np.array_equal(predict([(0.0, as_state([1.0]))], 1.0, (0.0,)), [1.0])
-
-    def test_explicit_euler_from_single_entry(self):
-        assert predict([(0.5, (1.0, 2.0))], 0.75, (4.0, -8.0)) == (2.0, 0.0)
-
-    def test_linear_extrapolation(self):
-        history = [(0.0, as_state([0.0])), (1.0, as_state([2.0]))]
-        assert np.array_equal(predict(history, 2.0, None), [4.0])
-
-    def test_endpoint_reproduces_last_state(self):
-        history = [(0.0, as_state([0.0])), (1.0, as_state([2.0]))]
-        assert np.array_equal(predict(history, 1.0, None), [2.0])
-
-
-class TestEstimateLte:
-    def test_identical_states(self):
-        s = as_state([1.0, 78.0])
-        assert estimate_lte(CoilProblem(), s, s) == 0.0
-
-    def test_definition(self):
-        problem = CoilProblem()
-        a, b = as_state([0.0, 78.0]), as_state([0.0, 77.9])
-        assert estimate_lte(problem, a, b) == pytest.approx(0.1, rel=1e-12)
-
-    def test_symmetric(self):
-        problem = CoilProblem()
-        a, b = as_state([0.0, 78.0]), as_state([0.0, 77.5])
-        assert estimate_lte(problem, a, b) == estimate_lte(problem, b, a)
-
-
 class TestAdaptiveIntegrate:
     def test_constant_solution_two_entries(self):
         still = LinearTestProblem(0.0, (3.0,))
@@ -543,21 +509,19 @@ class TestStepController:
         assert traj.terminal_state[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_retry_after_lte_rejection_is_sized_from_the_error(self, monkeypatch):
-        # d_t u = -u from 1 at dt = 0.1: the first trial's error estimate is
-        # about 0.0091; each tolerance puts the retry factor in another range
+        # d_t u = -u from 1 at dt = 0.1: the first trial's error estimate,
+        # its solution against its guess, is about 0.0091; each tolerance
+        # puts the retry factor in another range
         trials, ltes = [], []
-        step, lte = stepper.implicit_euler_step, stepper.estimate_lte
+        step = stepper.implicit_euler_step
 
-        def recording_step(problem, t, dt, *args):
+        def recording_step(problem, t, dt, u_prev, guess, *args):
             trials.append(dt)
-            return step(problem, t, dt, *args)
-
-        def recording_lte(*args):
-            ltes.append(lte(*args))
-            return ltes[-1]
+            u_new = step(problem, t, dt, u_prev, guess, *args)
+            ltes.append(abs(DECAY.max_temperature(u_new) - DECAY.max_temperature(guess)))
+            return u_new
 
         monkeypatch.setattr(stepper, "implicit_euler_step", recording_step)
-        monkeypatch.setattr(stepper, "estimate_lte", recording_lte)
         factors = []
         for tol_t in (6e-3, 1.1e-3, 9e-5):
             trials.clear()
@@ -631,6 +595,39 @@ class TestStepController:
                 problem, 0.25, 1.0, problem.initial_state(), TIGHT, counters, linearized=linearized
             )
         # no trial step: the step size is not shrunk down to dt_min
+        assert counters == StepCounters()
+
+
+class WrongRhsSize(LinearTestProblem):
+    """``d_t u = rate * u`` whose rhs has one component more (``extra`` 1) or less (-1).
+
+    With ``only_at_start`` the rhs is the wrong size only at ``t_start``.
+    """
+
+    def __init__(self, rate, u0, extra, t_start, only_at_start):
+        super().__init__(rate, u0)
+        self.extra, self.t_start, self.only_at_start = extra, t_start, only_at_start
+
+    def rhs(self, t, u):
+        f = super().rhs(t, u)
+        if self.only_at_start and t != self.t_start:
+            return f
+        return f + (0.5,) if self.extra > 0 else f[: self.extra]
+
+
+class TestStartSlopeSize:
+    @pytest.mark.parametrize("u0", [(1.0,), (1.0, 2.0), (1.0, 2.0, 3.0)])
+    @pytest.mark.parametrize("extra", [1, -1], ids=["too-many", "too-few"])
+    @pytest.mark.parametrize("only_at_start", [False, True], ids=["everywhere", "at-start"])
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_rhs_of_the_wrong_size_is_refused(self, u0, extra, only_at_start, linearized):
+        problem = WrongRhsSize(-1.0, u0, extra, 0.25, only_at_start)
+        counters = StepCounters()
+        message = rf"^rhs gave {len(u0) + extra} components for a state of {len(u0)}$"
+        with pytest.raises(ValueError, match=message):
+            adaptive_integrate(
+                problem, 0.25, 1.0, problem.initial_state(), TIGHT, counters, linearized=linearized
+            )
         assert counters == StepCounters()
 
 

@@ -8,10 +8,10 @@ differ), the same Newton count and the same ``StepFailed`` message, on
 well-posed steps and on every way a step can fail.
 
 The second reference is ``adaptive_integrate``'s loop as it was before it
-took a two-component state's prediction and error estimate on local
-floats: every trial step through ``predict`` and ``estimate_lte``.  The
-loop must give the same times, state bits and work counters, or the same
-``IntegrationFailed`` message.
+took its prediction and error estimate inline: every trial step through a
+``predict`` over a history of the last two accepted points and an
+``estimate_lte``.  On every state size, the loop must give the same times,
+state bits and work counters, or the same ``IntegrationFailed`` message.
 """
 
 import math
@@ -176,6 +176,30 @@ class Linear2(Problem):
 
     def initial_state(self):
         return as_state((0.0, 0.0))
+
+
+class LinearN(Problem):
+    """``d_t u = A u + b`` on any number of components, ``max(u)`` as the temperature."""
+
+    def __init__(self, a, b):
+        self.a = tuple(tuple(row) for row in a)
+        self.b = tuple(b)
+
+    @property
+    def component_names(self):
+        return tuple(f"u_{i}" for i in range(len(self.b)))
+
+    def rhs(self, t, u):
+        return tuple([sum(map(operator.mul, row, u)) + b for row, b in zip(self.a, self.b)])
+
+    def jacobian(self, t, u):
+        return self.a
+
+    def max_temperature(self, u):
+        return max(u)
+
+    def initial_state(self):
+        return as_state((0.0,) * len(self.b))
 
 
 # Signed zeros and exact small values next to general floats: a residual of
@@ -505,3 +529,20 @@ class TestLoopAgainstThePredictPath:
         # stiff or growing systems end in a step-size underflow, compared too
         tol = StepperTolerances(tol_nr=tol_t, tol_t=tol_t, dt_init=0.1, dt_min=dt_min, dt_max=0.5)
         assert_same_loops(Linear2(a, b), 0.0, 2.0, u_a, tol, linearized)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.sampled_from([1, 3, 4]),
+        tol_t=st.floats(1e-6, 1e-1),
+        dt_min=st.sampled_from([1e-3, 1e-2]),
+        linearized=st.booleans(),
+    )
+    def test_n_component_linear_systems(self, data, n, tol_t, dt_min, linearized):
+        # the tuple prediction on every other state size: the explicit Euler
+        # first step, the extrapolation after it, and the estimate on max(u)
+        a = data.draw(st.tuples(*[st.tuples(*[ENTRY] * n)] * n), label="a")
+        b = data.draw(st.tuples(*[ENTRY] * n), label="b")
+        u_a = data.draw(st.tuples(*[st.one_of(SPECIAL, st.floats(-1e3, 1e3))] * n), label="u_a")
+        tol = StepperTolerances(tol_nr=tol_t, tol_t=tol_t, dt_init=0.1, dt_min=dt_min, dt_max=0.5)
+        assert_same_loops(LinearN(a, b), 0.0, 2.0, u_a, tol, linearized)
