@@ -156,6 +156,8 @@ def _summary_rows(
             "ghat_steps_rejected": report.ghat_steps_rejected,
             "max_dev_mK": max_dev,
             "boundary_dev_mK": boundary_dev,
+            "loop_open_wall_s": report.time_loop_open,
+            "loop_close_wall_s": report.time_loop_close,
         }
         for k, err in enumerate(report.err_per_iter, start=1)
     ]

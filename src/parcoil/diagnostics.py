@@ -45,7 +45,10 @@ class PararealReport:
     ``ghat_steps_rejected`` and ``rejected_f_per_window_per_iter`` count
     the trial steps the adaptive coarse pass and each fine solve rejected,
     and ``accepted_f_per_window_per_iter`` the steps each fine solve
-    accepted (0 for a window not solved).
+    accepted (0 for a window not solved).  ``time_loop_open`` and
+    ``time_loop_close`` are the wall times of opening the fine loop
+    (forking its workers, before the adaptive coarse pass) and of closing
+    it; ``total_wall`` spans both.
     """
 
     n_windows: int
@@ -66,6 +69,8 @@ class PararealReport:
     ghat_steps_rejected: int = 0
     rejected_f_per_window_per_iter: list[list[int]] = field(default_factory=list)
     accepted_f_per_window_per_iter: list[list[int]] = field(default_factory=list)
+    time_loop_open: float = 0.0
+    time_loop_close: float = 0.0
 
     @property
     def iterations_run(self) -> int:

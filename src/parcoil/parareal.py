@@ -17,8 +17,10 @@ opened before the coarse pass: it keeps each window's last fine solve
 under a key (start bytes, tolerance), re-solves exactly the windows
 whose key changed, and deals them into cost-balanced batches on their
 last Newton counts.  This process solves the first batch, and up to P-1
-worker processes, fed through one pipe each, solve the rest (P fine
-solves at once; P = 1 starts no process).  :class:`_FineLoop` alone
+worker processes, forked with ``os.fork`` and fed through one pipe pair
+each, solve the rest (P fine solves at once; P = 1 starts no process).
+Closing the loop signals the workers and does not wait for them: they
+are reaped after the run (see :func:`_reap`).  :class:`_FineLoop` alone
 decides P and pins its processes to CPUs; its docstring gives the rule.
 It pins because, left to the scheduler on the 2-CPU host the benchmark
 was measured on, a forked worker and its caller ran the batches on the
@@ -40,9 +42,10 @@ window boundaries drops below the requested tolerance.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
-import multiprocessing
 import os
+import pickle
 import signal
 import struct
 import time
@@ -66,12 +69,6 @@ from .stepper import (
 # reads and replaces ProcessPoolExecutor when it installs, so the name
 # resolves here (see __getattr__ below) although nothing here uses it: the
 # fine loop is _FineLoop, and the tracer's pool spans stay empty.
-
-# The fine loop's workers are forked whatever the default start method (it
-# is forkserver on Linux from Python 3.14): they inherit the problem, so it
-# never crosses a pipe, and SIGINT stays blocked across the fork.
-_FORK = multiprocessing.get_context("fork")
-Process, Pipe = _FORK.Process, _FORK.Pipe
 
 __all__ = [
     "PararealConfig",
@@ -108,12 +105,12 @@ class PararealConfig:
     k_max: int = 20
 
     def __post_init__(self):
-        if self.n_windows < 1:
-            raise ValueError("n_windows must be >= 1")
+        for name in ("n_windows", "k_max"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a float or a bool is no count
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
         if not self.tol_pr > 0.0:
             raise ValueError("tol_pr must be positive")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
 
     @property
     def first_fine_tol(self) -> StepperTolerances:
@@ -216,20 +213,85 @@ def _solve_batch(problem, tol, k, windows):
     return results
 
 
-def _fine_worker(conn, problem):
-    """Worker process body: answer each ``(k, tol, windows)`` with its results or its exception."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    while True:
+def _send(fd: int, message) -> None:
+    """Write ``message`` to ``fd``: its pickle's length in 8 bytes, then the pickle."""
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read(fd: int, size: int) -> bytes:
+    """Exactly ``size`` bytes from ``fd``; EOFError if every writer closed first."""
+    chunks = []
+    while size:
+        chunks.append(os.read(fd, size))
+        if not chunks[-1]:
+            raise EOFError
+        size -= len(chunks[-1])
+    return b"".join(chunks)
+
+
+def _recv(fd: int):
+    """The next message :func:`_send` wrote to the other end of ``fd``."""
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _fine_worker(requests: int, replies: int, problem, inherited) -> None:
+    """A forked worker's life: answer each ``(k, tol, windows)`` with its results or its exception.
+
+    It first closes ``inherited``, the caller's pipe ends (holding one, it
+    would see no EOF when the caller closes them), and it leaves by
+    ``os._exit`` whatever happens, never into the caller's stack.  An
+    exception goes back as ``(its pickle or None, "Type: message")``, so
+    one that does not unpickle still reaches the caller by name.
+    """
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        while True:
+            try:
+                k, tol, windows = _recv(requests)
+            except EOFError:  # the caller closed its end
+                code = 0
+                break
+            try:
+                reply = _solve_batch(problem, tol, k, windows)
+            except Exception as exc:
+                blob = None
+                with contextlib.suppress(Exception):
+                    blob = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+                reply = (blob, f"{type(exc).__name__}: {exc}")
+            _send(replies, reply)
+    finally:
+        os._exit(code)
+
+
+# Forked workers not yet waited for.  Closing a loop signals its workers
+# without waiting; each close then reaps the ones that have exited, by pid
+# (never os.waitpid(-1), which would take other children, subprocess's
+# among them), and interpreter exit waits for the rest.
+_UNREAPED: list[int] = []
+
+
+def _reap(block: bool = False) -> None:
+    """Reap the exited workers in ``_UNREAPED``; with ``block``, signal and wait for each."""
+    for pid in list(_UNREAPED):
         try:
-            k, tol, windows = conn.recv()
-        except EOFError:  # every copy of the caller's end is closed
-            return
-        try:
-            reply = _solve_batch(problem, tol, k, windows)
-        except Exception as exc:
-            reply = exc
-        conn.send(reply)
+            if block:
+                os.kill(pid, signal.SIGTERM)
+            done, _ = os.waitpid(pid, 0 if block else os.WNOHANG)
+        except (ChildProcessError, ProcessLookupError):  # reaped elsewhere
+            done = pid
+        if done:
+            _UNREAPED.remove(pid)
+
+
+atexit.register(_reap, block=True)
 
 
 def _allowed_cpus() -> set[int] | None:
@@ -251,11 +313,14 @@ class _FineLoop:
     tolerance) that decides whether to re-solve it, its trajectory, and
     its Newton count, the cost on which re-solves are dealt longest-first
     into batches (equal counts deal iteration 1 round-robin).
-    A worker inherits the problem when it is forked and gets the tolerance
-    with every batch; each worker has its own pipe.  No thread runs beside
-    the caller, so nothing waits for the GIL while the caller solves a
-    batch itself.  Workers ignore SIGINT; leaving the ``with`` block, normally
-    or by any exception (Ctrl-C included), terminates and joins them.
+    A worker is forked by ``os.fork``, so it inherits the problem, and gets
+    the tolerance with every batch; each worker has its own pair of pipes,
+    carrying length-prefixed pickles.  No thread runs beside the caller, so
+    nothing waits for the GIL while the caller solves a batch itself.
+    Workers ignore SIGINT.  Leaving the ``with`` block, normally or by any
+    exception (Ctrl-C included), sends each worker SIGTERM and closes the
+    pipes without waiting for the workers to exit; :func:`_reap` waits for
+    them later, so at most P-1 wait unreaped between runs.
 
     When P > 1 and this process's allowed CPUs number exactly P, process i
     of the loop (0 is this one) runs on the i-th lowest of them only: this
@@ -264,7 +329,7 @@ class _FineLoop:
     one CPU.  A worker that pinned itself would still run on this
     process's CPU until it did, and the caller's own pin would wait for
     it.  :meth:`close`, which also runs when ``__init__`` fails after the
-    checks, stops the workers and then restores this process's mask.
+    checks, signals the workers and then restores this process's mask.
     """
 
     def __init__(self, problem: Problem, n: int, n_workers: int | None = None):
@@ -278,25 +343,29 @@ class _FineLoop:
         self.keys: list[tuple[bytes, StepperTolerances] | None] = [None] * n
         self.trajs: list[Trajectory | None] = [None] * n
         self.nr = [1] * n
-        self.procs: list[Process] = []
-        self.conns: list = []  # this process's end of each worker's pipe
+        self.pids: list[int] = []
+        self.fds: list[int] = []  # this process's ends: to, then from, each worker
         self.mask = allowed if p > 1 and len(allowed or ()) == p else None  # restored on close
         cpus = sorted(self.mask) if self.mask else [None] * p
         try:
             for cpu in cpus[1:]:
-                conn, child = Pipe()
-                proc = Process(target=_fine_worker, args=(child, problem), daemon=True)
-                self.conns.append(conn)
-                self.procs.append(proc)
+                (requests, to_worker), (from_worker, replies) = os.pipe(), os.pipe()
+                self.fds += [to_worker, from_worker]
                 # SIGINT stays blocked across the fork, until the worker ignores it
                 mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 try:
-                    proc.start()
+                    pid = os.fork()
+                    if pid == 0:
+                        _fine_worker(requests, replies, problem, self.fds)
+                    self.pids.append(pid)
+                    _UNREAPED.append(pid)
                     if cpu is not None:
-                        os.sched_setaffinity(proc.pid, {cpu})
+                        os.sched_setaffinity(pid, {cpu})
                 finally:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                child.close()  # a later worker must not inherit it, or a death shows no EOF
+                    # a later worker must not inherit them, or a death shows no EOF
+                    os.close(requests)
+                    os.close(replies)
             if self.mask:
                 os.sched_setaffinity(0, {cpus[0]})
         except BaseException:
@@ -311,13 +380,12 @@ class _FineLoop:
 
     def close(self) -> None:
         try:
-            started = [proc for proc in self.procs if proc.pid is not None]
-            for proc in started:
-                proc.terminate()
-            for proc in started:
-                proc.join()
-            for conn in self.conns:
-                conn.close()
+            for pid in self.pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGTERM)
+            for fd in self.fds:
+                os.close(fd)
+            _reap()
         finally:
             if self.mask:
                 os.sched_setaffinity(0, self.mask)
@@ -336,8 +404,10 @@ class _FineLoop:
         returns the iteration's Newton, rejected-step, wall and accepted-step
         rows, zero elsewhere.  The workers get their batches first, then
         this process solves the first batch.  A worker's exception is
-        re-raised here; a worker that died raises :class:`IntegrationFailed`
-        naming the windows whose results never came.
+        re-raised here, or named in an :class:`IntegrationFailed` with its
+        windows when it does not unpickle; a worker that died raises
+        :class:`IntegrationFailed` naming the windows whose results never
+        came.
         """
         n = len(self.nr)
         nr_row, rejected_row, wall_row, accepted_row = [0] * n, [0] * n, [0.0] * n, [0] * n
@@ -350,19 +420,26 @@ class _FineLoop:
         if not windows:
             return nr_row, rejected_row, wall_row, accepted_row
         costs = [self.nr[j - 1] for j, *_ in windows]
-        batches = [[windows[i] for i in b] for b in _fine_batches(costs, len(self.conns) + 1)]
-        for conn, batch in zip(self.conns, batches[1:]):
+        batches = [[windows[i] for i in b] for b in _fine_batches(costs, len(self.pids) + 1)]
+        for fd, batch in zip(self.fds[::2], batches[1:]):
             with contextlib.suppress(OSError):  # a dead worker is reported below
-                conn.send((k, tol, batch))
+                _send(fd, (k, tol, batch))
         results = _solve_batch(self.problem, tol, k, batches[0])
         lost, failure = [], None
-        for conn, batch in zip(self.conns, batches[1:]):
+        for fd, batch in zip(self.fds[1::2], batches[1:]):
             try:
-                reply = conn.recv()
+                reply = _recv(fd)
             except (EOFError, OSError):
                 lost += [j for j, *_ in batch]
                 continue
-            if isinstance(reply, Exception):
+            if isinstance(reply, tuple):  # the worker's exception, as _fine_worker sends it
+                try:
+                    reply = pickle.loads(reply[0])
+                except Exception:
+                    reply = IntegrationFailed(
+                        f"fine propagator failed in windows {[j for j, *_ in batch]} "
+                        f"during iteration {k}: {reply[1]}"
+                    )
                 failure = failure or reply
                 continue
             results += reply
@@ -423,6 +500,7 @@ def run_parareal(
 
     # The workers start first, so their start-up overlaps Ĝ.
     with _FineLoop(problem, n, n_workers) as fine:
+        time_loop_open = time.perf_counter() - wall_start
         # Iteration 1: one adaptive coarse solve over the whole interval
         # yields the coarse grid, the windows, and the initial boundary values.
         # It takes the sweeps' linearized step, so a sweep from a start Ĝ
@@ -481,6 +559,8 @@ def run_parareal(
             )
             if err_per_iter[-1] < cfg.tol_pr and tol == cfg.fine_tol:
                 break
+        close_start = time.perf_counter()
+    time_loop_close = time.perf_counter() - close_start
 
     converged = err_per_iter[-1] < cfg.tol_pr
     trajectory = _stitch(fine.trajs)
@@ -495,6 +575,8 @@ def run_parareal(
         time_g_per_window_per_iter=time_g,
         time_f_per_window_per_iter=time_f,
         total_wall=time.perf_counter() - wall_start,
+        time_loop_open=time_loop_open,
+        time_loop_close=time_loop_close,
         nr_ghat=ghat_counters.nr_iterations,
         nr_g_per_window_per_iter=nr_g,
         nr_f_per_window_per_iter=nr_f,

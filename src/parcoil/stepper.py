@@ -105,8 +105,8 @@ class StepperTolerances:
         for name in ("tol_nr", "tol_t", "dt_init", "dt_min", "dt_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"StepperTolerances.{name} must be positive")
-        if self.nr_max_iters < 1:
-            raise ValueError("nr_max_iters must be a positive integer")
+        if type(self.nr_max_iters) is not int or self.nr_max_iters < 1:  # a bool is no count
+            raise ValueError(f"nr_max_iters must be a positive integer, not {self.nr_max_iters!r}")
         if not (self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need dt_min <= dt_init <= dt_max")
 

@@ -123,6 +123,8 @@ SUMMARY_COLUMNS = [
     "ghat_steps_rejected",
     "max_dev_mK",
     "boundary_dev_mK",
+    "loop_open_wall_s",
+    "loop_close_wall_s",
 ]
 
 
@@ -700,6 +702,26 @@ class TestInterrupt:
         assert err == b"interrupted\n"
         assert not left_running
         assert elapsed < 5.0
+
+    def test_successful_parareal_leaves_its_process_group_empty(self, tmp_path):
+        # the workers, signalled at close, are reaped at the latest at interpreter exit
+        cfg = write_cfg(tmp_path, LINEAR_CFG)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        argv = ["parareal", "--config", cfg, "--workers", "2", "--out", str(tmp_path / "o")]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "parcoil.cli", *argv],
+            stdout=subprocess.DEVNULL,
+            env=env,
+            start_new_session=True,  # its own process group, holding it and its workers
+        )
+        try:
+            assert proc.wait(timeout=60) == 0
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 class TestCsvFormatting:

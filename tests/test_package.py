@@ -10,15 +10,17 @@ from parcoil import coil, config, diagnostics, parareal, problem, stepper
 MODULES = (coil, config, diagnostics, parareal, problem, stepper)
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Import, build the shipped problem and run a command, then report which
-# of numpy and concurrent.futures were imported.
+# Import, build the shipped problem and run the commands, then report which
+# of numpy, concurrent.futures and multiprocessing were imported.
 COMMAND_PATH = """
 import sys
 import parcoil
 import parcoil.cli
 parcoil.make_problem(parcoil.load_run_config(sys.argv[1]))
 assert parcoil.cli.main(["sequential", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-print(sorted({"numpy", "concurrent.futures"} & set(sys.modules)))
+argv = ["parareal", "--config", sys.argv[1], "--workers", "2", "--out", sys.argv[2] + "-par"]
+assert parcoil.cli.main(argv) == 0
+print(sorted({"numpy", "concurrent.futures", "multiprocessing"} & set(sys.modules)))
 """
 
 
@@ -35,7 +37,7 @@ def test_every_exported_name_resolves_to_its_module_object():
     assert parcoil.__version__ == "0.1.0"
 
 
-def test_command_path_imports_no_numpy(tmp_path):
+def test_command_path_imports_no_numpy_and_no_process_pool(tmp_path):
     cfg = os.path.join(REPO_ROOT, "configs", "ni_coil.cfg")
     src = os.path.join(REPO_ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -48,6 +50,7 @@ def test_command_path_imports_no_numpy(tmp_path):
     )
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "out" / "trajectory.csv").exists()
+    assert (tmp_path / "out-par" / "trajectory.csv").exists()
 
 
 def test_process_pool_executor_resolves_on_first_access():

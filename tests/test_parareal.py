@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
 import math
-import multiprocessing
 import os
+import pickle
 import re
+import signal
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +53,44 @@ def is_float_tuple(values) -> bool:
 def state_at(traj, t):
     """The state of ``traj`` at its grid time ``t`` (ValueError if ``t`` is not one)."""
     return traj.states[traj.times.index(t)]
+
+
+REAP = parareal._reap
+
+
+@pytest.fixture(autouse=True)
+def workers_reaped_by_the_test(monkeypatch):
+    """Each test starts with no fine worker of an earlier test left, and no close reaps one.
+
+    So :func:`workers_exit` sees the exit status of every worker a test forks.
+    """
+    REAP(block=True)
+    monkeypatch.setattr(parareal, "_reap", lambda block=False: None)
+
+
+def workers_exit(pids=None, timeout=10.0) -> list[int]:
+    """Reap ``pids`` (default: every fine worker not yet reaped); their exit codes, in order.
+
+    Each must exit within ``timeout`` seconds.  A worker that a closing
+    loop signalled while it waited for a batch exits with -SIGTERM.
+    """
+    pids = list(parareal._UNREAPED) if pids is None else pids
+    deadline = time.monotonic() + timeout
+    codes = []
+    for pid in pids:
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            assert time.monotonic() < deadline, f"worker {pid} still running after {timeout} s"
+            time.sleep(0.001)
+        if pid in parareal._UNREAPED:
+            parareal._UNREAPED.remove(pid)
+        codes.append(os.waitstatus_to_exitcode(status))
+    return codes
+
+
+SIGNALLED = -signal.SIGTERM
 
 
 class TestWindowBoundaryIndices:
@@ -203,6 +243,23 @@ def chained_fine_oracle(problem, boundaries, tol):
     return values
 
 
+class TestCountsAreIntegers:
+    """A count that is not an int fails where it is given, not in the middle of a run."""
+
+    FIELDS = dict(n_windows=4, tol_pr=1e-5, fine_tol=LIN_FINE, coarse_tol=LIN_COARSE, k_max=5)
+
+    @pytest.mark.parametrize("name", ["n_windows", "k_max"])
+    @pytest.mark.parametrize("value", [4.0, 2.5, True, "4", None])
+    def test_parareal_config(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PararealConfig(**{**self.FIELDS, name: value})
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, True])
+    def test_newton_iteration_cap(self, value):
+        with pytest.raises(ValueError, match="nr_max_iters must be a positive integer"):
+            dataclasses.replace(LIN_FINE, nr_max_iters=value)
+
+
 class TestRunParareal:
     def test_degenerate_coarse_equals_fine(self):
         # constant dynamics reproduce the telescoping identity exactly
@@ -224,6 +281,16 @@ class TestRunParareal:
         oracle = chained_fine_oracle(problem, report.boundaries, LIN_FINE)
         for j in range(1, k_max + 1):
             assert bits(state_at(traj, report.boundaries[j])) == bits(oracle[j])
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_loop_open_and_close_walls_lie_within_the_run(self, n_workers):
+        problem = LinearTestProblem(-1.0, (1.0,))
+        cfg = PararealConfig(n_windows=4, tol_pr=1e-5, fine_tol=LIN_FINE, coarse_tol=LIN_COARSE)
+        _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers)
+        walls = (report.time_loop_open, report.time_loop_close)
+        assert all(wall >= 0.0 for wall in walls)
+        # opening, Ĝ and closing are disjoint spans of the run in this process
+        assert sum(walls) + report.time_ghat <= report.total_wall
 
     def test_not_converged_returns_report(self):
         problem = LinearTestProblem(-1.0, (1.0,))
@@ -362,24 +429,13 @@ class TestWindowSkipping:
 
     def test_iteration_without_changed_windows_does_not_call_the_pool(self, monkeypatch):
         sent = []  # iteration k of every batch sent down a worker pipe
-        pipe = parareal.Pipe
+        send = parareal._send
 
-        class RecordingEnd:
-            def __init__(self, conn):
-                self.conn = conn
+        def recording_send(fd, message):
+            sent.append(message[0])  # in this process only batches are sent
+            send(fd, message)
 
-            def send(self, message):
-                sent.append(message[0])
-                self.conn.send(message)
-
-            def __getattr__(self, name):
-                return getattr(self.conn, name)
-
-        def recording_pipe():
-            conn, child = pipe()
-            return RecordingEnd(conn), child
-
-        monkeypatch.setattr(parareal, "Pipe", recording_pipe)
+        monkeypatch.setattr(parareal, "_send", recording_send)
         problem = LinearTestProblem(-1.0, (1.0,))
         cfg = PararealConfig(
             n_windows=3, tol_pr=1e-30, fine_tol=LIN_FINE, coarse_tol=PROP_COARSE, k_max=5
@@ -630,7 +686,7 @@ class TestFineLoopKeys:
             assert fine.reused(3, (0.5,)) is None
             assert fine.reused(2, (0.0,)) == fine.trajs[1].terminal_state
             assert fine.reused(2, (-0.0,)) is None
-        assert not multiprocessing.active_children()
+        assert workers_exit() == [SIGNALLED] * size
         return rows
 
     def test_re_solves_exactly_the_changed_keys_at_any_worker_count(self):
@@ -689,6 +745,30 @@ class NanInWorker(DiesInWorker):
         return super().rhs(t, u)
 
 
+class OneArgError(Exception):
+    """An exception that unpickles: its one argument is its message."""
+
+
+class TwoArgError(Exception):
+    """An exception that pickles but does not unpickle: its ``args`` is one joined message."""
+
+    def __init__(self, where, detail):
+        super().__init__(f"{where}: {detail}")
+
+
+class RaisesInWorker(DiesInWorker):
+    """Linear decay whose rhs raises ``error(*args)`` in any process but the one that built it."""
+
+    def __init__(self, error, *args):
+        super().__init__()
+        self.error, self.error_args = error, args
+
+    def rhs(self, t, u):
+        if os.getpid() != self.owner:
+            raise self.error(*self.error_args)
+        return super().rhs(t, u)
+
+
 class NanRhs(LinearTestProblem):
     """A rhs that evaluates to NaN everywhere."""
 
@@ -719,20 +799,54 @@ class TestFineLoopFailures:
         problem = LinearTestProblem(-1.0, (1.0,))
         with pytest.raises(IntegrationFailed, match=r"window 1 during iteration 1"):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=2)
-        assert not multiprocessing.active_children()
+        assert workers_exit() == [SIGNALLED]
 
     def test_worker_failure_names_window_and_iteration(self):
         problem = NanInWorker()
         with pytest.raises(IntegrationFailed, match=r"window 2 during iteration 1"):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
-        assert not multiprocessing.active_children()
+        assert workers_exit() == [SIGNALLED]
+
+    def test_worker_exception_is_re_raised_as_itself(self):
+        problem = RaisesInWorker(OneArgError, "rhs failed")
+        with pytest.raises(OneArgError, match=r"^rhs failed$"):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+        assert workers_exit() == [SIGNALLED]
+
+    def test_worker_exception_that_does_not_unpickle_is_named(self):
+        problem = RaisesInWorker(TwoArgError, "rhs", "failed")
+        with pytest.raises(TypeError, match="detail"):  # what unpickling it here would raise
+            pickle.loads(pickle.dumps(TwoArgError("rhs", "failed")))
+        named = (
+            r"^fine propagator failed in windows \[2, 4\] during iteration 1: "
+            r"TwoArgError: rhs: failed$"
+        )
+        with pytest.raises(IntegrationFailed, match=named):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+        assert workers_exit() == [SIGNALLED]
 
     def test_worker_crash_is_integration_failure(self):
         problem = DiesInWorker()
         unfinished = r"died during iteration 1 while windows \[2, 4\] were unfinished"
         with pytest.raises(IntegrationFailed, match=unfinished):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
-        assert not multiprocessing.active_children()
+        assert workers_exit() == [3]  # dead before the close signalled it
+
+    def test_worker_raising_base_exception_leaves_by_os_exit(self, monkeypatch):
+        owner, solve_batch = os.getpid(), parareal._solve_batch
+
+        def escapes_in_a_worker(*args):
+            if os.getpid() != owner:
+                raise BaseException("out of the worker's loop")
+            return solve_batch(*args)
+
+        # not an Exception, so the worker sends nothing back: it ends by os._exit(1)
+        monkeypatch.setattr(parareal, "_solve_batch", escapes_in_a_worker)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        unfinished = r"died during iteration 1 while windows \[2, 4\] were unfinished"
+        with pytest.raises(IntegrationFailed, match=unfinished):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+        assert workers_exit() == [1]
 
     def test_worker_crash_names_only_its_windows(self):
         # three batches: windows 1 and 4 here, 2 in the first worker, 3 in the second
@@ -742,7 +856,7 @@ class TestFineLoopFailures:
         unfinished = r"died during iteration 1 while windows \[2\] were unfinished"
         with pytest.raises(IntegrationFailed, match=unfinished):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=3)
-        assert not multiprocessing.active_children()
+        assert workers_exit() == [3, SIGNALLED]
 
     def test_unpicklable_problem_runs_in_forked_workers(self):
         # the workers inherit the problem at the fork; it never crosses a pipe
@@ -750,7 +864,23 @@ class TestFineLoopFailures:
         one, _ = run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=1)
         two, _ = run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
         assert bits(two.states) == bits(one.states)
-        assert not multiprocessing.active_children()
+        assert workers_exit() == [SIGNALLED]
+
+    def test_reply_larger_than_a_pipe_buffer_comes_back_bit_for_bit(self):
+        problem = LinearTestProblem(-1.0, (1.0,))
+        tiny_steps = dataclasses.replace(LIN_FINE, dt_init=1e-4, dt_max=1e-4)
+        boundaries, starts = TestFineLoopKeys.BOUNDARIES, TestFineLoopKeys.STARTS
+        solved = []
+        for size in (0, 1):
+            with parareal._FineLoop(problem, 4, size + 1) as fine:
+                fine.solve(1, tiny_steps, boundaries, starts)
+                solved.append(fine.trajs)
+        assert workers_exit() == [SIGNALLED]
+        # windows 2 and 4 came back from the worker in one reply
+        assert len(pickle.dumps([solved[1][1], solved[1][3]])) > 64 * 1024
+        for here, there in zip(*solved):
+            assert bits(there.times) == bits(here.times)
+            assert bits(there.states) == bits(here.states)
 
 
 ALLOWED_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -771,16 +901,18 @@ def refuse_to_pin(pid, cpus):
     raise AssertionError(f"pinned process {pid} to {cpus}")
 
 
-def counting_processes(monkeypatch) -> list:
-    """Patch the fine loop's ``Process``; the list of every process it makes."""
+def counting_forks(monkeypatch) -> list:
+    """Patch ``os.fork``, which the fine loop forks its workers by; the pid of every child."""
     started = []
-    process = parareal.Process
+    fork = os.fork
 
-    def counting_process(*args, **kwargs):
-        started.append(process(*args, **kwargs))
-        return started[-1]
+    def counting_fork():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-    monkeypatch.setattr(parareal, "Process", counting_process)
+    monkeypatch.setattr(os, "fork", counting_fork)
     return started
 
 
@@ -791,10 +923,35 @@ class TestWorkerGroup:
         problem = LinearTestProblem(-1.0, (1.0,))
         _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
         assert report.converged
-        assert not multiprocessing.active_children()
+        assert workers_exit() == [SIGNALLED]
+
+    def test_runs_leave_at_most_p_minus_1_workers_unreaped(self, monkeypatch):
+        # P = 3: each close reaps the workers of earlier runs that have exited
+        monkeypatch.setattr(parareal, "_reap", REAP)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        for _ in range(20):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=3)
+            assert len(parareal._UNREAPED) <= 2
+        left = len(parareal._UNREAPED)
+        assert workers_exit() == [SIGNALLED] * left
+
+    def test_a_failed_fork_signals_the_workers_already_forked(self, monkeypatch):
+        started = counting_forks(monkeypatch)
+        fork = os.fork
+
+        def second_fork_fails():
+            if started:
+                raise OSError("no second fork")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        with pytest.raises(OSError, match="no second fork"):
+            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 3)
+        assert len(started) == 1
+        assert workers_exit() == [SIGNALLED]
 
     def test_zero_workers_is_a_value_error(self, monkeypatch):
-        started = counting_processes(monkeypatch)
+        started = counting_forks(monkeypatch)
         mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         problem = LinearTestProblem(-1.0, (1.0,))
         with pytest.raises(ValueError, match="n_workers"):
@@ -803,7 +960,7 @@ class TestWorkerGroup:
         assert mask is None or os.sched_getaffinity(0) == mask
 
     def test_workers_capped_at_window_count(self, monkeypatch):
-        started = counting_processes(monkeypatch)
+        started = counting_forks(monkeypatch)
         problem = LinearTestProblem(-1.0, (1.0,))
         cfg = dataclasses.replace(self.CFG, n_windows=2)
         one = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
@@ -812,7 +969,7 @@ class TestWorkerGroup:
         assert len(started) == 1
         assert bits(one[0].states) == bits(five[0].states)
         assert one[1].nr_f_per_window_per_iter == five[1].nr_f_per_window_per_iter
-        assert not multiprocessing.active_children()
+        assert workers_exit(started) == [SIGNALLED]
 
 
 @pytest.fixture
@@ -839,7 +996,7 @@ class TestCpuPlacement:
         with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
             # both are pinned once the loop is open, before the worker gets any batch
             caller = os.sched_getaffinity(0)
-            worker = os.sched_getaffinity(fine.procs[0].pid)
+            worker = os.sched_getaffinity(fine.pids[0])
         assert caller == {sorted(two_cpus)[0]}
         assert worker == {sorted(two_cpus)[1]}
         assert os.sched_getaffinity(0) == two_cpus
@@ -859,7 +1016,7 @@ class TestCpuPlacement:
         with pytest.raises(IntegrationFailed, match=r"during iteration 1"):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=2)
         assert os.sched_getaffinity(0) == two_cpus
-        assert not multiprocessing.active_children()
+        assert workers_exit() == [SIGNALLED]
 
     def test_mask_restored_after_an_interrupt(self, two_cpus):
         with pytest.raises(KeyboardInterrupt):
@@ -867,21 +1024,27 @@ class TestCpuPlacement:
                 fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
                 raise KeyboardInterrupt
         assert os.sched_getaffinity(0) == two_cpus
-        assert not multiprocessing.active_children()
+        assert workers_exit() == [SIGNALLED]
 
     def test_mask_restored_after_a_start_that_fails_part_way(self, two_cpus, monkeypatch):
-        process = parareal.Process
+        forked = []
+        fork = os.fork
 
-        class ForksThenFails(process):
-            def start(self):
-                super().start()
-                raise OSError("start failed after the fork")
+        def forks_then_fails():
+            pid = fork()
+            if pid == 0:
+                return pid
+            forked.append(pid)
+            raise OSError("start failed after the fork")
 
-        monkeypatch.setattr(parareal, "Process", ForksThenFails)
+        monkeypatch.setattr(os, "fork", forks_then_fails)
         with pytest.raises(OSError, match="after the fork"):
             parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2)
         assert os.sched_getaffinity(0) == two_cpus
-        assert not multiprocessing.active_children()
+        # the loop never learnt the pid, so nothing signalled the worker: it
+        # ends, by os._exit(0), on the EOF of the caller's closed pipe ends
+        assert parareal._UNREAPED == []
+        assert workers_exit(forked) == [0]
 
     def test_mask_restored_after_a_worker_pin_that_fails(self, two_cpus, monkeypatch):
         set_affinity = os.sched_setaffinity
@@ -896,7 +1059,7 @@ class TestCpuPlacement:
             with pytest.raises(OSError, match="cannot pin process"):
                 parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2)
             assert os.sched_getaffinity(0) == two_cpus
-        assert not multiprocessing.active_children()
+        assert workers_exit() == [SIGNALLED]
 
     def test_a_failed_restore_still_stops_the_workers(self, two_cpus, monkeypatch):
         def cannot_restore(pid, cpus):
@@ -907,8 +1070,7 @@ class TestCpuPlacement:
                 with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
                     fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
                     patch.setattr(os, "sched_setaffinity", cannot_restore)
-        assert fine.procs[0].exitcode is not None
-        assert not multiprocessing.active_children()
+        assert workers_exit(fine.pids) == [SIGNALLED]
 
     def test_more_allowed_cpus_than_processes_pins_nothing(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
@@ -916,11 +1078,11 @@ class TestCpuPlacement:
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
             patch.setattr(os, "sched_setaffinity", refuse_to_pin)  # caller and worker alike
-            started = counting_processes(patch)
+            started = counting_forks(patch)
             two, _ = self.run(problem, 2)
         assert len(started) == 1
         assert bits(two.states) == bits(one.states)
-        assert not multiprocessing.active_children()
+        assert workers_exit(started) == [SIGNALLED]
 
     def test_one_allowed_cpu_pins_nothing(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
@@ -928,28 +1090,28 @@ class TestCpuPlacement:
         with lowest_cpus(1):
             with monkeypatch.context() as patch:
                 patch.setattr(os, "sched_setaffinity", refuse_to_pin)  # caller and worker alike
-                started = counting_processes(patch)
+                started = counting_forks(patch)
                 two, two_report = self.run(problem, 2)
         assert len(started) == 1
         assert bits(two.states) == bits(one.states)
         assert two_report.nr_f_per_window_per_iter == one_report.nr_f_per_window_per_iter
-        assert not multiprocessing.active_children()
+        assert workers_exit(started) == [SIGNALLED]
 
     def test_no_affinity_calls_pins_nothing_and_counts_every_cpu(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
         one, _ = self.run(problem, 1)
         monkeypatch.delattr(os, "sched_setaffinity")
         monkeypatch.delattr(os, "sched_getaffinity")
-        started = counting_processes(monkeypatch)
+        started = counting_forks(monkeypatch)
         default, _ = self.run(problem, None)
         assert len(started) == min(self.CFG.n_windows, os.cpu_count() or 1) - 1
         assert bits(default.states) == bits(one.states)
-        assert not multiprocessing.active_children()
+        assert workers_exit(started) == [SIGNALLED] * len(started)
 
     def test_default_workers_under_one_allowed_cpu_start_no_process(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
         one, _ = self.run(problem, 1)
-        started = counting_processes(monkeypatch)
+        started = counting_forks(monkeypatch)
         with lowest_cpus(1):
             default, _ = self.run(problem, None)
         assert started == []
