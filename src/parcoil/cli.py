@@ -21,7 +21,6 @@ import sys
 from .config import ConfigError, RunConfig, load_run_config, make_problem, run_id
 from .diagnostics import (
     PararealReport,
-    cumulative_fine_times,
     load_balance,
     max_possible_speedup,
     max_temperature_deviation,
@@ -130,7 +129,7 @@ def _summary_rows(
     without it the four baseline columns are empty.  The deviations are
     the largest |ΔT_max| (mK) from the baseline, and at the window boundaries.
     """
-    lb = load_balance(cumulative_fine_times(report))
+    lb = load_balance(report)
     n_over_k = max_possible_speedup(report.n_windows, report.k_converged) if report.converged else None
     baseline_wall = speed = max_dev = boundary_dev = None
     if baseline is not None:

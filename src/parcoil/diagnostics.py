@@ -3,10 +3,11 @@
 Wall-clock fields are the only non-deterministic report content; every
 convergence and error field is bit-reproducible across repeated runs and
 worker counts.  Newton iteration counts are kept alongside the wall times
-as a deterministic load proxy, so CI can assert load-related properties
-without flaky timing comparisons.  Everything here works on Python
-floats and lists; the max-temperature deviation interpolates linearly by
-``np.interp``'s rules, bit for bit, without importing numpy.
+as a deterministic load proxy: the load balance is taken from them, so it
+reads the same in every run of one configuration, at any worker count.
+Everything here works on Python floats and lists; the max-temperature
+deviation interpolates linearly by ``np.interp``'s rules, bit for bit,
+without importing numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "load_balance",
     "speedup",
     "max_possible_speedup",
-    "cumulative_fine_times",
     "max_temperature_deviation",
 ]
 
@@ -86,17 +86,19 @@ class PararealReport:
         return [sum(row) for row in self.nr_g_per_window_per_iter]
 
 
-def load_balance(cum_fine_per_window) -> float:
-    """Ratio of the minimum to the maximum cumulative per-window time.
+def load_balance(report: PararealReport) -> float:
+    """min/max over windows of the fine Newton iterations summed over all iterations.
 
     1.0 means perfect balance; values near 0 mean one window dominates.
+    A window skipped in an iteration adds 0, so only the solves actually
+    run count.  Every window of a finished run has at least one fine Newton
+    iteration (each fine solve accepts a step, and an accepted implicit
+    Euler step costs at least one), so the ratio lies in (0, 1].
     """
-    values = [float(v) for v in cum_fine_per_window]
-    if not values:
-        raise ValueError("load_balance needs at least one window total")
-    if min(values) <= 0.0:
-        raise ValueError("cumulative window times must be positive")
-    return min(values) / max(values)
+    per_window = [sum(col) for col in zip(*report.nr_f_per_window_per_iter)]
+    if not per_window:
+        raise ValueError("load_balance needs a report with at least one window")
+    return min(per_window) / max(per_window)
 
 
 def speedup(report: PararealReport, sequential_wall: float) -> float:
@@ -115,15 +117,6 @@ def max_possible_speedup(n_windows: int, k_converged: int) -> float:
     if k_converged < 1:
         raise ValueError("iteration count must be >= 1")
     return n_windows / k_converged
-
-
-def cumulative_fine_times(report: PararealReport) -> list[float]:
-    """Per-window fine wall time summed over all iterations."""
-    matrix = report.time_f_per_window_per_iter
-    if not matrix:
-        raise ValueError("report holds no fine-propagator timings")
-    n = len(matrix[0])
-    return [sum(row[j] for row in matrix) for j in range(n)]
 
 
 def _interp(x, xp, fp) -> list[float]:

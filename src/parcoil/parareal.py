@@ -306,8 +306,9 @@ class _FineLoop:
 
     P = min(``n_workers``, ``n``).  ``n_workers`` defaults to the number of
     CPUs this process may run on (``os.sched_getaffinity(0)``), or to
-    ``os.cpu_count()`` where the platform cannot tell; below 1 it is a
-    ``ValueError``, raised before any process starts.
+    ``os.cpu_count()`` where the platform cannot tell; one that is not an
+    ``int`` (a ``bool`` included) or is below 1 is a ``ValueError``, raised
+    before any process starts.
 
     It keeps each window's last fine solve: the key (start bytes,
     tolerance) that decides whether to re-solve it, its trajectory, and
@@ -336,8 +337,8 @@ class _FineLoop:
         allowed = _allowed_cpus()
         if n_workers is None:
             n_workers = len(allowed) if allowed is not None else os.cpu_count() or 1
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+        if type(n_workers) is not int or n_workers < 1:  # a float or a bool is no count
+            raise ValueError(f"n_workers must be an integer >= 1, not {n_workers!r}")
         p = min(n_workers, n)
         self.problem = problem
         self.keys: list[tuple[bytes, StepperTolerances] | None] = [None] * n

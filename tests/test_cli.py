@@ -27,6 +27,7 @@ from parcoil.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED_COIL_CFG = os.path.join(REPO_ROOT, "configs", "ni_coil.cfg")
+SHIPPED_LINEAR_CFG = os.path.join(REPO_ROOT, "configs", "linear_test.cfg")
 SRC = os.path.join(REPO_ROOT, "src")
 
 LINEAR_CFG = textwrap.dedent(
@@ -187,7 +188,7 @@ class TestConfigErrors:
 class TestUsageErrors:
     """Command-line mistakes are configuration errors: exit 1, never argparse's 2."""
 
-    LINEAR = os.path.join(REPO_ROOT, "configs", "linear_test.cfg")
+    LINEAR = SHIPPED_LINEAR_CFG
 
     def assert_usage_error(self, argv, capsys, text):
         assert main(argv) == 1
@@ -474,8 +475,17 @@ class TestParareal:
         err = capsys.readouterr().err
         assert "reduce n_windows" in err
 
-    def test_deterministic_across_runs_and_workers(self, tmp_path):
-        cfg = write_cfg(tmp_path, LINEAR_CFG)
+    @pytest.mark.parametrize(
+        "cfg, balance",
+        [
+            (None, None),
+            (SHIPPED_COIL_CFG, "0.290953545232"),  # 119 / 409 fine Newton iterations
+            (SHIPPED_LINEAR_CFG, "0.247058823529"),  # 42 / 170
+        ],
+        ids=["linear", "ni_coil.cfg", "linear_test.cfg"],
+    )
+    def test_deterministic_across_runs_and_workers(self, tmp_path, cfg, balance):
+        cfg = cfg or write_cfg(tmp_path, LINEAR_CFG)
         outs = [str(tmp_path / name) for name in ("w1", "w2")]
         assert main(["parareal", "--config", cfg, "--out", outs[0], "--workers", "1"]) == 0
         assert main(["parareal", "--config", cfg, "--out", outs[1], "--workers", "2"]) == 0
@@ -483,16 +493,18 @@ class TestParareal:
         t2 = open(os.path.join(outs[1], "trajectory.csv"), "rb").read()
         assert t1 == t2
         # everything except wall-clock-derived columns must match byte for byte
-        timing = {"speedup", "load_balance"}
         for name in ("summary.csv", "report.csv"):
             h1, rows1 = read_csv(os.path.join(outs[0], name))
             h2, rows2 = read_csv(os.path.join(outs[1], name))
-            wall_cols = [i for i, c in enumerate(h1) if "wall" in c or c in timing]
+            wall_cols = [i for i, c in enumerate(h1) if "wall" in c or c == "speedup"]
             strip = lambda rows: [
                 [v for i, v in enumerate(r) if i not in wall_cols] for r in rows
             ]
             assert h1 == h2
             assert strip(rows1) == strip(rows2)
+        if balance is not None:
+            header, rows = read_csv(os.path.join(outs[1], "summary.csv"))
+            assert {row[header.index("load_balance")] for row in rows} == {balance}
 
 
 class TestStudy:

@@ -1,4 +1,7 @@
+import csv
 import itertools
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from parcoil import (
     StepperTolerances,
     Trajectory,
     adaptive_integrate,
-    cumulative_fine_times,
+    cli,
     load_balance,
     max_possible_speedup,
     max_temperature_deviation,
@@ -26,9 +29,9 @@ COARSE = StepperTolerances(tol_nr=1e-8, tol_t=5e-3, dt_init=0.1, dt_min=1e-12, d
 component = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
 
 
-def synthetic_report(time_f, total_wall=10.0):
-    k = len(time_f)
-    n = len(time_f[0]) if time_f else 0
+def synthetic_report(nr_f, total_wall=10.0):
+    k = len(nr_f)
+    n = len(nr_f[0]) if nr_f else 0
     return PararealReport(
         n_windows=n,
         m_coarse_steps=4 * n,
@@ -38,54 +41,77 @@ def synthetic_report(time_f, total_wall=10.0):
         err_per_iter=[1e-3] * k,
         time_ghat=0.5,
         time_g_per_window_per_iter=[[0.0] * n for _ in range(k)],
-        time_f_per_window_per_iter=time_f,
+        time_f_per_window_per_iter=[[0.0] * n for _ in range(k)],
         total_wall=total_wall,
         nr_ghat=10,
         nr_g_per_window_per_iter=[[0] * n for _ in range(k)],
-        nr_f_per_window_per_iter=[[1] * n for _ in range(k)],
+        nr_f_per_window_per_iter=nr_f,
     )
 
 
 class TestLoadBalance:
     def test_ratio(self):
-        assert load_balance([1.0, 2.0, 4.0]) == 0.25
+        # per-window totals 1, 2 and 4; a skipped window adds 0
+        assert load_balance(synthetic_report([[1, 1, 2], [0, 1, 2]])) == 0.25
 
     def test_perfect_balance(self):
-        assert load_balance([3.0, 3.0, 3.0]) == 1.0
+        assert load_balance(synthetic_report([[3, 3, 3]])) == 1.0
 
     def test_single_window(self):
-        assert load_balance([5.0]) == 1.0
+        assert load_balance(synthetic_report([[2], [3]])) == 1.0
 
     def test_empty_is_hard_error(self):
         with pytest.raises(ValueError):
-            load_balance([])
+            load_balance(synthetic_report([]))
 
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            values = rng.uniform(0.1, 10.0, size=rng.integers(1, 12))
-            ratio = load_balance(values)
+            k, n = rng.integers(1, 4), rng.integers(1, 12)
+            nr_f = rng.integers(0, 20, size=(k, n))
+            nr_f[0] += 1  # iteration 1 solves every window
+            ratio = load_balance(synthetic_report(nr_f.tolist()))
+            totals = nr_f.sum(axis=0)
             assert 0.0 < ratio <= 1.0
-            assert (ratio == 1.0) == bool(np.all(values == values[0]))
+            assert (ratio == 1.0) == bool(np.all(totals == totals[0]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        rate=st.floats(-3.0, 1.0),
+        u_0=st.lists(component, min_size=1, max_size=3),
+        n=st.integers(1, 6),
+    )
+    def test_equals_the_ratio_of_report_csv_fine_newton_totals(self, rate, u_0, n):
+        problem = LinearTestProblem(rate, u_0)
+        cfg = PararealConfig(n_windows=n, tol_pr=1e-6, fine_tol=FINE, coarse_tol=COARSE)
+        _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "report.csv")
+            cli._write_csv(path, cli._report_rows(report, "run"))
+            with open(path, newline="", encoding="utf-8") as handle:
+                rows = list(csv.DictReader(handle))
+        totals = [sum(int(r["nr_fine"]) for r in rows if r["j"] == str(j)) for j in range(1, n + 1)]
+        assert min(totals) >= 1
+        assert load_balance(report) == min(totals) / max(totals)
 
 
 class TestSpeedup:
     def test_ratio(self):
-        report = synthetic_report([[1.0, 2.0]], total_wall=50.0)
+        report = synthetic_report([[1, 2]], total_wall=50.0)
         assert speedup(report, 100.0) == 2.0
 
     def test_equal_times(self):
-        report = synthetic_report([[1.0]], total_wall=42.0)
+        report = synthetic_report([[1]], total_wall=42.0)
         assert speedup(report, 42.0) == 1.0
 
     def test_definitional_round_trip(self):
-        report = synthetic_report([[1.0]], total_wall=7.25)
+        report = synthetic_report([[1]], total_wall=7.25)
         seq = 29.0
         assert speedup(report, seq) * report.total_wall == seq
 
     @pytest.mark.parametrize("wall", [0.0, -1.0, float("nan"), float("inf")])
     def test_wall_must_be_positive_and_finite(self, wall):
-        report = synthetic_report([[1.0]], total_wall=7.25)
+        report = synthetic_report([[1]], total_wall=7.25)
         with pytest.raises(ValueError, match="positive and finite"):
             speedup(report, wall)
 
@@ -100,21 +126,6 @@ class TestMaxPossibleSpeedup:
 
     def test_exact_ratio_not_rounded(self):
         assert max_possible_speedup(24, 5) == 4.8
-
-
-class TestFineTimeStats:
-    def test_cumulative_then_min_avg_max(self):
-        report = synthetic_report([[1.0, 2.0], [3.0, 4.0]])
-        assert cumulative_fine_times(report) == [4.0, 6.0]
-
-    def test_single_window(self):
-        report = synthetic_report([[2.0], [3.0]])
-        assert cumulative_fine_times(report) == [5.0]
-
-    def test_empty_report_is_hard_error(self):
-        report = synthetic_report([])
-        with pytest.raises(ValueError):
-            cumulative_fine_times(report)
 
 
 class TestMaxTemperatureDeviation:

@@ -950,12 +950,15 @@ class TestWorkerGroup:
         assert len(started) == 1
         assert workers_exit() == [SIGNALLED]
 
-    def test_zero_workers_is_a_value_error(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_workers", [0, 3.0, 2.0, 1.5, True, "2"], ids=["0", "3.0", "2.0", "1.5", "True", "str"]
+    )
+    def test_worker_count_not_an_integer_above_0_is_a_value_error(self, monkeypatch, n_workers):
         started = counting_forks(monkeypatch)
         mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         problem = LinearTestProblem(-1.0, (1.0,))
-        with pytest.raises(ValueError, match="n_workers"):
-            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=0)
+        with pytest.raises(ValueError, match="n_workers must be an integer >= 1, not "):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers)
         assert started == []
         assert mask is None or os.sched_getaffinity(0) == mask
 
