@@ -1,10 +1,10 @@
-"""Run configuration: a flat, sectioned key=value text file.
+"""Run configuration: a flat, sectioned key=value text file, read as UTF-8.
 
-``_SCHEMA`` lists every section and its keys.  An unknown section or key,
-a number that is not finite, or an inconsistent value is a
-:class:`ConfigError` (exit 1 from the CLI).  The keys of ``[coil]``,
-``[parareal]``, ``[fine]`` and ``[coarse]`` are the number fields of
-:class:`CoilParams`, :class:`PararealConfig` and
+``_SCHEMA`` lists every section and its keys.  A file that cannot be read
+or decoded, an unknown section or key, a number that is not finite, or an
+inconsistent value is a :class:`ConfigError` (exit 1 from the CLI).  The
+keys of ``[coil]``, ``[parareal]``, ``[fine]`` and ``[coarse]`` are the
+number fields of :class:`CoilParams`, :class:`PararealConfig` and
 :class:`StepperTolerances`, with the dataclass defaults unless
 ``_DEFAULTS`` says otherwise.  A temperature-like tolerance field
 ``tol_*`` is entered in millikelvin as ``tol_*_mk`` (the customary
@@ -147,9 +147,14 @@ def load_run_config(path: str) -> RunConfig:
     # (unknown) section rather than keys merged into every section.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
 
     sections = {name: dict(parser[name]) for name in parser.sections()}
     for name, values in sections.items():

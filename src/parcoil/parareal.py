@@ -19,6 +19,7 @@ whose key changed, and deals them into cost-balanced batches on their
 last Newton counts.  This process solves the first batch, and up to P-1
 worker processes, forked with ``os.fork`` and fed through one pipe pair
 each, solve the rest (P fine solves at once; P = 1 starts no process).
+Each pipe carries a stream of pickles, one per batch and one per reply.
 Closing the loop signals the workers and does not wait for them: they
 are reaped after the run (see :func:`_reap`).  :class:`_FineLoop` alone
 decides P and pins its processes to CPUs; its docstring gives the rule.
@@ -213,28 +214,10 @@ def _solve_batch(problem, tol, k, windows):
     return results
 
 
-def _send(fd: int, message) -> None:
-    """Write ``message`` to ``fd``: its pickle's length in 8 bytes, then the pickle."""
-    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _read(fd: int, size: int) -> bytes:
-    """Exactly ``size`` bytes from ``fd``; EOFError if every writer closed first."""
-    chunks = []
-    while size:
-        chunks.append(os.read(fd, size))
-        if not chunks[-1]:
-            raise EOFError
-        size -= len(chunks[-1])
-    return b"".join(chunks)
-
-
-def _recv(fd: int):
-    """The next message :func:`_send` wrote to the other end of ``fd``."""
-    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+def _send(pipe, message) -> None:
+    """Write ``message`` to ``pipe``, an ``os.fdopen`` file, as one pickle, and flush it."""
+    pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+    pipe.flush()
 
 
 def _fine_worker(requests: int, replies: int, problem, inherited) -> None:
@@ -243,29 +226,35 @@ def _fine_worker(requests: int, replies: int, problem, inherited) -> None:
     It first closes ``inherited``, the caller's pipe ends (holding one, it
     would see no EOF when the caller closes them), and it leaves by
     ``os._exit`` whatever happens, never into the caller's stack.  An
-    exception goes back as ``(its pickle or None, "Type: message")``, so
-    one that does not unpickle still reaches the caller by name.
+    exception whose pickle does not load again goes back as an
+    :class:`IntegrationFailed` naming its type and message, the windows and
+    the iteration, so the caller can raise every reply it gets as it comes.
     """
     code = 1
     try:
-        for fd in inherited:
-            os.close(fd)
+        for pipe in inherited:
+            pipe.close()
+        requests, replies = os.fdopen(requests, "rb"), os.fdopen(replies, "wb")
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
         while True:
             try:
-                k, tol, windows = _recv(requests)
+                k, tol, windows = pickle.load(requests)
             except EOFError:  # the caller closed its end
                 code = 0
                 break
             try:
                 reply = _solve_batch(problem, tol, k, windows)
             except Exception as exc:
-                blob = None
-                with contextlib.suppress(Exception):
-                    blob = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
-                reply = (blob, f"{type(exc).__name__}: {exc}")
+                reply = exc
+                try:
+                    pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                except Exception:
+                    reply = IntegrationFailed(
+                        f"fine propagator failed in windows {[j for j, *_ in windows]} "
+                        f"during iteration {k}: {type(exc).__name__}: {exc}"
+                    )
             _send(replies, reply)
     finally:
         os._exit(code)
@@ -316,8 +305,9 @@ class _FineLoop:
     into batches (equal counts deal iteration 1 round-robin).
     A worker is forked by ``os.fork``, so it inherits the problem, and gets
     the tolerance with every batch; each worker has its own pair of pipes,
-    carrying length-prefixed pickles.  No thread runs beside the caller, so
-    nothing waits for the GIL while the caller solves a batch itself.
+    opened as buffered files that carry one pickle per message.  No thread
+    runs beside the caller, so nothing waits for the GIL while the caller
+    solves a batch itself.
     Workers ignore SIGINT.  Leaving the ``with`` block, normally or by any
     exception (Ctrl-C included), sends each worker SIGTERM and closes the
     pipes without waiting for the workers to exit; :func:`_reap` waits for
@@ -345,19 +335,19 @@ class _FineLoop:
         self.trajs: list[Trajectory | None] = [None] * n
         self.nr = [1] * n
         self.pids: list[int] = []
-        self.fds: list[int] = []  # this process's ends: to, then from, each worker
+        self.pipes: list = []  # this process's ends, as files: to, then from, each worker
         self.mask = allowed if p > 1 and len(allowed or ()) == p else None  # restored on close
         cpus = sorted(self.mask) if self.mask else [None] * p
         try:
             for cpu in cpus[1:]:
                 (requests, to_worker), (from_worker, replies) = os.pipe(), os.pipe()
-                self.fds += [to_worker, from_worker]
+                self.pipes += [os.fdopen(to_worker, "wb"), os.fdopen(from_worker, "rb")]
                 # SIGINT stays blocked across the fork, until the worker ignores it
                 mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _fine_worker(requests, replies, problem, self.fds)
+                        _fine_worker(requests, replies, problem, self.pipes)
                     self.pids.append(pid)
                     _UNREAPED.append(pid)
                     if cpu is not None:
@@ -384,8 +374,10 @@ class _FineLoop:
             for pid in self.pids:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGTERM)
-            for fd in self.fds:
-                os.close(fd)
+            for pipe in self.pipes:
+                # raises, with its fd closed, if it holds a batch a dead worker never read
+                with contextlib.suppress(OSError):
+                    pipe.close()
             _reap()
         finally:
             if self.mask:
@@ -405,10 +397,11 @@ class _FineLoop:
         returns the iteration's Newton, rejected-step, wall and accepted-step
         rows, zero elsewhere.  The workers get their batches first, then
         this process solves the first batch.  A worker's exception is
-        re-raised here, or named in an :class:`IntegrationFailed` with its
-        windows when it does not unpickle; a worker that died raises
-        :class:`IntegrationFailed` naming the windows whose results never
-        came.
+        re-raised here as the worker sent it: itself, or an
+        :class:`IntegrationFailed` naming it with its windows when it does
+        not pickle and load again.  A worker that died, before its reply or
+        part way through it, raises :class:`IntegrationFailed` naming the
+        windows whose results never came.
         """
         n = len(self.nr)
         nr_row, rejected_row, wall_row, accepted_row = [0] * n, [0] * n, [0.0] * n, [0] * n
@@ -422,28 +415,21 @@ class _FineLoop:
             return nr_row, rejected_row, wall_row, accepted_row
         costs = [self.nr[j - 1] for j, *_ in windows]
         batches = [[windows[i] for i in b] for b in _fine_batches(costs, len(self.pids) + 1)]
-        for fd, batch in zip(self.fds[::2], batches[1:]):
+        for pipe, batch in zip(self.pipes[::2], batches[1:]):
             with contextlib.suppress(OSError):  # a dead worker is reported below
-                _send(fd, (k, tol, batch))
+                _send(pipe, (k, tol, batch))
         results = _solve_batch(self.problem, tol, k, batches[0])
         lost, failure = [], None
-        for fd, batch in zip(self.fds[1::2], batches[1:]):
+        for pipe, batch in zip(self.pipes[1::2], batches[1:]):
             try:
-                reply = _recv(fd)
-            except (EOFError, OSError):
+                reply = pickle.load(pipe)
+            except (EOFError, OSError, pickle.UnpicklingError):  # cut short by a death
                 lost += [j for j, *_ in batch]
                 continue
-            if isinstance(reply, tuple):  # the worker's exception, as _fine_worker sends it
-                try:
-                    reply = pickle.loads(reply[0])
-                except Exception:
-                    reply = IntegrationFailed(
-                        f"fine propagator failed in windows {[j for j, *_ in batch]} "
-                        f"during iteration {k}: {reply[1]}"
-                    )
+            if isinstance(reply, Exception):
                 failure = failure or reply
-                continue
-            results += reply
+            else:
+                results += reply
         if lost:
             raise IntegrationFailed(
                 f"a fine worker process died during iteration {k} "

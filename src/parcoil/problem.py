@@ -4,8 +4,8 @@ A solver state is a tuple of Python floats (mixed units: amperes for
 currents, kelvin for temperatures; the layout is owned by the concrete
 problem), and every :class:`Problem` method receives one in that form.
 Time is never stored in the state itself, it travels with
-:class:`Trajectory` entries.  States and trajectories are tuples, so
-immutable values that can be handed to concurrent workers freely.
+:class:`Trajectory` entries.  States and trajectories are tuples of
+floats, immutable, and cross the fine loop's pipes as pickles.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ class Problem(ABC):
     """Nonlinear first-order ODE system ``d_t u = rhs(t, u)``.
 
     Concrete problems are read-only parameter holders: ``rhs`` must be
-    deterministic and instances must be safe to evaluate concurrently.
+    deterministic.  No thread evaluates one; each fine-loop process
+    evaluates its own copy, inherited at the fork.
     """
 
     @property

@@ -167,6 +167,25 @@ class TestConfigErrors:
         assert main(["sequential", "--config", missing]) == 1
         assert missing in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_names_path(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        with open(SHIPPED_LINEAR_CFG, "rb") as shipped:
+            path.write_bytes(shipped.read() + b"# caf\xe9\n")
+        assert main(["sequential", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file without read permission")
+    def test_unreadable_config_names_path(self, tmp_path, capsys):
+        path = tmp_path / "unreadable.cfg"
+        with open(SHIPPED_LINEAR_CFG, "rb") as shipped:
+            path.write_bytes(shipped.read())
+        path.chmod(0)
+        assert main(["sequential", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: cannot read {path}: Permission denied"
+
     def test_unknown_problem(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[run]\nproblem = wat\nt_end = 1.0\n")
         assert main(["sequential", "--config", cfg]) == 1

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import io
 import math
 import os
 import pickle
@@ -431,9 +432,9 @@ class TestWindowSkipping:
         sent = []  # iteration k of every batch sent down a worker pipe
         send = parareal._send
 
-        def recording_send(fd, message):
+        def recording_send(pipe, message):
             sent.append(message[0])  # in this process only batches are sent
-            send(fd, message)
+            send(pipe, message)
 
         monkeypatch.setattr(parareal, "_send", recording_send)
         problem = LinearTestProblem(-1.0, (1.0,))
@@ -813,14 +814,26 @@ class TestFineLoopFailures:
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
         assert workers_exit() == [SIGNALLED]
 
-    def test_worker_exception_that_does_not_unpickle_is_named(self):
-        problem = RaisesInWorker(TwoArgError, "rhs", "failed")
-        with pytest.raises(TypeError, match="detail"):  # what unpickling it here would raise
-            pickle.loads(pickle.dumps(TwoArgError("rhs", "failed")))
-        named = (
-            r"^fine propagator failed in windows \[2, 4\] during iteration 1: "
-            r"TwoArgError: rhs: failed$"
-        )
+    @pytest.mark.parametrize(
+        "error, args, fails, message",
+        [
+            # pickles, but loading it calls TwoArgError with one argument
+            (TwoArgError, ("rhs", "failed"), "detail", r"TwoArgError: rhs: failed"),
+            # does not pickle at all
+            (
+                OneArgError,
+                (threading.Lock(),),
+                "cannot pickle",
+                r"OneArgError: <unlocked _thread.lock object at 0x[0-9a-f]+>",
+            ),
+        ],
+        ids=["does_not_load", "does_not_pickle"],
+    )
+    def test_worker_exception_that_does_not_unpickle_is_named(self, error, args, fails, message):
+        problem = RaisesInWorker(error, *args)
+        with pytest.raises(TypeError, match=fails):  # what a round trip here would raise
+            pickle.loads(pickle.dumps(error(*args)))
+        named = rf"^fine propagator failed in windows \[2, 4\] during iteration 1: {message}$"
         with pytest.raises(IntegrationFailed, match=named):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
         assert workers_exit() == [SIGNALLED]
@@ -831,6 +844,29 @@ class TestFineLoopFailures:
         with pytest.raises(IntegrationFailed, match=unfinished):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
         assert workers_exit() == [3]  # dead before the close signalled it
+
+    def test_reply_cut_short_by_a_dying_worker_is_a_death(self, monkeypatch):
+        owner, send = os.getpid(), parareal._send
+
+        def half_a_reply_then_death(pipe, message):
+            if os.getpid() == owner:
+                return send(pipe, message)
+            data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+            pipe.write(data[: len(data) // 2])
+            pipe.flush()
+            os._exit(3)
+
+        problem = LinearTestProblem(-1.0, (1.0,))
+        # what the caller reads of such a reply: a pickle cut short, not an EOF
+        reply = parareal._solve_batch(problem, LIN_FINE, 1, [(2, 0.25, 0.5, (0.75,))])
+        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(pickle.UnpicklingError, match="truncated"):
+            pickle.load(io.BytesIO(data[: len(data) // 2]))
+        monkeypatch.setattr(parareal, "_send", half_a_reply_then_death)
+        unfinished = r"died during iteration 1 while windows \[2, 4\] were unfinished"
+        with pytest.raises(IntegrationFailed, match=unfinished):
+            run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+        assert workers_exit() == [3]
 
     def test_worker_raising_base_exception_leaves_by_os_exit(self, monkeypatch):
         owner, solve_batch = os.getpid(), parareal._solve_batch
@@ -934,6 +970,24 @@ class TestWorkerGroup:
             assert len(parareal._UNREAPED) <= 2
         left = len(parareal._UNREAPED)
         assert workers_exit() == [SIGNALLED] * left
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_closed_loops_leave_no_descriptor_open(self):
+        unfinished = r"died during iteration 1 while windows \[2, 4\] were unfinished"
+        before = len(os.listdir("/proc/self/fd"))
+        for problem in (LinearTestProblem(-1.0, (1.0,)), DiesInWorker()) * 2:
+            with contextlib.suppress(IntegrationFailed):
+                run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+        assert workers_exit() == [SIGNALLED, 3] * 2
+        # a worker dead before its batch was sent: the batch stays in the
+        # buffer of the caller's end, whose close then fails
+        with pytest.raises(IntegrationFailed, match=unfinished):
+            with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
+                os.kill(fine.pids[0], signal.SIGKILL)
+                os.waitid(os.P_PID, fine.pids[0], os.WEXITED | os.WNOWAIT)  # dead, not reaped
+                fine.solve(1, LIN_FINE, TestFineLoopKeys.BOUNDARIES, TestFineLoopKeys.STARTS)
+        assert workers_exit(fine.pids) == [-signal.SIGKILL]
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_a_failed_fork_signals_the_workers_already_forked(self, monkeypatch):
         started = counting_forks(monkeypatch)
