@@ -5,14 +5,15 @@ into the output directory.  Floats are serialized with 12 significant
 digits, so re-running a command with the same configuration and worker
 count reproduces all non-wall-clock columns byte-identically.
 
-Exit codes: 0 success (and convergence), 1 configuration or usage error,
-2 partitioning/integration failure, 3 Parareal did not converge within
+Exit codes: 0 success (and convergence), 1 configuration, usage or output
+error, 2 partitioning/integration failure, 3 Parareal did not converge within
 the iteration cap (outputs are still written), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import os
@@ -39,9 +40,19 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """``path`` opened for a UTF-8 CSV; an ``OSError`` becomes a :class:`ConfigError` (exit 1)."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_csv(path: str, rows: list[dict]) -> None:
     """Write ``{column: value}`` rows under the first row's keys."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _output(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(list(rows[0]))
         for row in rows:
@@ -61,7 +72,7 @@ def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory) -> None
     columns = zip(times, *zip(*states), map(problem.max_temperature, states), *extra)
     line = ",".join(["%.12g"] * len(header)) + "\r\n"
     rows = [line % row for row in columns]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _output(path) as handle:
         csv.writer(handle).writerow(header)
         handle.write("".join(rows))
 

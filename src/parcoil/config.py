@@ -212,20 +212,13 @@ def load_run_config(path: str) -> RunConfig:
     )
 
     study = sections.get("study", {})
-    if "n_windows_list" in study:
-        optional["n_windows_list"] = _number_list(
-            "study", "n_windows_list", study["n_windows_list"], integer=True
-        )
-        if any(v < 1 for v in optional["n_windows_list"]):
-            raise ConfigError("key 'n_windows_list' in [study] must hold positive integers")
-    if "fine_tol_mk_list" in study:
-        optional["fine_tol_mk_list"] = _number_list(
-            "study", "fine_tol_mk_list", study["fine_tol_mk_list"]
-        )
-        if any(v <= 0 for v in optional["fine_tol_mk_list"]):
-            raise ConfigError("key 'fine_tol_mk_list' in [study] must hold positive numbers")
-    for key in ("n_windows_list", "fine_tol_mk_list"):
-        values = optional.get(key, ())
+    for key, integer in (("n_windows_list", True), ("fine_tol_mk_list", False)):
+        if key not in study:
+            continue
+        values = optional[key] = _number_list("study", key, study[key], integer=integer)
+        if any(v <= 0 for v in values):
+            kind = "integers" if integer else "numbers"
+            raise ConfigError(f"key '{key}' in [study] must hold positive {kind}")
         repeats = [v for i, v in enumerate(values) if v in values[:i]]
         if repeats:
             raise ConfigError(f"key '{key}' in [study] repeats {repeats[0]:g}")

@@ -22,11 +22,11 @@ each, solve the rest (P fine solves at once; P = 1 starts no process).
 Each pipe carries a stream of pickles, one per batch and one per reply.
 Closing the loop signals the workers and does not wait for them: they
 are reaped after the run (see :func:`_reap`).  :class:`_FineLoop` alone
-decides P and pins its processes to CPUs; its docstring gives the rule.
-It pins because, left to the scheduler on the 2-CPU host the benchmark
-was measured on, a forked worker and its caller ran the batches on the
-same CPU in most runs, each batch taking about twice its CPU time in
-wall time, and pinning the worker alone did not stop it.
+decides P and pins its workers, never the caller, to CPUs; its docstring
+gives the rule.  Left to the scheduler on the 2-CPU benchmark host, a
+worker and its caller often shared one CPU: quench-fine's
+run_parareal took 61.7 ms, against 33.0 ms with the worker pinned and
+33.2 ms with the caller pinned too.
 
 Iteration 1's fine results only seed the first correction, so they are
 solved at a looser tolerance (:attr:`PararealConfig.first_fine_tol`, after
@@ -313,14 +313,14 @@ class _FineLoop:
     pipes without waiting for the workers to exit; :func:`_reap` waits for
     them later, so at most P-1 wait unreaped between runs.
 
-    When P > 1 and this process's allowed CPUs number exactly P, process i
-    of the loop (0 is this one) runs on the i-th lowest of them only: this
-    process pins each worker right after its fork, and then itself, so the
-    fine solves of one iteration run at the same time rather than sharing
-    one CPU.  A worker that pinned itself would still run on this
-    process's CPU until it did, and the caller's own pin would wait for
-    it.  :meth:`close`, which also runs when ``__init__`` fails after the
-    checks, signals the workers and then restores this process's mask.
+    When P > 1 and this process's allowed CPUs number exactly P, this
+    process pins worker i to the (i+1)-th lowest of them right after its
+    fork (a worker that pinned itself would run on this process's CPU until
+    it did), so the fine solves of one iteration run at the same time.
+    This process's own mask is never changed: pinning it too took 33.2 ms
+    on quench-fine against 33.0 ms (61.7 ms with nothing pinned).
+    :meth:`close`, which also runs when ``__init__`` fails after the
+    checks, signals the workers.
     """
 
     def __init__(self, problem: Problem, n: int, n_workers: int | None = None):
@@ -336,8 +336,7 @@ class _FineLoop:
         self.nr = [1] * n
         self.pids: list[int] = []
         self.pipes: list = []  # this process's ends, as files: to, then from, each worker
-        self.mask = allowed if p > 1 and len(allowed or ()) == p else None  # restored on close
-        cpus = sorted(self.mask) if self.mask else [None] * p
+        cpus = sorted(allowed) if p > 1 and len(allowed or ()) == p else [None] * p
         try:
             for cpu in cpus[1:]:
                 (requests, to_worker), (from_worker, replies) = os.pipe(), os.pipe()
@@ -357,8 +356,6 @@ class _FineLoop:
                     # a later worker must not inherit them, or a death shows no EOF
                     os.close(requests)
                     os.close(replies)
-            if self.mask:
-                os.sched_setaffinity(0, {cpus[0]})
         except BaseException:
             self.close()
             raise
@@ -370,18 +367,14 @@ class _FineLoop:
         self.close()
 
     def close(self) -> None:
-        try:
-            for pid in self.pids:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGTERM)
-            for pipe in self.pipes:
-                # raises, with its fd closed, if it holds a batch a dead worker never read
-                with contextlib.suppress(OSError):
-                    pipe.close()
-            _reap()
-        finally:
-            if self.mask:
-                os.sched_setaffinity(0, self.mask)
+        for pid in self.pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGTERM)
+        for pipe in self.pipes:
+            # raises, with its fd closed, if it holds a batch a dead worker never read
+            with contextlib.suppress(OSError):
+                pipe.close()
+        _reap()
 
     def reused(self, j: int, u: State) -> State | None:
         """Window ``j``'s last fine result if that solve started at exactly ``u``, else None."""

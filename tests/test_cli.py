@@ -266,6 +266,28 @@ class TestOutputDirectory:
         assert taken.read_text() == "a regular file\n"
 
 
+class TestOutputFiles:
+    """An output file that cannot be written is one error line and exit 1, not a traceback."""
+
+    FIRST_OUTPUT = {
+        "sequential": "trajectory.csv",
+        "parareal": "trajectory.csv",
+        "study": "study_errors.csv",
+    }
+
+    @pytest.mark.parametrize("command", list(FIRST_OUTPUT))
+    def test_directory_in_place_of_the_first_output_exits_1(self, tmp_path, capsys, command):
+        first = self.FIRST_OUTPUT[command]
+        text = LINEAR_CFG + "\n[study]\nn_windows_list = 4\nfine_tol_mk_list = 0.1\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        (out / first).mkdir(parents=True)
+        assert main([command, "--config", cfg, "--out", str(out), "--workers", "1"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: cannot write {out / first}: Is a directory"
+        assert os.listdir(out) == [first]
+
+
 class TestSequential:
     def test_linear_terminal_value(self, tmp_path):
         cfg = write_cfg(tmp_path, LINEAR_CFG)

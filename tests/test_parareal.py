@@ -1038,9 +1038,26 @@ def two_cpus():
         yield os.sched_getaffinity(0)
 
 
+@pytest.fixture
+def caller_never_pinned(two_cpus):
+    """``two_cpus``, with any call that would change this process's mask failing the test."""
+    set_affinity = os.sched_setaffinity
+
+    def workers_only(pid, cpus):
+        assert pid not in (0, os.getpid()), f"changed the caller's mask to {cpus}"
+        set_affinity(pid, cpus)
+
+    with pytest.MonkeyPatch.context() as patch:  # undone before two_cpus restores the mask
+        patch.setattr(os, "sched_setaffinity", workers_only)
+        yield two_cpus
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
 class TestCpuPlacement:
-    """One CPU per fine-loop process when the caller's mask holds one each; no timing measured."""
+    """One CPU per fine worker when the caller's mask holds one per process; no timing measured.
+
+    The caller's own mask never changes.
+    """
 
     CFG = TestFineLoopFailures.CFG
     BOUNDARIES = TestFineLoopKeys.BOUNDARIES
@@ -1049,22 +1066,33 @@ class TestCpuPlacement:
     def run(self, problem, n_workers):
         return run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers)
 
-    def test_caller_and_worker_each_get_their_own_cpu(self, two_cpus):
+    def test_only_the_worker_gets_its_own_cpu(self, caller_never_pinned):
         with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
-            # both are pinned once the loop is open, before the worker gets any batch
+            # the worker is pinned once the loop is open, before it gets any batch
             caller = os.sched_getaffinity(0)
             worker = os.sched_getaffinity(fine.pids[0])
-        assert caller == {sorted(two_cpus)[0]}
-        assert worker == {sorted(two_cpus)[1]}
-        assert os.sched_getaffinity(0) == two_cpus
+        assert worker == {sorted(caller_never_pinned)[1]}
+        assert caller == caller_never_pinned
+        assert os.sched_getaffinity(0) == caller_never_pinned
 
-    def test_mask_restored_after_a_normal_exit(self, two_cpus):
+    def test_mask_unchanged_through_a_normal_exit(self, caller_never_pinned):
         problem = LinearTestProblem(-1.0, (1.0,))
         assert bits(self.run(problem, 2)[0].states) == bits(self.run(problem, 1)[0].states)
-        assert os.sched_getaffinity(0) == two_cpus
+        assert os.sched_getaffinity(0) == caller_never_pinned
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0], ids=["empty", "reversed"])
+    def test_an_empty_or_reversed_interval_forks_nothing(
+        self, caller_never_pinned, monkeypatch, t_end
+    ):
+        problem = LinearTestProblem(-1.0, (1.0,))
+        started = counting_forks(monkeypatch)
+        with pytest.raises(ValueError, match=r"^need t_0 < t_N$"):
+            run_parareal(problem, 0.0, t_end, problem.initial_state(), self.CFG, n_workers=2)
+        assert started == []
+        assert os.sched_getaffinity(0) == caller_never_pinned
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
-    def test_mask_restored_after_a_fine_solve_exception(self, two_cpus, where):
+    def test_mask_unchanged_through_a_fine_solve_exception(self, caller_never_pinned, where):
         if where == "caller":
             cfg = dataclasses.replace(self.CFG, fine_tol=TestFineLoopFailures.HOPELESS)
             problem = LinearTestProblem(-1.0, (1.0,))
@@ -1072,18 +1100,20 @@ class TestCpuPlacement:
             cfg, problem = self.CFG, NanInWorker()
         with pytest.raises(IntegrationFailed, match=r"during iteration 1"):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=2)
-        assert os.sched_getaffinity(0) == two_cpus
+        assert os.sched_getaffinity(0) == caller_never_pinned
         assert workers_exit() == [SIGNALLED]
 
-    def test_mask_restored_after_an_interrupt(self, two_cpus):
+    def test_mask_unchanged_through_an_interrupt(self, caller_never_pinned):
         with pytest.raises(KeyboardInterrupt):
             with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
                 fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
                 raise KeyboardInterrupt
-        assert os.sched_getaffinity(0) == two_cpus
+        assert os.sched_getaffinity(0) == caller_never_pinned
         assert workers_exit() == [SIGNALLED]
 
-    def test_mask_restored_after_a_start_that_fails_part_way(self, two_cpus, monkeypatch):
+    def test_mask_unchanged_through_a_start_that_fails_part_way(
+        self, caller_never_pinned, monkeypatch
+    ):
         forked = []
         fork = os.fork
 
@@ -1097,37 +1127,25 @@ class TestCpuPlacement:
         monkeypatch.setattr(os, "fork", forks_then_fails)
         with pytest.raises(OSError, match="after the fork"):
             parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2)
-        assert os.sched_getaffinity(0) == two_cpus
+        assert os.sched_getaffinity(0) == caller_never_pinned
         # the loop never learnt the pid, so nothing signalled the worker: it
         # ends, by os._exit(0), on the EOF of the caller's closed pipe ends
         assert parareal._UNREAPED == []
         assert workers_exit(forked) == [0]
 
-    def test_mask_restored_after_a_worker_pin_that_fails(self, two_cpus, monkeypatch):
-        set_affinity = os.sched_setaffinity
+    def test_mask_unchanged_through_a_worker_pin_that_fails(self, caller_never_pinned):
+        def cannot_pin(pid, cpus):
+            raise OSError(f"cannot pin process {pid}")
 
-        def cannot_pin_a_worker(pid, cpus):
-            if pid != 0:
-                raise OSError(f"cannot pin process {pid}")
-            set_affinity(pid, cpus)
-
-        with monkeypatch.context() as patch:  # undone before two_cpus restores the mask
-            patch.setattr(os, "sched_setaffinity", cannot_pin_a_worker)
-            with pytest.raises(OSError, match="cannot pin process"):
+        with pytest.MonkeyPatch.context() as patch:
+            # in place of the fixture's guard: a pin of this process would name pid 0
+            patch.setattr(os, "sched_setaffinity", cannot_pin)
+            started = counting_forks(patch)
+            with pytest.raises(OSError, match="cannot pin process") as failure:
                 parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2)
-            assert os.sched_getaffinity(0) == two_cpus
+        assert str(failure.value) == f"cannot pin process {started[0]}"
+        assert os.sched_getaffinity(0) == caller_never_pinned
         assert workers_exit() == [SIGNALLED]
-
-    def test_a_failed_restore_still_stops_the_workers(self, two_cpus, monkeypatch):
-        def cannot_restore(pid, cpus):
-            raise OSError("mask no longer valid")
-
-        with monkeypatch.context() as patch:  # undone before two_cpus restores the mask
-            with pytest.raises(OSError, match="no longer valid"):
-                with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
-                    fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
-                    patch.setattr(os, "sched_setaffinity", cannot_restore)
-        assert workers_exit(fine.pids) == [SIGNALLED]
 
     def test_more_allowed_cpus_than_processes_pins_nothing(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
