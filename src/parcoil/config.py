@@ -18,7 +18,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-import os
 from dataclasses import dataclass, fields
 
 from .coil import DEFAULT_RAMP, CoilParams, CoilProblem, LinearTestProblem, RampSchedule
@@ -141,8 +140,6 @@ def _build(cls, section: str, values: dict, **extra):
 
 def load_run_config(path: str) -> RunConfig:
     """Parse and validate a configuration file."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
     # No header can name the empty section, so [DEFAULT] is an ordinary
     # (unknown) section rather than keys merged into every section.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")

@@ -31,6 +31,8 @@ from parcoil import (
 )
 from parcoil.parareal import _fine_batches
 
+from conftest import run_fingerprint
+
 TOL_PR = 10e-3  # 10 mK
 FINE = StepperTolerances(tol_nr=1e-4, tol_t=1e-4, dt_init=0.1, dt_min=1e-9, dt_max=2.0)
 COARSE = StepperTolerances(tol_nr=10e-3, tol_t=20e-3, dt_init=0.5, dt_min=1e-9, dt_max=2.0)
@@ -246,30 +248,13 @@ def test_criterion_9_diagnostics_arithmetic():
     check("criterion 9 (diagnostics arithmetic, exact)", ok)
 
 
-def _report_fingerprint(traj, report):
-    """Canonical bytes of every non-wall-clock result field."""
-    parts = [
-        np.asarray(traj.times).tobytes(),
-        np.asarray(traj.states).tobytes(),
-        np.asarray(report.boundaries).tobytes(),
-        np.array(report.err_per_iter).tobytes(),
-        repr(report.k_converged).encode(),
-        repr(report.converged).encode(),
-        repr(report.m_coarse_steps).encode(),
-        repr(report.nr_ghat).encode(),
-        repr(report.nr_g_per_window_per_iter).encode(),
-        repr(report.nr_f_per_window_per_iter).encode(),
-    ] + [np.asarray(u).tobytes() for u in report.boundary_states]
-    return b"|".join(parts)
-
-
 def test_criterion_10_worker_count_determinism(coil, coil_cells):
     cells, _ = coil_cells
     ok = True
     for n in WINDOW_COUNTS:
         cfg = PararealConfig(n_windows=n, tol_pr=TOL_PR, fine_tol=FINE, coarse_tol=COARSE)
         parallel = run_parareal(coil, 0.0, 200.0, coil.initial_state(), cfg, n_workers=n)
-        ok = ok and _report_fingerprint(*cells[n]) == _report_fingerprint(*parallel)
+        ok = ok and run_fingerprint(*cells[n]) == run_fingerprint(*parallel)
     check(
         "criterion 10 (worker-count determinism)",
         ok,
@@ -288,7 +273,7 @@ def test_batched_fine_loop_determinism(coil, coil_cells):
             batches = _fine_batches(run[1].nr_f_per_window_per_iter[0], workers)
             ok = ok and all(len(batch) > 1 for batch in batches)
             ok = ok and any(batch != sorted(batch) for batch in batches)
-            ok = ok and _report_fingerprint(*cells[n]) == _report_fingerprint(*run)
+            ok = ok and run_fingerprint(*cells[n]) == run_fingerprint(*run)
     check(
         "batched fine loop (worker-count determinism)",
         ok,
@@ -303,7 +288,7 @@ def test_more_workers_than_windows_determinism(coil, coil_cells):
     run = run_parareal(coil, 0.0, 200.0, coil.initial_state(), cfg, n_workers=12)
     check(
         "more workers than windows (worker-count determinism)",
-        _report_fingerprint(*cells[8]) == _report_fingerprint(*run),
+        run_fingerprint(*cells[8]) == run_fingerprint(*run),
         "workers 1 vs 12 byte-identical for N = 8",
     )
 

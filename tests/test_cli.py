@@ -25,6 +25,8 @@ from parcoil import (
 )
 from parcoil.cli import main
 
+from conftest import ALLOWED_CPUS, lowest_cpus
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED_COIL_CFG = os.path.join(REPO_ROOT, "configs", "ni_coil.cfg")
 SHIPPED_LINEAR_CFG = os.path.join(REPO_ROOT, "configs", "linear_test.cfg")
@@ -60,6 +62,8 @@ LINEAR_CFG = textwrap.dedent(
     dt_max = 0.5
     """
 )
+
+LINEAR3_CFG = LINEAR_CFG.replace("initial = 1.0", "initial = 1.0, 2.0, 3.0")
 
 DEGENERATE_CFG = textwrap.dedent(
     """
@@ -141,6 +145,13 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def assert_coil_rows(header, rows):
+    """Full coil trajectory rows, whose T_max_K is the T_K component written by the same format."""
+    assert rows and all(len(row) == len(header) for row in rows)
+    t_k, t_max = header.index("T_K"), header.index("T_max_K")
+    assert all(row[t_max] == row[t_k] for row in rows)
+
+
 class Doubled(LinearTestProblem):
     """Linear decay with one derived output column."""
 
@@ -162,10 +173,19 @@ class NanAt(LinearTestProblem):
 
 
 class TestConfigErrors:
-    def test_missing_file_names_path(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope.cfg")
-        assert main(["sequential", "--config", missing]) == 1
-        assert missing in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "is_dir, reason",
+        [(False, "No such file or directory"), (True, "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_config_that_cannot_be_opened_names_path(self, tmp_path, capsys, is_dir, reason):
+        path = tmp_path / "run.cfg"
+        if is_dir:
+            path.mkdir()
+        assert main(["sequential", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: cannot read {path}: {reason}"
+        assert not (tmp_path / "o").exists()
 
     def test_config_that_is_not_utf8_names_path(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
@@ -191,11 +211,19 @@ class TestConfigErrors:
         assert main(["sequential", "--config", cfg]) == 1
         assert "wat" in capsys.readouterr().err
 
-    def test_bad_ramp_point(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path, "[run]\nproblem = ni_coil\nt_end = 1.0\n[ramp]\npoints = 5;3\n"
-        )
-        assert main(["sequential", "--config", cfg]) == 1
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ("5;3", "ramp point '5;3' is not 'time_s:current_A'"),
+            ("50:140, 40:140, 200:0", "ramp breakpoint times must be strictly increasing and > 0"),
+        ],
+        ids=["not_a_pair", "times_not_increasing"],
+    )
+    def test_bad_ramp_point(self, tmp_path, capsys, points, message):
+        text = f"[run]\nproblem = ni_coil\nt_end = 1.0\n[ramp]\npoints = {points}\n"
+        assert main(["sequential", "--config", write_cfg(tmp_path, text)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {message}"
 
     def test_unknown_coil_key(self, tmp_path):
         cfg = write_cfg(
@@ -289,14 +317,20 @@ class TestOutputFiles:
 
 
 class TestSequential:
-    def test_linear_terminal_value(self, tmp_path):
-        cfg = write_cfg(tmp_path, LINEAR_CFG)
+    @pytest.mark.parametrize(
+        "text, initial",
+        [(LINEAR_CFG, (1.0,)), (LINEAR3_CFG, (1.0, 2.0, 3.0))],
+        ids=["one_component", "three_components"],
+    )
+    def test_linear_terminal_value(self, tmp_path, text, initial):
+        cfg = write_cfg(tmp_path, text)
         out = str(tmp_path / "out")
         assert main(["sequential", "--config", cfg, "--out", out]) == 0
         header, rows = read_csv(os.path.join(out, "trajectory.csv"))
-        assert header == ["time_s", "u_0", "T_max_K"]
+        assert header == ["time_s", *(f"u_{i}" for i in range(len(initial))), "T_max_K"]
         assert float(rows[-1][0]) == 1.0
-        assert abs(float(rows[-1][1]) - math.exp(-1.0)) < 5e-3
+        for u_0, cell in zip(initial, rows[-1][1:]):
+            assert abs(float(cell) - u_0 * math.exp(-1.0)) < 5e-3 * u_0
 
     def test_summary_file_and_line(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, LINEAR_CFG)
@@ -307,6 +341,9 @@ class TestSequential:
         assert header == ["run_id", "wall_s", "steps", "nr_iterations", "steps_rejected"]
         assert int(rows[0][2]) > 0
         assert int(rows[0][4]) >= 0
+        # one trajectory row per accepted step, plus the start
+        _, trajectory = read_csv(os.path.join(out, "trajectory.csv"))
+        assert len(trajectory) == int(rows[0][2]) + 1
 
     def test_coil_trajectory_contains_ramp_breakpoints(self, tmp_path):
         out = str(tmp_path / "out")
@@ -315,6 +352,9 @@ class TestSequential:
         assert header == ["time_s", "I_theta_A", "T_K", "T_max_K", "B_z_T", "I_source_A"]
         times = [float(r[0]) for r in rows]
         assert 50.0 in times and 150.0 in times and times[-1] == 200.0
+        assert_coil_rows(header, rows)
+        _, (summary,) = read_csv(os.path.join(out, "sequential_summary.csv"))
+        assert len(rows) == int(summary[2]) + 1
 
     def test_derived_column_reaches_trajectory(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "make_problem", lambda cfg: Doubled(-1.0, (1.0,)))
@@ -356,7 +396,8 @@ class TestSequential:
         )
         cfg = write_cfg(tmp_path, text)
         assert main(["sequential", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "error:" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: sequential fine solve failed: step size underflow at t=")
 
     def test_non_finite_rhs_at_the_start_fails_at_once(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "make_problem", lambda cfg: NanAt(0.0, (1.0,)))
@@ -393,6 +434,7 @@ class TestParareal:
             ]
         )
         assert code == 0
+        assert_coil_rows(*read_csv(os.path.join(out, "trajectory.csv")))
         header, rows = read_csv(os.path.join(out, "summary.csv"))
         assert header == SUMMARY_COLUMNS
         k_final = int(rows[-1][2])
@@ -517,19 +559,38 @@ class TestParareal:
         assert "reduce n_windows" in err
 
     @pytest.mark.parametrize(
-        "cfg, balance",
+        "cfg, workers, cpus, balance",
         [
-            (None, None),
-            (SHIPPED_COIL_CFG, "0.290953545232"),  # 119 / 409 fine Newton iterations
-            (SHIPPED_LINEAR_CFG, "0.247058823529"),  # 42 / 170
+            (LINEAR_CFG, 2, None, None),
+            (SHIPPED_COIL_CFG, 2, None, "0.290953545232"),  # 119 / 409 fine Newton iterations
+            # one allowed CPU pins nothing; exactly two pin the worker to the second
+            (SHIPPED_COIL_CFG, 2, 1, "0.290953545232"),
+            (SHIPPED_COIL_CFG, 2, 2, "0.290953545232"),
+            (SHIPPED_LINEAR_CFG, 2, None, "0.247058823529"),  # 42 / 170
+            (SHIPPED_LINEAR_CFG, 6, None, "0.247058823529"),
+            # a three-component state: the tuple prediction and step end to end
+            (LINEAR3_CFG, 3, None, None),
         ],
-        ids=["linear", "ni_coil.cfg", "linear_test.cfg"],
+        ids=[
+            "linear",
+            "ni_coil.cfg",
+            "ni_coil.cfg-one_cpu",
+            "ni_coil.cfg-two_cpus",
+            "linear_test.cfg",
+            "linear_test.cfg-6_workers",
+            "linear-three_components",
+        ],
     )
-    def test_deterministic_across_runs_and_workers(self, tmp_path, cfg, balance):
-        cfg = cfg or write_cfg(tmp_path, LINEAR_CFG)
-        outs = [str(tmp_path / name) for name in ("w1", "w2")]
+    def test_deterministic_across_runs_and_workers(self, tmp_path, cfg, workers, cpus, balance):
+        if cpus and ALLOWED_CPUS < cpus:
+            pytest.skip(f"needs {cpus} allowed CPUs")
+        if cfg in (LINEAR_CFG, LINEAR3_CFG):
+            cfg = write_cfg(tmp_path, cfg)
+        outs = [str(tmp_path / name) for name in ("w1", "many")]
         assert main(["parareal", "--config", cfg, "--out", outs[0], "--workers", "1"]) == 0
-        assert main(["parareal", "--config", cfg, "--out", outs[1], "--workers", "2"]) == 0
+        with lowest_cpus(cpus) if cpus else contextlib.nullcontext():
+            argv = ["parareal", "--config", cfg, "--out", outs[1], "--workers", str(workers)]
+            assert main(argv) == 0
         t1 = open(os.path.join(outs[0], "trajectory.csv"), "rb").read()
         t2 = open(os.path.join(outs[1], "trajectory.csv"), "rb").read()
         assert t1 == t2
@@ -650,6 +711,21 @@ class TestStudy:
         failed = next(r for r in rows if r[1] == "64")
         results = slice(header.index("K"), header.index("boundary_dev_mK") + 1)
         assert failed[results] == [""] * 6
+
+    def test_integration_failed_cell_recorded_not_fatal(self, tmp_path):
+        # the adaptive coarse pass cannot meet tol_t above its step floor; the fine baseline can
+        with open(SHIPPED_LINEAR_CFG, encoding="utf-8") as shipped:
+            head, coarse = shipped.read().split("[coarse]")
+        coarse = coarse.replace("tol_t_mk = 5", "tol_t_mk = 1e-9").replace(
+            "dt_min = 1e-12", "dt_min = 0.05"
+        )
+        text = f"{head}[coarse]{coarse}\n[study]\nn_windows_list = 2\nfine_tol_mk_list = 0.1\n"
+        out = str(tmp_path / "out")
+        assert main(["study", "--config", write_cfg(tmp_path, text), "--out", out]) == 0
+        header, rows = read_csv(os.path.join(out, "study_table.csv"))
+        (row,) = (dict(zip(header, r)) for r in rows)
+        assert row["status"] == "integration_failed"
+        assert [row[c] for c in header[header.index("K") : header.index("status")]] == [""] * 6
 
     def test_non_finite_rhs_at_the_start_fails_the_baseline(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "make_problem", lambda cfg: NanAt(0.0, (1.0,)))

@@ -37,6 +37,8 @@ from parcoil import (
 from parcoil import parareal
 from parcoil.parareal import _fine_batches
 
+from conftest import ALLOWED_CPUS, lowest_cpus, run_fingerprint
+
 LIN_FINE = StepperTolerances(tol_nr=1e-8, tol_t=1e-4, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
 LIN_COARSE = StepperTolerances(tol_nr=1e-8, tol_t=5e-3, dt_init=0.1, dt_min=1e-12, dt_max=0.5)
 SHIPPED_COIL_CFG = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "ni_coil.cfg")
@@ -333,20 +335,6 @@ class TestRunParareal:
         assert len(report.boundary_states) == 4
         assert report.err_per_iter[-1] < cfg.tol_pr
         assert report.m_coarse_steps >= 3
-
-
-def run_fingerprint(traj, report):
-    """Bytes of every non-wall-clock result of one run."""
-    counts = (
-        report.k_converged,
-        report.nr_ghat,
-        report.nr_g_per_window_per_iter,
-        report.nr_f_per_window_per_iter,
-        report.ghat_steps_rejected,
-        report.rejected_f_per_window_per_iter,
-    )
-    arrays = [traj.times, traj.states, report.err_per_iter, report.boundary_states]
-    return b"|".join([repr(counts).encode()] + [bits(a) for a in arrays])
 
 
 # Coarse steps of at most 1/8 give every window count up to 6 enough steps.
@@ -897,9 +885,9 @@ class TestFineLoopFailures:
     def test_unpicklable_problem_runs_in_forked_workers(self):
         # the workers inherit the problem at the fork; it never crosses a pipe
         problem = Unpicklable()
-        one, _ = run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=1)
-        two, _ = run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
-        assert bits(two.states) == bits(one.states)
+        one = run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=1)
+        two = run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
+        assert run_fingerprint(*two) == run_fingerprint(*one)
         assert workers_exit() == [SIGNALLED]
 
     def test_reply_larger_than_a_pipe_buffer_comes_back_bit_for_bit(self):
@@ -917,20 +905,6 @@ class TestFineLoopFailures:
         for here, there in zip(*solved):
             assert bits(there.times) == bits(here.times)
             assert bits(there.states) == bits(here.states)
-
-
-ALLOWED_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-@contextlib.contextmanager
-def lowest_cpus(count):
-    """Run the block on this process's ``count`` lowest allowed CPUs; restore its mask after."""
-    mask = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, set(sorted(mask)[:count]))
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, mask)
 
 
 def refuse_to_pin(pid, cpus):
@@ -1024,8 +998,7 @@ class TestWorkerGroup:
         assert started == []
         five = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=5)
         assert len(started) == 1
-        assert bits(one[0].states) == bits(five[0].states)
-        assert one[1].nr_f_per_window_per_iter == five[1].nr_f_per_window_per_iter
+        assert run_fingerprint(*five) == run_fingerprint(*one)
         assert workers_exit(started) == [SIGNALLED]
 
 
@@ -1077,7 +1050,7 @@ class TestCpuPlacement:
 
     def test_mask_unchanged_through_a_normal_exit(self, caller_never_pinned):
         problem = LinearTestProblem(-1.0, (1.0,))
-        assert bits(self.run(problem, 2)[0].states) == bits(self.run(problem, 1)[0].states)
+        assert run_fingerprint(*self.run(problem, 2)) == run_fingerprint(*self.run(problem, 1))
         assert os.sched_getaffinity(0) == caller_never_pinned
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0], ids=["empty", "reversed"])
@@ -1149,48 +1122,47 @@ class TestCpuPlacement:
 
     def test_more_allowed_cpus_than_processes_pins_nothing(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
-        one, _ = self.run(problem, 1)
+        one = self.run(problem, 1)
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
             patch.setattr(os, "sched_setaffinity", refuse_to_pin)  # caller and worker alike
             started = counting_forks(patch)
-            two, _ = self.run(problem, 2)
+            two = self.run(problem, 2)
         assert len(started) == 1
-        assert bits(two.states) == bits(one.states)
+        assert run_fingerprint(*two) == run_fingerprint(*one)
         assert workers_exit(started) == [SIGNALLED]
 
     def test_one_allowed_cpu_pins_nothing(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
-        one, one_report = self.run(problem, 1)
+        one = self.run(problem, 1)
         with lowest_cpus(1):
             with monkeypatch.context() as patch:
                 patch.setattr(os, "sched_setaffinity", refuse_to_pin)  # caller and worker alike
                 started = counting_forks(patch)
-                two, two_report = self.run(problem, 2)
+                two = self.run(problem, 2)
         assert len(started) == 1
-        assert bits(two.states) == bits(one.states)
-        assert two_report.nr_f_per_window_per_iter == one_report.nr_f_per_window_per_iter
+        assert run_fingerprint(*two) == run_fingerprint(*one)
         assert workers_exit(started) == [SIGNALLED]
 
     def test_no_affinity_calls_pins_nothing_and_counts_every_cpu(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
-        one, _ = self.run(problem, 1)
+        one = self.run(problem, 1)
         monkeypatch.delattr(os, "sched_setaffinity")
         monkeypatch.delattr(os, "sched_getaffinity")
         started = counting_forks(monkeypatch)
-        default, _ = self.run(problem, None)
+        default = self.run(problem, None)
         assert len(started) == min(self.CFG.n_windows, os.cpu_count() or 1) - 1
-        assert bits(default.states) == bits(one.states)
+        assert run_fingerprint(*default) == run_fingerprint(*one)
         assert workers_exit(started) == [SIGNALLED] * len(started)
 
     def test_default_workers_under_one_allowed_cpu_start_no_process(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
-        one, _ = self.run(problem, 1)
+        one = self.run(problem, 1)
         started = counting_forks(monkeypatch)
         with lowest_cpus(1):
-            default, _ = self.run(problem, None)
+            default = self.run(problem, None)
         assert started == []
-        assert bits(default.states) == bits(one.states)
+        assert run_fingerprint(*default) == run_fingerprint(*one)
 
 
 class TestCoarseFailures:

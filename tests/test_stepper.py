@@ -565,6 +565,15 @@ class TestStepController:
         assert counters.steps_accepted == 0
         assert counters.steps_rejected == 2
 
+    def test_step_that_cannot_advance_time_fails(self):
+        # at t = 1e6 a step of 1e-12 is below half a unit in the last place: t + dt == t
+        tol = StepperTolerances(tol_nr=1e-8, tol_t=1e-4, dt_init=1e-12, dt_min=1e-12, dt_max=0.5)
+        counters = StepCounters()
+        message = r"^step size 1e-12 cannot advance time at t=1e\+06$"
+        with pytest.raises(IntegrationFailed, match=message):
+            adaptive_integrate(DECAY, 1e6, 1e6 + 1.0, DECAY.initial_state(), tol, counters)
+        assert counters == StepCounters()
+
     @pytest.mark.parametrize("u0", [(1.0,), (1.0, 2.0), (1.0, 2.0, 3.0)])
     @pytest.mark.parametrize("dt_min, rejections", [(0.02, 3), (1e-4, 10)])
     @pytest.mark.parametrize("linearized", [False, True])
