@@ -27,6 +27,7 @@ __all__ = [
     "source_current",
     "coil_rhs",
     "coil_jacobian",
+    "coil_rhs_and_jacobian",
     "axial_field",
     "linear_test_rhs",
     "CoilProblem",
@@ -192,6 +193,30 @@ def coil_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) ->
     )
 
 
+def coil_rhs_and_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tuple:
+    """``(coil_rhs(...), coil_jacobian(...))`` bit for bit, calling each helper once."""
+    i_theta, temp = s
+    i_radial = source_current(t, ramp) - i_theta
+    j_c = critical_current_density(temp, params)
+    j = i_theta / params.a_hts
+    r_hts = hts_resistivity(j, j_c, params.e_c, params.n) * params.length / params.a_hts
+    frac = (params.t_c - temp) / (params.t_c - params.t_op)
+    dr_dtemp = params.n * r_hts / (params.t_c - temp) if JC_REL_FLOOR < frac < 1.0 else 0.0
+    di_theta = (params.r_contact * i_radial - r_hts * i_theta) / params.inductance
+    p_contact = params.r_contact * i_radial * i_radial
+    p_hts = r_hts * i_theta * i_theta
+    d_temp = (p_contact + p_hts - params.cooling * (temp - params.t_op)) / params.heat_capacity
+    inv_l = 1.0 / params.inductance
+    inv_c = 1.0 / params.heat_capacity
+    return (di_theta, d_temp), (
+        (-(params.r_contact + params.n * r_hts) * inv_l, -i_theta * dr_dtemp * inv_l),
+        (
+            (-2.0 * params.r_contact * i_radial + (params.n + 1.0) * r_hts * i_theta) * inv_c,
+            (i_theta * i_theta * dr_dtemp - params.cooling) * inv_c,
+        ),
+    )
+
+
 def axial_field(s: State, params: CoilParams) -> float:
     """Central axial flux density B_z = field_constant * I_theta (T)."""
     return params.field_constant * s[0]
@@ -218,6 +243,9 @@ class CoilProblem(Problem):
 
     def jacobian(self, t: float, u: State) -> tuple:
         return coil_jacobian(t, u, self.params, self.ramp)
+
+    def rhs_and_jacobian(self, t: float, u: State) -> tuple:
+        return coil_rhs_and_jacobian(t, u, self.params, self.ramp)
 
     def max_temperature(self, u: State) -> float:
         return u[1]

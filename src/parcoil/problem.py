@@ -105,7 +105,7 @@ class Problem(ABC):
 
         Default: forward differences with per-component perturbation
         ``1e-7 * max(|u_i|, 1)`` (deterministic).  Problems with a closed
-        form override this; the Newton solver calls it once per iteration.
+        form override this; Newton calls it where :meth:`rhs_and_jacobian` does not.
         """
         f0 = self.rhs(t, u)
         columns = []
@@ -115,6 +115,15 @@ class Problem(ABC):
             up[i] = x + delta
             columns.append([(f - f_0) / delta for f, f_0 in zip(self.rhs(t, tuple(up)), f0)])
         return tuple(zip(*columns))
+
+    def rhs_and_jacobian(self, t: float, u: State) -> tuple:
+        """``(rhs(t, u), jacobian(t, u))``, for a problem that evaluates both at once.
+
+        The stepper calls it at each Newton start where it is overridden.
+        An override must equal the pair bit for bit, and a subclass that
+        overrides ``rhs`` or ``jacobian`` of a problem that fuses must too.
+        """
+        return self.rhs(t, u), self.jacobian(t, u)
 
     @abstractmethod
     def max_temperature(self, u: State) -> float:

@@ -42,12 +42,16 @@ Gaussian elimination with partial pivoting, so the stepper is sized for
 lumped systems of a few components: elimination costs O(n^3) interpreted
 operations and loses to LAPACK past about five components.
 
+Both step functions need ``rhs`` and the Jacobian at the Newton start: a
+problem that overrides :meth:`Problem.rhs_and_jacobian` (the coil) gives
+both from one call there; otherwise, and in later Newton iterations,
+``rhs`` and :func:`newton_jacobian` are called apart.
+
 A two-component state (the coil) takes a scalar step: both step functions
-unpack it once and run the residual, the closed-form 2x2 solve, the
-update and the finiteness checks on local floats, with the float
+unpack it once and run the residual, the closed-form 2x2 solve (inline),
+the update and the finiteness checks on local floats, with the float
 operations of the tuple step in the same order, so the results are the
-same to the bit.  This skips the tuple building of the general path: on
-the coil an implicit Euler step costs about two thirds of the tuple step.
+same to the bit.  This skips the tuple building of the general path.
 :func:`adaptive_integrate` takes one prediction and one error estimate
 per trial step on every state size; from a call's second step on, a
 two-component state extrapolates its prediction on local floats, with the
@@ -141,9 +145,15 @@ def _all_finite(values) -> bool:
     return all(map(math.isfinite, values))
 
 
-def _residual(problem: Problem, t: float, dt: float, u: State, u_prev: State) -> tuple:
-    """Implicit Euler residual ``u - u_prev - dt*rhs(t, u)`` componentwise."""
-    f = problem.rhs(t, u)
+def _start(problem: Problem, t: float, u: State) -> tuple:
+    """``rhs`` at a Newton start, and the Jacobian there if the problem fuses the two, else None."""
+    if type(problem).rhs_and_jacobian is Problem.rhs_and_jacobian:
+        return problem.rhs(t, u), None
+    return problem.rhs_and_jacobian(t, u)
+
+
+def _residual(f, dt: float, u: State, u_prev: State) -> tuple:
+    """Implicit Euler residual ``u - u_prev - dt*f`` componentwise, ``f = rhs(t, u)``."""
     return tuple([a - b - dt * c for a, b, c in zip(u, u_prev, f, strict=True)])
 
 
@@ -198,22 +208,6 @@ def _newton_update(dt: float, jac, r: tuple) -> tuple:
     return tuple(du)
 
 
-def _solve_2x2(dt: float, jac, r0: float, r1: float) -> tuple[float, float]:
-    """The Newton update ``(du0, du1)`` of a two-component system, in closed form.
-
-    Raises :class:`StepFailed` on a non-finite Jacobian or a zero
-    determinant.
-    """
-    (a, b), (c, d) = jac
-    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
-        raise StepFailed("non-finite Jacobian")
-    m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
-    det = m00 * m11 - m01 * m10
-    if det == 0.0:
-        raise StepFailed("singular Newton matrix: zero determinant")
-    return (m01 * r1 - m11 * r0) / det, (m10 * r0 - m00 * r1) / det
-
-
 def implicit_euler_step(
     problem: Problem,
     t: float,
@@ -246,7 +240,7 @@ def implicit_euler_step(
             # the tuple path below on local floats, with the same operations
             p0, p1 = u_prev
             x0, x1 = u
-            f0, f1 = problem.rhs(t_new, u)
+            (f0, f1), jac = _start(problem, t_new, u)
             r0 = x0 - p0 - dt * f0
             r1 = x1 - p1 - dt * f1
             if not (isfinite(r0) and isfinite(r1)):
@@ -256,9 +250,16 @@ def implicit_euler_step(
             temp = problem.max_temperature(u)
             for _ in range(tol.nr_max_iters):
                 iters += 1
-                du0, du1 = _solve_2x2(dt, newton_jacobian(problem, t_new, u), r0, r1)
-                x0 = x0 + du0
-                x1 = x1 + du1
+                (a, b), (c, d) = newton_jacobian(problem, t_new, u) if jac is None else jac
+                jac = None
+                if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+                    raise StepFailed("non-finite Jacobian")
+                m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
+                det = m00 * m11 - m01 * m10
+                if det == 0.0:
+                    raise StepFailed("singular Newton matrix: zero determinant")
+                x0 = x0 + (m01 * r1 - m11 * r0) / det
+                x1 = x1 + (m10 * r0 - m00 * r1) / det
                 if not (isfinite(x0) and isfinite(x1)):
                     raise StepFailed("non-finite Newton iterate")
                 u = (x0, x1)
@@ -274,7 +275,8 @@ def implicit_euler_step(
                 temp = temp_new
             raise StepFailed(f"no convergence within {tol.nr_max_iters} iterations")
 
-        r = _residual(problem, t_new, dt, u, u_prev)
+        f, jac = _start(problem, t_new, u)
+        r = _residual(f, dt, u, u_prev)
         if not _all_finite(r):
             raise StepFailed("non-finite residual at the initial guess")
         r0_norm = math.hypot(*r)
@@ -285,11 +287,12 @@ def implicit_euler_step(
         temp = problem.max_temperature(u)
         for _ in range(tol.nr_max_iters):
             iters += 1
-            du = _newton_update(dt, newton_jacobian(problem, t_new, u), r)
+            du = _newton_update(dt, newton_jacobian(problem, t_new, u) if jac is None else jac, r)
+            jac = None
             u_new = tuple(map(operator.add, u, du))
             if not _all_finite(u_new):
                 raise StepFailed("non-finite Newton iterate")
-            r = _residual(problem, t_new, dt, u_new, u_prev)
+            r = _residual(problem.rhs(t_new, u_new), dt, u_new, u_prev)
             if not _all_finite(r):
                 raise StepFailed("non-finite residual")
             temp_new = problem.max_temperature(u_new)
@@ -330,22 +333,29 @@ def linearized_euler_step(
             # the tuple path below on local floats, with the same operations:
             # the residual keeps u - u, so that dt*f == 0 gives 0.0, not -0.0
             x0, x1 = u
-            f0, f1 = problem.rhs(t_new, u)
+            (f0, f1), jac = _start(problem, t_new, u)
             r0 = x0 - x0 - dt * f0
             r1 = x1 - x1 - dt * f1
             if not (isfinite(r0) and isfinite(r1)):
                 raise StepFailed("non-finite residual")
-            du0, du1 = _solve_2x2(dt, newton_jacobian(problem, t_new, u), r0, r1)
-            x0 = x0 + du0
-            x1 = x1 + du1
+            (a, b), (c, d) = newton_jacobian(problem, t_new, u) if jac is None else jac
+            if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+                raise StepFailed("non-finite Jacobian")
+            m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
+            det = m00 * m11 - m01 * m10
+            if det == 0.0:
+                raise StepFailed("singular Newton matrix: zero determinant")
+            x0 = x0 + (m01 * r1 - m11 * r0) / det
+            x1 = x1 + (m10 * r0 - m00 * r1) / det
             if not (isfinite(x0) and isfinite(x1)):
                 raise StepFailed("non-finite linearized step")
             return (x0, x1)
 
-        r = _residual(problem, t_new, dt, u, u)
+        f, jac = _start(problem, t_new, u)
+        r = _residual(f, dt, u, u)
         if not _all_finite(r):
             raise StepFailed("non-finite residual")
-        du = _newton_update(dt, newton_jacobian(problem, t_new, u), r)
+        du = _newton_update(dt, newton_jacobian(problem, t_new, u) if jac is None else jac, r)
         u_new = tuple(map(operator.add, u, du))
         if not _all_finite(u_new):
             raise StepFailed("non-finite linearized step")

@@ -262,7 +262,8 @@ class RecordsStates:
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.seen = {"rhs": [], "jacobian": [], "max_temperature": [], "derived_columns": []}
+        names = ("rhs", "jacobian", "rhs_and_jacobian", "max_temperature", "derived_columns")
+        self.seen = {name: [] for name in names}
 
     def rhs(self, t, u):
         self.seen["rhs"].append(is_float_tuple(u))
@@ -271,6 +272,10 @@ class RecordsStates:
     def jacobian(self, t, u):
         self.seen["jacobian"].append(is_float_tuple(u))
         return super().jacobian(t, u)
+
+    def rhs_and_jacobian(self, t, u):
+        self.seen["rhs_and_jacobian"].append(is_float_tuple(u))
+        return super().rhs_and_jacobian(t, u)
 
     def max_temperature(self, u):
         self.seen["max_temperature"].append(is_float_tuple(u))
@@ -292,7 +297,11 @@ class RecordingCoil(RecordsStates, CoilProblem):
 
 
 class RecordingCubic(RecordsStates, CubicDecay):
-    """Default forward-difference Jacobian, whose perturbed states are recorded too."""
+    """Default forward-difference Jacobian, whose perturbed states are recorded too.
+
+    Recording ``rhs_and_jacobian`` overrides it, so the stepper takes the
+    default pair through it, and records the states of both calls.
+    """
 
 
 CONTRACT_TOLS = {
@@ -343,8 +352,12 @@ CONTRACT_CFGS = {
 }
 
 
+# the problem methods the propagators call with a state
+STEPPER_CALLS = ("rhs", "jacobian", "rhs_and_jacobian", "max_temperature")
+
+
 def assert_only_float_tuples(seen, *names):
-    assert seen["jacobian"], "no Newton iteration ran"
+    assert seen["jacobian"] or seen["rhs_and_jacobian"], "no Newton iteration ran"
     for name in names:
         assert all(seen[name]), f"{name} received a state that is not a tuple of floats"
 
@@ -357,13 +370,13 @@ class TestFloatContract:
         problem = make()
         t_end, fine, _ = CONTRACT_TOLS[make]
         adaptive_integrate(problem, 0.0, t_end, problem.initial_state(), fine)
-        assert_only_float_tuples(problem.seen, "rhs", "jacobian", "max_temperature")
+        assert_only_float_tuples(problem.seen, *STEPPER_CALLS)
 
     def test_fixed_integrate(self, make):
         problem = make()
         t_end = CONTRACT_TOLS[make][0]
         fixed_integrate(problem, np.linspace(0.0, t_end, 9), problem.initial_state())
-        assert_only_float_tuples(problem.seen, "rhs", "jacobian", "max_temperature")
+        assert_only_float_tuples(problem.seen, *STEPPER_CALLS)
 
     def test_run_parareal_one_worker(self, make):
         problem = make()
@@ -371,7 +384,7 @@ class TestFloatContract:
         cfg = PararealConfig(n_windows=4, tol_pr=1e-2, fine_tol=fine, coarse_tol=coarse)
         run_parareal(problem, 0.0, t_end, problem.initial_state(), cfg, n_workers=1)
         # the boundary comparisons read trajectory rows, which are the same tuples
-        assert_only_float_tuples(problem.seen, "rhs", "jacobian", "max_temperature")
+        assert_only_float_tuples(problem.seen, *STEPPER_CALLS)
 
     def test_cli_parareal_with_baseline_and_study(self, make, tmp_path, monkeypatch):
         # the deviation, the boundary states and the trajectory writer pass tuples too
@@ -383,8 +396,7 @@ class TestFloatContract:
             out = str(tmp_path / command[0])
             assert cli.main([*command, "--config", str(cfg), "--out", out, "--workers", "1"]) == 0
         assert problem.seen["derived_columns"], "no derived column was written"
-        names = ("rhs", "jacobian", "max_temperature", "derived_columns")
-        assert_only_float_tuples(problem.seen, *names)
+        assert_only_float_tuples(problem.seen, *STEPPER_CALLS, "derived_columns")
 
 
 class TestImplicitEulerStep:

@@ -149,11 +149,12 @@ def test_linear_three_component_counts():
 
 
 def test_layer_boundaries_count_the_work(monkeypatch):
-    # the benchmark's per-layer counts wrap stepper.newton_jacobian and
-    # coil.coil_rhs: one Jacobian per counted Newton iteration, and a pinned
-    # number of rhs calls, on the sequential solve, Ĝ and a parareal run
+    # the layer boundaries are stepper.newton_jacobian, coil.coil_rhs and
+    # the fused coil.coil_rhs_and_jacobian, which counts as one of each: one
+    # Jacobian per counted Newton iteration, and a pinned number of rhs
+    # calls, on the sequential solve, Ĝ and a parareal run
     calls = collections.Counter()
-    jacobian, rhs = stepper.newton_jacobian, coil.coil_rhs
+    jacobian, rhs, fused = stepper.newton_jacobian, coil.coil_rhs, coil.coil_rhs_and_jacobian
 
     def counting_jacobian(*args):
         calls["jacobian"] += 1
@@ -163,8 +164,14 @@ def test_layer_boundaries_count_the_work(monkeypatch):
         calls["rhs"] += 1
         return rhs(*args)
 
+    def counting_fused(*args):
+        calls["rhs"] += 1
+        calls["jacobian"] += 1
+        return fused(*args)
+
     monkeypatch.setattr(stepper, "newton_jacobian", counting_jacobian)
     monkeypatch.setattr(coil, "coil_rhs", counting_rhs)
+    monkeypatch.setattr(coil, "coil_rhs_and_jacobian", counting_fused)
     cfg = load_run_config(SHIPPED_COIL_CFG)
     problem = make_problem(cfg)
     u_0 = problem.initial_state()
