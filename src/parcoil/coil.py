@@ -6,7 +6,9 @@ superconducting azimuthal path and the radial turn-to-turn contact path,
 which is what delays the magnetic field of a no-insulation winding.  The
 HTS path carries the strongly nonlinear power-law resistivity, so driving
 the coil near its critical current produces a partial quench with current
-redistribution and a pronounced temperature transient.
+redistribution and a pronounced temperature transient.  One private kernel
+holds the law; the module-level ``coil_rhs``, ``coil_jacobian`` and
+``coil_rhs_and_jacobian`` enter it, agree bit for bit and can each be wrapped by name.
 
 A scalar linear test problem with the closed-form solution
 ``u(t) = u0 * exp(rate * t)`` is included as a verification oracle.
@@ -22,8 +24,6 @@ from .problem import Problem, State, as_state
 __all__ = [
     "CoilParams",
     "RampSchedule",
-    "hts_resistivity",
-    "critical_current_density",
     "source_current",
     "coil_rhs",
     "coil_jacobian",
@@ -87,8 +87,8 @@ class RampSchedule:
     """Piecewise-linear source current.
 
     ``segments`` is a list of ``(t_end, i_end)`` breakpoints; the current
-    runs linearly from (0 s, 0 A) through each breakpoint and is held
-    constant after the last one.
+    is 0 A before 0 s, runs linearly from (0 s, 0 A) through each
+    breakpoint and is held constant after the last one.
     """
 
     segments: tuple[tuple[float, float], ...] = ()
@@ -113,32 +113,10 @@ class RampSchedule:
 DEFAULT_RAMP = RampSchedule(((50.0, 140.0), (150.0, 140.0), (200.0, 0.0)))
 
 
-def hts_resistivity(j: float, j_c: float, e_c: float, n: float) -> float:
-    """Power-law resistivity ``(e_c/j_c) * (|j|/j_c)**(n-1)`` in Ohm*m.
-
-    Overflow of the power term yields ``inf`` (the caller's finiteness
-    checks treat that as a failed evaluation, not a crash).
-    """
-    if j_c <= 0.0:
-        raise ValueError("critical current density must be positive (critical surface collapsed)")
-    try:
-        return (e_c / j_c) * (abs(j) / j_c) ** (n - 1.0)
-    except OverflowError:
-        return math.inf
-
-
-def critical_current_density(t: float, params: CoilParams) -> float:
-    """Linear-in-temperature J_c with a relative floor above T_c (A/m^2)."""
-    frac = (params.t_c - t) / (params.t_c - params.t_op)
-    # Comparisons rather than min/max calls: this runs in every rhs and
-    # Jacobian evaluation.
-    if frac >= 1.0:
-        return params.j_c0
-    return params.j_c0 * (frac if frac > JC_REL_FLOOR else JC_REL_FLOOR)
-
-
 def source_current(t: float, ramp: RampSchedule) -> float:
-    """Piecewise-linear source current (A); constant after the last breakpoint."""
+    """Piecewise-linear source current (A); 0 A before 0 s, constant after the last breakpoint."""
+    if t < 0.0:
+        return 0.0
     t_prev, i_prev = 0.0, 0.0
     for t_end, i_end in ramp.segments:
         if t <= t_end:
@@ -147,65 +125,32 @@ def source_current(t: float, ramp: RampSchedule) -> float:
     return i_prev
 
 
-def coil_rhs(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tuple[float, float]:
-    """Time derivative of ``(I_theta, T)`` for the coil surrogate."""
-    i_theta, temp = s
-    i_radial = source_current(t, ramp) - i_theta
+def _coil_law(t: float, s: State, params: CoilParams, ramp: RampSchedule, with_jacobian: bool):
+    """``(di_theta, d_temp)``, or with ``with_jacobian`` that pair and the Jacobian rows.
 
-    j = i_theta / params.a_hts
-    j_c = critical_current_density(temp, params)
-    r_hts = hts_resistivity(j, j_c, params.e_c, params.n) * params.length / params.a_hts
-
-    di_theta = (params.r_contact * i_radial - r_hts * i_theta) / params.inductance
-    p_contact = params.r_contact * i_radial * i_radial
-    p_hts = r_hts * i_theta * i_theta
-    d_temp = (p_contact + p_hts - params.cooling * (temp - params.t_op)) / params.heat_capacity
-    return (di_theta, d_temp)
-
-
-def coil_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tuple:
-    """Closed-form Jacobian rows of :func:`coil_rhs` with respect to ``(I_theta, T)``.
-
-    With ``r = r_hts`` the power law gives ``d(r*I)/dI = n*r`` and
-    ``d(r*I^2)/dI = (n+1)*r*I``; on the linear part of J_c(T),
-    ``dr/dT = n*r / (T_c - T)``, and zero where J_c is clipped.
+    J_c(T) is linear in T, ``j_c0`` at and below ``t_op``, floored at ``JC_REL_FLOOR * j_c0``.
+    The power-law resistivity ``(e_c/j_c) * (|j|/j_c)**(n-1)`` is ``inf`` where it
+    overflows, which the caller's finiteness checks treat as a failed evaluation.  With
+    ``r = r_hts``, ``d(r*I)/dI = n*r``, ``d(r*I^2)/dI = (n+1)*r*I`` and, on the linear
+    part of J_c(T), ``dr/dT = n*r / (T_c - T)``, and 0 where J_c is clipped.
     """
     i_theta, temp = s
     i_radial = source_current(t, ramp) - i_theta
-
-    j_c = critical_current_density(temp, params)
-    r_hts = (
-        hts_resistivity(i_theta / params.a_hts, j_c, params.e_c, params.n)
-        * params.length
-        / params.a_hts
-    )
+    # Comparisons rather than min/max calls: this runs in every evaluation.
     frac = (params.t_c - temp) / (params.t_c - params.t_op)
-    dr_dtemp = params.n * r_hts / (params.t_c - temp) if JC_REL_FLOOR < frac < 1.0 else 0.0
-
-    inv_l = 1.0 / params.inductance
-    inv_c = 1.0 / params.heat_capacity
-    return (
-        (-(params.r_contact + params.n * r_hts) * inv_l, -i_theta * dr_dtemp * inv_l),
-        (
-            (-2.0 * params.r_contact * i_radial + (params.n + 1.0) * r_hts * i_theta) * inv_c,
-            (i_theta * i_theta * dr_dtemp - params.cooling) * inv_c,
-        ),
-    )
-
-
-def coil_rhs_and_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tuple:
-    """``(coil_rhs(...), coil_jacobian(...))`` bit for bit, calling each helper once."""
-    i_theta, temp = s
-    i_radial = source_current(t, ramp) - i_theta
-    j_c = critical_current_density(temp, params)
-    j = i_theta / params.a_hts
-    r_hts = hts_resistivity(j, j_c, params.e_c, params.n) * params.length / params.a_hts
-    frac = (params.t_c - temp) / (params.t_c - params.t_op)
-    dr_dtemp = params.n * r_hts / (params.t_c - temp) if JC_REL_FLOOR < frac < 1.0 else 0.0
+    j_c = params.j_c0 * (1.0 if frac >= 1.0 else frac if frac > JC_REL_FLOOR else JC_REL_FLOOR)
+    try:
+        rho = (params.e_c / j_c) * (abs(i_theta / params.a_hts) / j_c) ** (params.n - 1.0)
+    except OverflowError:
+        rho = math.inf
+    r_hts = rho * params.length / params.a_hts
     di_theta = (params.r_contact * i_radial - r_hts * i_theta) / params.inductance
     p_contact = params.r_contact * i_radial * i_radial
     p_hts = r_hts * i_theta * i_theta
     d_temp = (p_contact + p_hts - params.cooling * (temp - params.t_op)) / params.heat_capacity
+    if not with_jacobian:
+        return (di_theta, d_temp)
+    dr_dtemp = params.n * r_hts / (params.t_c - temp) if JC_REL_FLOOR < frac < 1.0 else 0.0
     inv_l = 1.0 / params.inductance
     inv_c = 1.0 / params.heat_capacity
     return (di_theta, d_temp), (
@@ -215,6 +160,21 @@ def coil_rhs_and_jacobian(t: float, s: State, params: CoilParams, ramp: RampSche
             (i_theta * i_theta * dr_dtemp - params.cooling) * inv_c,
         ),
     )
+
+
+def coil_rhs(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tuple[float, float]:
+    """Time derivative of ``(I_theta, T)`` for the coil surrogate."""
+    return _coil_law(t, s, params, ramp, False)
+
+
+def coil_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tuple:
+    """Jacobian rows of :func:`coil_rhs` with respect to ``(I_theta, T)``."""
+    return _coil_law(t, s, params, ramp, True)[1]
+
+
+def coil_rhs_and_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tuple:
+    """``(coil_rhs(...), coil_jacobian(...))`` from one evaluation of the law."""
+    return _coil_law(t, s, params, ramp, True)
 
 
 def axial_field(s: State, params: CoilParams) -> float:
@@ -254,7 +214,7 @@ class CoilProblem(Problem):
         return as_state([0.0, self.params.t_op])
 
     def forced_event_times(self, t_a: float, t_b: float) -> list[float]:
-        return [t for t in self.ramp.breakpoint_times if t_a < t < t_b]
+        return [t for t in (0.0, *self.ramp.breakpoint_times) if t_a < t < t_b]
 
     def derived_columns(self) -> tuple:
         return (

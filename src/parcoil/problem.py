@@ -122,6 +122,8 @@ class Problem(ABC):
         The stepper calls it at each Newton start where it is overridden.
         An override must equal the pair bit for bit, and a subclass that
         overrides ``rhs`` or ``jacobian`` of a problem that fuses must too.
+        The coil's three methods enter one kernel, so they are bitwise
+        equal by construction.
         """
         return self.rhs(t, u), self.jacobian(t, u)
 

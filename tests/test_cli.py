@@ -356,6 +356,18 @@ class TestSequential:
         _, (summary,) = read_csv(os.path.join(out, "sequential_summary.csv"))
         assert len(rows) == int(summary[2]) + 1
 
+    def test_coil_rests_before_the_ramp(self, tmp_path):
+        # the source current is 0 A before 0 s, and the ramp's start is a forced event
+        with open(SHIPPED_COIL_CFG, encoding="utf-8") as handle:
+            text = handle.read().replace("t_start = 0.0", "t_start = -20.0")
+        out = str(tmp_path / "out")
+        assert main(["sequential", "--config", write_cfg(tmp_path, text), "--out", out]) == 0
+        header, rows = read_csv(os.path.join(out, "trajectory.csv"))
+        columns = [header.index(name) for name in ("time_s", "I_theta_A", "T_K", "I_source_A")]
+        rest = [[float(row[i]) for i in columns] for row in rows if float(row[0]) <= 0.0]
+        assert rest[0][0] == -20.0 and rest[-1][0] == 0.0 and len(rest) > 2
+        assert all(values[1:] == [0.0, 77.0, 0.0] for values in rest)
+
     def test_derived_column_reaches_trajectory(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "make_problem", lambda cfg: Doubled(-1.0, (1.0,)))
         cfg = write_cfg(tmp_path, LINEAR_CFG)

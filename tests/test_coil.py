@@ -10,59 +10,15 @@ from parcoil import (
     CoilProblem,
     LinearTestProblem,
     RampSchedule,
+    adaptive_integrate,
     as_state,
     axial_field,
     coil_rhs,
-    critical_current_density,
-    hts_resistivity,
     linear_test_rhs,
     source_current,
 )
 
 PARAMS = CoilParams()
-
-
-class TestHtsResistivity:
-    def test_at_critical_current_density(self):
-        j_c, e_c = 2.5e8, 1e-4
-        assert hts_resistivity(j_c, j_c, e_c, 25.0) == pytest.approx(e_c / j_c, rel=1e-14)
-
-    def test_zero_current(self):
-        assert hts_resistivity(0.0, 2.5e8, 1e-4, 25.0) == 0.0
-
-    def test_quadratic_index(self):
-        j_c, e_c = 1e8, 1e-4
-        assert hts_resistivity(2 * j_c, j_c, e_c, 2.0) == pytest.approx(2 * e_c / j_c, rel=1e-14)
-
-    def test_overflow_yields_inf(self):
-        # (1e300)^24 overflows a float; the power law must report inf, not raise
-        assert hts_resistivity(1e300, 1.0, 1e-4, 25.0) == math.inf
-
-    def test_collapsed_critical_surface(self):
-        with pytest.raises(ValueError):
-            hts_resistivity(1e8, 0.0, 1e-4, 25.0)
-
-    def test_monotone_in_current_magnitude(self):
-        j_values = np.linspace(-3e8, 3e8, 101)
-        rho = [hts_resistivity(j, 1.2e8, 1e-4, 25.0) for j in j_values]
-        mags = np.abs(j_values)
-        order = np.argsort(mags)
-        assert all(np.diff(np.array(rho)[order]) >= 0.0)
-
-
-class TestCriticalCurrentDensity:
-    def test_operating_point(self):
-        assert critical_current_density(PARAMS.t_op, PARAMS) == PARAMS.j_c0
-
-    def test_floor_at_critical_temperature(self):
-        assert critical_current_density(PARAMS.t_c, PARAMS) == PARAMS.j_c0 * 1e-6
-
-    def test_linear_midpoint(self):
-        t_mid = 0.5 * (PARAMS.t_op + PARAMS.t_c)
-        assert critical_current_density(t_mid, PARAMS) == pytest.approx(0.5 * PARAMS.j_c0)
-
-    def test_clamped_below_operating_temperature(self):
-        assert critical_current_density(PARAMS.t_op - 20.0, PARAMS) == PARAMS.j_c0
 
 
 class TestSourceCurrent:
@@ -76,6 +32,11 @@ class TestSourceCurrent:
 
     def test_ramp_start(self):
         assert source_current(0.0, self.RAMP) == 0.0
+
+    @pytest.mark.parametrize("t", [-20.0, -1e-300, -0.0])
+    def test_zero_before_the_ramp(self, t):
+        # not the first segment extrapolated backwards
+        assert source_current(t, self.RAMP) == 0.0
 
     def test_multi_segment(self):
         ramp = RampSchedule(((10.0, 100.0), (20.0, 0.0)))
@@ -152,6 +113,17 @@ class TestCoilProblem:
         assert coil_problem.forced_event_times(50.0, 150.0) == []
         assert coil_problem.forced_event_times(49.0, 151.0) == [50.0, 150.0]
 
+    def test_ramp_start_is_a_forced_event(self, coil_problem):
+        assert coil_problem.forced_event_times(-20.0, 200.0) == [0.0, 50.0, 150.0]
+        assert coil_problem.forced_event_times(-20.0, 0.0) == []
+
+    def test_rest_state_held_before_the_ramp(self, coil_problem, fine_tols):
+        u_0 = coil_problem.initial_state()
+        traj = adaptive_integrate(coil_problem, -20.0, 10.0, u_0, fine_tols)
+        assert 0.0 in traj.times
+        rest = {repr(u) for t, u in zip(traj.times, traj.states) if t <= 0.0}
+        assert rest == {"(0.0, 77.0)"}
+
     def test_initial_state(self, coil_problem):
         u0 = coil_problem.initial_state()
         assert np.array_equal(u0, [0.0, coil_problem.params.t_op])
@@ -205,7 +177,8 @@ class TestCoilJacobian:
     def test_matches_central_difference(self, regime, temp_frac, load_frac, negative, t):
         (t_lo, t_hi), (x_lo, x_hi) = REGIMES[regime]
         temp = t_lo + temp_frac * (t_hi - t_lo)
-        i_c = critical_current_density(temp, PARAMS) * PARAMS.a_hts
+        # every regime lies on the linear part of J_c(T)
+        i_c = PARAMS.j_c0 * ((PARAMS.t_c - temp) / (PARAMS.t_c - PARAMS.t_op)) * PARAMS.a_hts
         i_theta = (x_lo + load_frac * (x_hi - x_lo)) * i_c * (-1.0 if negative else 1.0)
         problem = CoilProblem()
         u = as_state([i_theta, temp])

@@ -1,16 +1,18 @@
-"""The coil's fused ``rhs_and_jacobian`` against the separate ``rhs`` and Jacobian.
+"""The coil's three entries against a reference copy of the law, and the fused start.
 
-``coil_rhs_and_jacobian`` must give ``(coil_rhs, coil_jacobian)`` bit for
-bit (compared by ``float.hex``, so 0.0 and -0.0 differ) on every branch
-of the coil's law, and a whole run that takes it at each Newton start must
-equal, bit for bit and count for count, the run that takes the default
-pair (``rhs``, the residual check, then ``newton_jacobian``).
+``coil_rhs``, ``coil_jacobian`` and ``coil_rhs_and_jacobian`` (and the
+``CoilProblem`` methods over them) must equal the helper-based law below
+bit for bit (compared by ``float.hex``, so 0.0 and -0.0 differ) on every
+branch, and a whole run that takes the fused call at each Newton start
+must equal, bit for bit and count for count, the run that takes the
+default pair (``rhs``, the residual check, then ``newton_jacobian``).
 """
 
 import dataclasses
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from parcoil import (
     load_run_config,
     make_problem,
     run_parareal,
+    source_current,
 )
 from parcoil import coil
 
@@ -53,6 +56,120 @@ def as_hex(value):
     if isinstance(value, (tuple, list)):
         return type(value)(map(as_hex, value))
     return value
+
+
+# The law as separate helpers, as it stood before it became one kernel;
+# the entries must keep these bits.
+JC_REL_FLOOR = 1e-6
+
+
+def hts_resistivity(j: float, j_c: float, e_c: float, n: float) -> float:
+    """Power-law resistivity ``(e_c/j_c) * (|j|/j_c)**(n-1)`` in Ohm*m.
+
+    Overflow of the power term yields ``inf`` (the caller's finiteness
+    checks treat that as a failed evaluation, not a crash).
+    """
+    if j_c <= 0.0:
+        raise ValueError("critical current density must be positive (critical surface collapsed)")
+    try:
+        return (e_c / j_c) * (abs(j) / j_c) ** (n - 1.0)
+    except OverflowError:
+        return math.inf
+
+
+def critical_current_density(t: float, params: CoilParams) -> float:
+    """Linear-in-temperature J_c with a relative floor above T_c (A/m^2)."""
+    frac = (params.t_c - t) / (params.t_c - params.t_op)
+    # Comparisons rather than min/max calls: this runs in every rhs and
+    # Jacobian evaluation.
+    if frac >= 1.0:
+        return params.j_c0
+    return params.j_c0 * (frac if frac > JC_REL_FLOOR else JC_REL_FLOOR)
+
+
+def reference_rhs(t, s, params, ramp):
+    """Time derivative of ``(I_theta, T)`` for the coil surrogate."""
+    i_theta, temp = s
+    i_radial = source_current(t, ramp) - i_theta
+
+    j = i_theta / params.a_hts
+    j_c = critical_current_density(temp, params)
+    r_hts = hts_resistivity(j, j_c, params.e_c, params.n) * params.length / params.a_hts
+
+    di_theta = (params.r_contact * i_radial - r_hts * i_theta) / params.inductance
+    p_contact = params.r_contact * i_radial * i_radial
+    p_hts = r_hts * i_theta * i_theta
+    d_temp = (p_contact + p_hts - params.cooling * (temp - params.t_op)) / params.heat_capacity
+    return (di_theta, d_temp)
+
+
+def reference_jacobian(t, s, params, ramp):
+    """Closed-form Jacobian rows of :func:`reference_rhs` with respect to ``(I_theta, T)``.
+
+    With ``r = r_hts`` the power law gives ``d(r*I)/dI = n*r`` and
+    ``d(r*I^2)/dI = (n+1)*r*I``; on the linear part of J_c(T),
+    ``dr/dT = n*r / (T_c - T)``, and zero where J_c is clipped.
+    """
+    i_theta, temp = s
+    i_radial = source_current(t, ramp) - i_theta
+
+    j_c = critical_current_density(temp, params)
+    r_hts = (
+        hts_resistivity(i_theta / params.a_hts, j_c, params.e_c, params.n)
+        * params.length
+        / params.a_hts
+    )
+    frac = (params.t_c - temp) / (params.t_c - params.t_op)
+    dr_dtemp = params.n * r_hts / (params.t_c - temp) if JC_REL_FLOOR < frac < 1.0 else 0.0
+
+    inv_l = 1.0 / params.inductance
+    inv_c = 1.0 / params.heat_capacity
+    return (
+        (-(params.r_contact + params.n * r_hts) * inv_l, -i_theta * dr_dtemp * inv_l),
+        (
+            (-2.0 * params.r_contact * i_radial + (params.n + 1.0) * r_hts * i_theta) * inv_c,
+            (i_theta * i_theta * dr_dtemp - params.cooling) * inv_c,
+        ),
+    )
+
+
+class TestHtsResistivity:
+    def test_at_critical_current_density(self):
+        j_c, e_c = 2.5e8, 1e-4
+        assert hts_resistivity(j_c, j_c, e_c, 25.0) == pytest.approx(e_c / j_c, rel=1e-14)
+
+    def test_zero_current(self):
+        assert hts_resistivity(0.0, 2.5e8, 1e-4, 25.0) == 0.0
+
+    def test_quadratic_index(self):
+        j_c, e_c = 1e8, 1e-4
+        assert hts_resistivity(2 * j_c, j_c, e_c, 2.0) == pytest.approx(2 * e_c / j_c, rel=1e-14)
+
+    def test_overflow_yields_inf(self):
+        # (1e300)^24 overflows a float; the power law must report inf, not raise
+        assert hts_resistivity(1e300, 1.0, 1e-4, 25.0) == math.inf
+
+    def test_monotone_in_current_magnitude(self):
+        j_values = np.linspace(-3e8, 3e8, 101)
+        rho = [hts_resistivity(j, 1.2e8, 1e-4, 25.0) for j in j_values]
+        mags = np.abs(j_values)
+        order = np.argsort(mags)
+        assert all(np.diff(np.array(rho)[order]) >= 0.0)
+
+
+class TestCriticalCurrentDensity:
+    def test_operating_point(self):
+        assert critical_current_density(PARAMS.t_op, PARAMS) == PARAMS.j_c0
+
+    def test_floor_at_critical_temperature(self):
+        assert critical_current_density(PARAMS.t_c, PARAMS) == PARAMS.j_c0 * 1e-6
+
+    def test_linear_midpoint(self):
+        t_mid = 0.5 * (PARAMS.t_op + PARAMS.t_c)
+        assert critical_current_density(t_mid, PARAMS) == pytest.approx(0.5 * PARAMS.j_c0)
+
+    def test_clamped_below_operating_temperature(self):
+        assert critical_current_density(PARAMS.t_op - 20.0, PARAMS) == PARAMS.j_c0
 
 
 # every ramp segment, its exact breakpoints (start and end included) and
@@ -91,11 +208,20 @@ class TestFusedKernel:
     @example(t=300.0, i_theta=0.0, temp=78.0, n=25.0)  # after the last one, no current
     @example(t=300.0, i_theta=-0.0, temp=T_FLOOR, n=25.0)
     @example(t=100.0, i_theta=1e30, temp=78.0, n=25.0)  # the power law overflows
-    def test_equals_the_separate_calls(self, t, i_theta, temp, n):
+    def test_equals_the_reference(self, t, i_theta, temp, n):
         params = dataclasses.replace(PARAMS, n=n)
         s = (i_theta, temp)
-        separate = (coil_rhs(t, s, params, RAMP), coil_jacobian(t, s, params, RAMP))
-        assert as_hex(coil_rhs_and_jacobian(t, s, params, RAMP)) == as_hex(separate)
+        f, jac = reference_rhs(t, s, params, RAMP), reference_jacobian(t, s, params, RAMP)
+        problem = CoilProblem(params, RAMP)
+        entries = (
+            coil_rhs(t, s, params, RAMP),
+            coil_jacobian(t, s, params, RAMP),
+            coil_rhs_and_jacobian(t, s, params, RAMP),
+            problem.rhs(t, s),
+            problem.jacobian(t, s),
+            problem.rhs_and_jacobian(t, s),
+        )
+        assert as_hex(entries) == as_hex((f, jac, (f, jac), f, jac, (f, jac)))
 
     def test_overflow_reaches_both_parts(self):
         f, jac = coil_rhs_and_jacobian(100.0, (1e30, 78.0), PARAMS, RAMP)

@@ -20,7 +20,6 @@ from parcoil import (
     adaptive_integrate,
     as_state,
     fixed_integrate,
-    hts_resistivity,
     implicit_euler_step,
     linearized_euler_step,
     newton_jacobian,
@@ -89,7 +88,11 @@ class PowerSaturation(Problem):
     component_names = ("u",)
 
     def rhs(self, t, u):
-        return np.array([1.0 - hts_resistivity(float(u[0]), 1.0, 1.0, 300.0)])
+        try:
+            power = abs(float(u[0])) ** 299.0
+        except OverflowError:
+            power = math.inf
+        return np.array([1.0 - power])
 
     def max_temperature(self, u):
         return float(u[0])
