@@ -192,7 +192,7 @@ def cmd_parareal(problem: Problem, cfg: RunConfig, rid: str, args) -> int:
         print(
             f"parareal: converged after K={report.k_converged} iterations, "
             f"err={1e3 * report.err_per_iter[-1]:.6g} mK, nr_ghat={report.nr_ghat}, "
-            f"wall={report.total_wall:.3f} s"
+            f"processes={report.processes}, wall={report.total_wall:.3f} s"
         )
         return 0
     print(

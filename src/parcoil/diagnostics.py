@@ -1,6 +1,7 @@
 """Run report and performance metrics for parallel-in-time runs.
 
-Wall-clock fields are the only non-deterministic report content; every
+Wall-clock fields are the only non-deterministic report content, and
+``processes`` the only one that depends on the worker count; every
 convergence and error field is bit-reproducible across repeated runs and
 worker counts.  Newton iteration counts are kept alongside the wall times
 as a deterministic load proxy: the load balance is taken from them, so it
@@ -47,8 +48,9 @@ class PararealReport:
     and ``accepted_f_per_window_per_iter`` the steps each fine solve
     accepted (0 for a window not solved).  ``time_loop_open`` and
     ``time_loop_close`` are the wall times of opening the fine loop
-    (forking its workers, before the adaptive coarse pass) and of closing
-    it; ``total_wall`` spans both.
+    (forking its workers, after the adaptive coarse pass) and of closing
+    it; ``total_wall`` spans both.  ``processes`` is the number of
+    processes that ran the fine solves: this one and its forked workers.
     """
 
     n_windows: int
@@ -71,6 +73,7 @@ class PararealReport:
     accepted_f_per_window_per_iter: list[list[int]] = field(default_factory=list)
     time_loop_open: float = 0.0
     time_loop_close: float = 0.0
+    processes: int = 1
 
     @property
     def iterations_run(self) -> int:

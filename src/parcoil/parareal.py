@@ -13,7 +13,7 @@ standard correction
     U_j  <-  fine(U_{j-1}, previous iteration) + coarse(U_{j-1}, new) - coarse(U_{j-1}, previous)
 
 and a concurrent fine solve.  The fine propagator F is one object,
-opened before the coarse pass: it keeps each window's last fine solve
+opened after the coarse pass: it keeps each window's last fine solve
 under a key (start bytes, tolerance), re-solves exactly the windows
 whose key changed, and deals them into cost-balanced batches on their
 last Newton counts.  This process solves the first batch, and up to P-1
@@ -22,11 +22,11 @@ each, solve the rest (P fine solves at once; P = 1 starts no process).
 Each pipe carries a stream of pickles, one per batch and one per reply.
 Closing the loop signals the workers and does not wait for them: they
 are reaped after the run (see :func:`_reap`).  :class:`_FineLoop` alone
-decides P and pins its workers, never the caller, to CPUs; its docstring
-gives the rule.  Left to the scheduler on the 2-CPU benchmark host, a
-worker and its caller often shared one CPU: quench-fine's
-run_parareal took 61.7 ms, against 33.0 ms with the worker pinned and
-33.2 ms with the caller pinned too.
+decides P, from the fine work the coarse pass predicts, and pins its
+workers, never the caller, to CPUs; its docstring gives both rules.
+Left to the scheduler on the 2-CPU benchmark host, a worker and its
+caller often shared one CPU: quench-fine's run_parareal took 61.7 ms,
+against 33.0 ms with the worker pinned and 33.2 ms with the caller too.
 
 Iteration 1's fine results only seed the first correction, so they are
 solved at a looser tolerance (:attr:`PararealConfig.first_fine_tol`, after
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import math
 import os
 import pickle
 import signal
@@ -290,14 +291,24 @@ def _allowed_cpus() -> set[int] | None:
     return os.sched_getaffinity(0)
 
 
+# G, the least predicted fine Newton work per process at which a forked
+# worker stops losing (read at call time).  In P=1/P=2 sweeps of the
+# shipped ramp on the 2-CPU benchmark host, P=2 lost 11-51 % up to a
+# prediction of 546, tied at 996 and won 13-28 % from 1725 (README).
+_MIN_WORK_PER_PROCESS = 450.0
+
+
 class _FineLoop:
     """The fine propagator F over ``n`` windows, run by P processes: this one and P-1 workers.
 
-    P = min(``n_workers``, ``n``).  ``n_workers`` defaults to the number of
-    CPUs this process may run on (``os.sched_getaffinity(0)``), or to
-    ``os.cpu_count()`` where the platform cannot tell; one that is not an
-    ``int`` (a ``bool`` included) or is below 1 is a ``ValueError``, raised
-    before any process starts.
+    P is the largest p <= min(``n_workers``, ``n``) with p·G <= ``work``,
+    else 1: G is ``_MIN_WORK_PER_PROCESS`` and ``work`` one iteration's
+    predicted fine Newton work (none by default, so P = the minimum).
+    ``n_workers`` defaults to the number of CPUs this process may run on
+    (``os.sched_getaffinity(0)``), or to ``os.cpu_count()`` where the
+    platform cannot tell; one that is not an ``int`` (a ``bool``
+    included) or is below 1 is a ``ValueError``, raised before any
+    process starts.
 
     It keeps each window's last fine solve: the key (start bytes,
     tolerance) that decides whether to re-solve it, its trajectory, and
@@ -320,16 +331,19 @@ class _FineLoop:
     This process's own mask is never changed: pinning it too took 33.2 ms
     on quench-fine against 33.0 ms (61.7 ms with nothing pinned).
     :meth:`close`, which also runs when ``__init__`` fails after the
-    checks, signals the workers.
+    checks, signals the workers; an ``OSError`` starting worker i (its
+    pipes, fork or pin) then becomes an :class:`IntegrationFailed` naming i.
     """
 
-    def __init__(self, problem: Problem, n: int, n_workers: int | None = None):
+    def __init__(self, problem: Problem, n: int, n_workers: int | None = None, work=math.inf):
         allowed = _allowed_cpus()
         if n_workers is None:
             n_workers = len(allowed) if allowed is not None else os.cpu_count() or 1
         if type(n_workers) is not int or n_workers < 1:  # a float or a bool is no count
             raise ValueError(f"n_workers must be an integer >= 1, not {n_workers!r}")
         p = min(n_workers, n)
+        while p > 1 and p * _MIN_WORK_PER_PROCESS > work:
+            p -= 1
         self.problem = problem
         self.keys: list[tuple[bytes, StepperTolerances] | None] = [None] * n
         self.trajs: list[Trajectory | None] = [None] * n
@@ -338,7 +352,7 @@ class _FineLoop:
         self.pipes: list = []  # this process's ends, as files: to, then from, each worker
         cpus = sorted(allowed) if p > 1 and len(allowed or ()) == p else [None] * p
         try:
-            for cpu in cpus[1:]:
+            for i, cpu in enumerate(cpus[1:], 1):
                 (requests, to_worker), (from_worker, replies) = os.pipe(), os.pipe()
                 self.pipes += [os.fdopen(to_worker, "wb"), os.fdopen(from_worker, "rb")]
                 # SIGINT stays blocked across the fork, until the worker ignores it
@@ -356,6 +370,9 @@ class _FineLoop:
                     # a later worker must not inherit them, or a death shows no EOF
                     os.close(requests)
                     os.close(replies)
+        except OSError as exc:  # a process limit, say: the run fails, not the program
+            self.close()
+            raise IntegrationFailed(f"cannot start fine worker {i}: {exc}") from exc
         except BaseException:
             self.close()
             raise
@@ -471,29 +488,32 @@ def run_parareal(
     ``report.k_converged`` None, so callers must check the report.
     :class:`PartitionError` and :class:`IntegrationFailed` propagate with
     iteration/window context.  ``n_workers`` goes to :class:`_FineLoop`,
-    which sets P from it.
+    which opens after Ĝ and sets P from it and Ĝ's predicted fine work.
     """
     if not t_0 < t_N:
         raise ValueError("need t_0 < t_N")
     n = cfg.n_windows
     wall_start = time.perf_counter()
 
-    # The workers start first, so their start-up overlaps Ĝ.
-    with _FineLoop(problem, n, n_workers) as fine:
-        time_loop_open = time.perf_counter() - wall_start
-        # Iteration 1: one adaptive coarse solve over the whole interval
-        # yields the coarse grid, the windows, and the initial boundary values.
-        # It takes the sweeps' linearized step, so a sweep from a start Ĝ
-        # reached reproduces Ĝ bit for bit.
-        ghat = partial(adaptive_integrate, linearized=True)
-        coarse_traj, ghat_counters, time_ghat = _propagate(
-            "adaptive coarse pass failed", ghat, problem, t_0, t_N, u_0, cfg.coarse_tol
-        )
-        t_hat = coarse_traj.times
-        m = len(t_hat) - 1
-        idx = window_boundary_indices(m, n)
-        boundaries = tuple(t_hat[i] for i in idx)
+    # Iteration 1: one adaptive coarse solve over the whole interval
+    # yields the coarse grid, the windows, and the initial boundary values.
+    # It takes the sweeps' linearized step, so a sweep from a start Ĝ
+    # reached reproduces Ĝ bit for bit.
+    ghat = partial(adaptive_integrate, linearized=True)
+    coarse_traj, ghat_counters, time_ghat = _propagate(
+        "adaptive coarse pass failed", ghat, problem, t_0, t_N, u_0, cfg.coarse_tol
+    )
+    t_hat = coarse_traj.times
+    m = len(t_hat) - 1
+    idx = window_boundary_indices(m, n)
+    boundaries = tuple(t_hat[i] for i in idx)
 
+    # Ĝ also predicts one target-tolerance iteration's fine Newton work: the
+    # order-1 controller accepts steps of size proportional to sqrt(tol_t).
+    work = m * math.sqrt(cfg.coarse_tol.tol_t / cfg.fine_tol.tol_t)
+    open_start = time.perf_counter()
+    with _FineLoop(problem, n, n_workers, work) as fine:
+        time_loop_open = time.perf_counter() - open_start
         u_bounds = [coarse_traj.states[i] for i in idx]  # U_j, with U_0 = u_0
         u_coarse = list(u_bounds)  # coarse results of the previous iteration
         err_per_iter: list[float] = []
@@ -565,5 +585,6 @@ def run_parareal(
         accepted_f_per_window_per_iter=accepted_f,
         fine_tol_t_per_iter=fine_tol_t,
         boundary_states=tuple(u_bounds),
+        processes=len(fine.pids) + 1,
     )
     return trajectory, report

@@ -33,15 +33,15 @@ def lowest_cpus(count):
 
 
 def run_fingerprint(traj, report):
-    """Every result of one run but its wall times: the trajectory and each other report field.
+    """Every result of one run: the trajectory and each report field but walls and ``processes``.
 
     ``repr`` writes every float exactly, so two fingerprints are equal only
-    if the two runs agree bit for bit.
+    if the two runs agree bit for bit, at any process count.
     """
     fields = {
         f.name: getattr(report, f.name)
         for f in dataclasses.fields(report)
-        if f.name not in WALL_FIELDS
+        if f.name not in WALL_FIELDS | {"processes"}
     }
     return repr((traj.times, traj.states, fields))
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import math
 import os
 import signal
@@ -420,6 +421,11 @@ class TestSequential:
         )
 
 
+def refused_fork():
+    """``os.fork`` under a process limit: it fails with EAGAIN."""
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
 class TestParareal:
     def test_degenerate_config_converges_immediately(self, tmp_path):
         cfg = write_cfg(tmp_path, DEGENERATE_CFG)
@@ -490,6 +496,24 @@ class TestParareal:
             "error: fine propagator failed in window 3 during iteration 1: "
             f"non-finite rhs at the start state, t={ghat.times[i]:.6g}\n"
         )
+
+    @pytest.mark.parametrize(
+        "cfg, processes", [(SHIPPED_LINEAR_CFG, 1), (SHIPPED_COIL_CFG, 2)], ids=["linear", "coil"]
+    )
+    def test_prints_how_many_processes_ran(self, tmp_path, capsys, cfg, processes):
+        # --workers is an upper bound: Ĝ predicts too little fine work on the linear config
+        out = str(tmp_path / "out")
+        assert main(["parareal", "--config", cfg, "--out", out, "--workers", "2"]) == 0
+        assert f", processes={processes}, wall=" in capsys.readouterr().out
+        for name in ("summary.csv", "report.csv"):
+            assert "processes" not in read_csv(os.path.join(out, name))[0]
+
+    def test_worker_that_cannot_start_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "fork", refused_fork)
+        argv = ["parareal", "--config", SHIPPED_COIL_CFG, "--out", str(tmp_path / "o")]
+        assert main([*argv, "--workers", "2"]) == 2
+        reason = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+        assert capsys.readouterr().err == f"error: cannot start fine worker 1: {reason}\n"
 
     def test_non_finite_rhs_at_the_start_fails_the_baseline(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "make_problem", lambda cfg: NanAt(0.0, (1.0,)))
@@ -738,6 +762,19 @@ class TestStudy:
         (row,) = (dict(zip(header, r)) for r in rows)
         assert row["status"] == "integration_failed"
         assert [row[c] for c in header[header.index("K") : header.index("status")]] == [""] * 6
+
+    def test_cell_whose_worker_cannot_start_reads_integration_failed(self, tmp_path, monkeypatch):
+        # at 2 workers Ĝ's prediction forks a worker at 0.1 mK (W 1725) and none at 10 mK (W 172)
+        with open(SHIPPED_COIL_CFG, encoding="utf-8") as shipped:
+            head = shipped.read().rsplit("\n[study]", 1)[0]
+        text = head + "\n[study]\nn_windows_list = 8\nfine_tol_mk_list = 10, 0.1\n"
+        monkeypatch.setattr(os, "fork", refused_fork)
+        out = str(tmp_path / "out")
+        argv = ["study", "--config", write_cfg(tmp_path, text), "--out", out, "--workers", "2"]
+        assert main(argv) == 0
+        header, rows = read_csv(os.path.join(out, "study_table.csv"))
+        statuses = {row[header.index("fine_tol_mK")]: row[-1] for row in rows}
+        assert statuses == {"10": "converged", "0.1": "integration_failed"}
 
     def test_non_finite_rhs_at_the_start_fails_the_baseline(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "make_problem", lambda cfg: NanAt(0.0, (1.0,)))

@@ -416,6 +416,7 @@ class TestWindowSkipping:
         assert {j for k, j in fine if k == 1} == set(range(1, n + 1))
 
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_iteration_without_changed_windows_does_not_call_the_pool(self, monkeypatch):
         sent = []  # iteration k of every batch sent down a worker pipe
         send = parareal._send
@@ -790,12 +791,14 @@ class TestFineLoopFailures:
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=2)
         assert workers_exit() == [SIGNALLED]
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_worker_failure_names_window_and_iteration(self):
         problem = NanInWorker()
         with pytest.raises(IntegrationFailed, match=r"window 2 during iteration 1"):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
         assert workers_exit() == [SIGNALLED]
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_worker_exception_is_re_raised_as_itself(self):
         problem = RaisesInWorker(OneArgError, "rhs failed")
         with pytest.raises(OneArgError, match=r"^rhs failed$"):
@@ -817,6 +820,7 @@ class TestFineLoopFailures:
         ],
         ids=["does_not_load", "does_not_pickle"],
     )
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_worker_exception_that_does_not_unpickle_is_named(self, error, args, fails, message):
         problem = RaisesInWorker(error, *args)
         with pytest.raises(TypeError, match=fails):  # what a round trip here would raise
@@ -826,6 +830,7 @@ class TestFineLoopFailures:
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
         assert workers_exit() == [SIGNALLED]
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_worker_crash_is_integration_failure(self):
         problem = DiesInWorker()
         unfinished = r"died during iteration 1 while windows \[2, 4\] were unfinished"
@@ -833,6 +838,7 @@ class TestFineLoopFailures:
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
         assert workers_exit() == [3]  # dead before the close signalled it
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_reply_cut_short_by_a_dying_worker_is_a_death(self, monkeypatch):
         owner, send = os.getpid(), parareal._send
 
@@ -856,6 +862,7 @@ class TestFineLoopFailures:
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
         assert workers_exit() == [3]
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_worker_raising_base_exception_leaves_by_os_exit(self, monkeypatch):
         owner, solve_batch = os.getpid(), parareal._solve_batch
 
@@ -872,6 +879,7 @@ class TestFineLoopFailures:
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
         assert workers_exit() == [1]
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_worker_crash_names_only_its_windows(self):
         # three batches: windows 1 and 4 here, 2 in the first worker, 3 in the second
         problem = LinearTestProblem(-1.0, (1.0,))
@@ -882,6 +890,7 @@ class TestFineLoopFailures:
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=3)
         assert workers_exit() == [3, SIGNALLED]
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_unpicklable_problem_runs_in_forked_workers(self):
         # the workers inherit the problem at the fork; it never crosses a pipe
         problem = Unpicklable()
@@ -926,9 +935,20 @@ def counting_forks(monkeypatch) -> list:
     return started
 
 
+@pytest.fixture
+def forks_at_any_work(monkeypatch):
+    """G = 0: P = min(n_workers, N) whatever fine work Ĝ predicts, as these tiny problems need.
+
+    Their predictions (m·√(coarse tol_t / fine tol_t)) lie far below G, so
+    without this a run at two workers would fork nothing.
+    """
+    monkeypatch.setattr(parareal, "_MIN_WORK_PER_PROCESS", 0.0)
+
+
 class TestWorkerGroup:
     CFG = TestFineLoopFailures.CFG
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_success_leaves_no_process(self):
         problem = LinearTestProblem(-1.0, (1.0,))
         _, report = run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers=2)
@@ -946,6 +966,7 @@ class TestWorkerGroup:
         assert workers_exit() == [SIGNALLED] * left
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_closed_loops_leave_no_descriptor_open(self):
         unfinished = r"died during iteration 1 while windows \[2, 4\] were unfinished"
         before = len(os.listdir("/proc/self/fd"))
@@ -973,8 +994,10 @@ class TestWorkerGroup:
             return fork()
 
         monkeypatch.setattr(os, "fork", second_fork_fails)
-        with pytest.raises(OSError, match="no second fork"):
+        with pytest.raises(IntegrationFailed, match="^cannot start fine worker 2: ") as failure:
             parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 3)
+        assert type(failure.value.__cause__) is OSError
+        assert str(failure.value.__cause__) == "no second fork"
         assert len(started) == 1
         assert workers_exit() == [SIGNALLED]
 
@@ -990,6 +1013,7 @@ class TestWorkerGroup:
         assert started == []
         assert mask is None or os.sched_getaffinity(0) == mask
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_workers_capped_at_window_count(self, monkeypatch):
         started = counting_forks(monkeypatch)
         problem = LinearTestProblem(-1.0, (1.0,))
@@ -999,6 +1023,60 @@ class TestWorkerGroup:
         five = run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=5)
         assert len(started) == 1
         assert run_fingerprint(*five) == run_fingerprint(*one)
+        assert workers_exit(started) == [SIGNALLED]
+
+
+class TestProcessCount:
+    """P is the largest p <= min(n_workers, N) with p·G <= W, Ĝ's predicted fine work; else 1."""
+
+    @pytest.mark.parametrize(
+        "work, n, processes",
+        [(899.0, 4, 1), (900.0, 4, 2), (1349.0, 4, 2), (1350.0, 4, 3), (math.inf, 2, 2)],
+    )
+    def test_each_process_gets_g(self, monkeypatch, work, n, processes):
+        monkeypatch.setattr(parareal, "_MIN_WORK_PER_PROCESS", 450.0)
+        with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), n, 3, work) as fine:
+            assert len(fine.pids) + 1 == processes
+        assert workers_exit() == [SIGNALLED] * (processes - 1)
+
+    @pytest.mark.parametrize(
+        "fine_mk, n_windows, work, processes",
+        [(3.0, 32, 315, 1), (None, 8, 1725, 2)],
+        ids=["3mK-N32", "ni_coil.cfg"],
+    )
+    def test_shipped_ramp_at_two_workers(self, monkeypatch, fine_mk, n_windows, work, processes):
+        cfg = load_run_config(SHIPPED_COIL_CFG)
+        pr_cfg = dataclasses.replace(cfg.parareal, n_windows=n_windows)
+        if fine_mk is not None:
+            fine_tol = dataclasses.replace(
+                pr_cfg.fine_tol, tol_nr=1e-3 * fine_mk, tol_t=1e-3 * fine_mk
+            )
+            pr_cfg = dataclasses.replace(pr_cfg, fine_tol=fine_tol)
+        problem = make_problem(cfg)
+        predicted = []
+        init = parareal._FineLoop.__init__
+
+        def recording_init(self, problem, n, n_workers=None, work=math.inf):
+            predicted.append(work)
+            init(self, problem, n, n_workers, work)
+
+        monkeypatch.setattr(parareal._FineLoop, "__init__", recording_init)
+        started = counting_forks(monkeypatch)
+
+        def run():
+            return run_parareal(
+                problem, cfg.t_start, cfg.t_end, problem.initial_state(), pr_cfg, n_workers=2
+            )
+
+        by_rule = run()
+        # W = m·√(coarse tol_t / fine tol_t) with m = 122 Ĝ steps; G = 450
+        assert by_rule[1].m_coarse_steps == 122 and round(predicted[0]) == work
+        assert by_rule[1].processes == processes and len(started) == processes - 1
+        # the other process count, by G = 0 or G = inf: the same results bit for bit
+        monkeypatch.setattr(parareal, "_MIN_WORK_PER_PROCESS", math.inf if processes > 1 else 0.0)
+        other = run()
+        assert other[1].processes == 3 - processes and len(started) == 1
+        assert run_fingerprint(*other) == run_fingerprint(*by_rule)
         assert workers_exit(started) == [SIGNALLED]
 
 
@@ -1065,6 +1143,7 @@ class TestCpuPlacement:
         assert os.sched_getaffinity(0) == caller_never_pinned
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_mask_unchanged_through_a_fine_solve_exception(self, caller_never_pinned, where):
         if where == "caller":
             cfg = dataclasses.replace(self.CFG, fine_tol=TestFineLoopFailures.HOPELESS)
@@ -1098,8 +1177,10 @@ class TestCpuPlacement:
             raise OSError("start failed after the fork")
 
         monkeypatch.setattr(os, "fork", forks_then_fails)
-        with pytest.raises(OSError, match="after the fork"):
+        with pytest.raises(IntegrationFailed, match="^cannot start fine worker 1: ") as failure:
             parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2)
+        assert type(failure.value.__cause__) is OSError
+        assert str(failure.value.__cause__) == "start failed after the fork"
         assert os.sched_getaffinity(0) == caller_never_pinned
         # the loop never learnt the pid, so nothing signalled the worker: it
         # ends, by os._exit(0), on the EOF of the caller's closed pipe ends
@@ -1114,12 +1195,14 @@ class TestCpuPlacement:
             # in place of the fixture's guard: a pin of this process would name pid 0
             patch.setattr(os, "sched_setaffinity", cannot_pin)
             started = counting_forks(patch)
-            with pytest.raises(OSError, match="cannot pin process") as failure:
+            with pytest.raises(IntegrationFailed, match="^cannot start fine worker 1: ") as failure:
                 parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2)
-        assert str(failure.value) == f"cannot pin process {started[0]}"
+        assert type(failure.value.__cause__) is OSError
+        assert str(failure.value.__cause__) == f"cannot pin process {started[0]}"
         assert os.sched_getaffinity(0) == caller_never_pinned
         assert workers_exit() == [SIGNALLED]
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_more_allowed_cpus_than_processes_pins_nothing(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
         one = self.run(problem, 1)
@@ -1132,6 +1215,7 @@ class TestCpuPlacement:
         assert run_fingerprint(*two) == run_fingerprint(*one)
         assert workers_exit(started) == [SIGNALLED]
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_one_allowed_cpu_pins_nothing(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
         one = self.run(problem, 1)
@@ -1144,6 +1228,7 @@ class TestCpuPlacement:
         assert run_fingerprint(*two) == run_fingerprint(*one)
         assert workers_exit(started) == [SIGNALLED]
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_no_affinity_calls_pins_nothing_and_counts_every_cpu(self, monkeypatch):
         problem = LinearTestProblem(-1.0, (1.0,))
         one = self.run(problem, 1)
