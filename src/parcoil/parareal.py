@@ -295,15 +295,16 @@ def _allowed_cpus() -> set[int] | None:
 # worker stops losing (read at call time).  In P=1/P=2 sweeps of the
 # shipped ramp on the 2-CPU benchmark host, P=2 lost 11-51 % up to a
 # prediction of 546, tied at 996 and won 13-28 % from 1725 (README).
+# No larger P was measured, so a run forks every worker it may or none.
 _MIN_WORK_PER_PROCESS = 450.0
 
 
 class _FineLoop:
     """The fine propagator F over ``n`` windows, run by P processes: this one and P-1 workers.
 
-    P is the largest p <= min(``n_workers``, ``n``) with p·G <= ``work``,
-    else 1: G is ``_MIN_WORK_PER_PROCESS`` and ``work`` one iteration's
-    predicted fine Newton work (none by default, so P = the minimum).
+    P is min(``n_workers``, ``n``) where ``work``, one iteration's
+    predicted fine Newton work, is at least 2·G, else 1: G is
+    ``_MIN_WORK_PER_PROCESS``, set where a second process stops losing.
     ``n_workers`` defaults to the number of CPUs this process may run on
     (``os.sched_getaffinity(0)``), or to ``os.cpu_count()`` where the
     platform cannot tell; one that is not an ``int`` (a ``bool``
@@ -335,15 +336,13 @@ class _FineLoop:
     pipes, fork or pin) then becomes an :class:`IntegrationFailed` naming i.
     """
 
-    def __init__(self, problem: Problem, n: int, n_workers: int | None = None, work=math.inf):
+    def __init__(self, problem: Problem, n: int, n_workers: int | None, work: float):
         allowed = _allowed_cpus()
         if n_workers is None:
             n_workers = len(allowed) if allowed is not None else os.cpu_count() or 1
         if type(n_workers) is not int or n_workers < 1:  # a float or a bool is no count
             raise ValueError(f"n_workers must be an integer >= 1, not {n_workers!r}")
-        p = min(n_workers, n)
-        while p > 1 and p * _MIN_WORK_PER_PROCESS > work:
-            p -= 1
+        p = min(n_workers, n) if work >= 2 * _MIN_WORK_PER_PROCESS else 1
         self.problem = problem
         self.keys: list[tuple[bytes, StepperTolerances] | None] = [None] * n
         self.trajs: list[Trajectory | None] = [None] * n

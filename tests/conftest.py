@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from parcoil import CoilProblem, LinearTestProblem, StepperTolerances
+from parcoil import CoilProblem, LinearTestProblem, StepperTolerances, parareal
 
 ALLOWED_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
@@ -19,6 +19,16 @@ WALL_FIELDS = frozenset(
         "time_loop_close",
     }
 )
+
+
+@pytest.fixture
+def forks_at_any_work(monkeypatch):
+    """G = 0: P = min(n_workers, N) whatever fine work Ĝ predicts, as tiny problems need.
+
+    Their predictions (m·√(coarse tol_t / fine tol_t)) lie far below 2·G,
+    so without this a run at two or more workers would fork nothing.
+    """
+    monkeypatch.setattr(parareal, "_MIN_WORK_PER_PROCESS", 0.0)
 
 
 @contextlib.contextmanager

@@ -524,6 +524,7 @@ class TestParareal:
             "error: sequential baseline failed: non-finite rhs at the start state, t=0\n"
         )
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     @pytest.mark.parametrize("config", ["coil", "linear"])
     def test_fine_steps_add_up_to_the_trajectory(self, tmp_path, config):
         # each window's last fine solve is the one stitched into the trajectory
@@ -617,6 +618,7 @@ class TestParareal:
             "linear-three_components",
         ],
     )
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_deterministic_across_runs_and_workers(self, tmp_path, cfg, workers, cpus, balance):
         if cpus and ALLOWED_CPUS < cpus:
             pytest.skip(f"needs {cpus} allowed CPUs")
@@ -712,6 +714,7 @@ class TestStudy:
         _, rows = read_csv(os.path.join(out, "study_table.csv"))
         assert len(rows) == 4
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_deterministic_across_workers(self, tmp_path):
         text = LINEAR_CFG + "\n[study]\nn_windows_list = 2, 4\nfine_tol_mk_list = 0.1, 0.01\n"
         cfg = write_cfg(tmp_path, text)

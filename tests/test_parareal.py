@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from parcoil import (
@@ -285,6 +285,7 @@ class TestRunParareal:
         for j in range(1, k_max + 1):
             assert bits(state_at(traj, report.boundaries[j])) == bits(oracle[j])
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_loop_open_and_close_walls_lie_within_the_run(self, n_workers):
         problem = LinearTestProblem(-1.0, (1.0,))
@@ -345,12 +346,17 @@ component = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1)
 linear_systems = st.builds(
     LinearTestProblem, st.floats(-3.0, 1.0), st.lists(component, min_size=1, max_size=3)
 )
+# forks_at_any_work only sets a constant, so it may hold across a test's examples
+FIXED_G = settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 
 
 class TestWindowSkipping:
     """From iteration 2 on, windows whose start is bitwise unchanged are not re-solved."""
 
-    @settings(max_examples=20, deadline=None)
+    @pytest.mark.usefixtures("forks_at_any_work")
+    @FIXED_G
     @given(problem=linear_systems, n=st.integers(2, 6), data=st.data())
     def test_first_k_boundaries_are_chained_fine_bitwise(self, problem, n, data):
         k = data.draw(st.integers(1, n + 1), label="k")
@@ -504,7 +510,8 @@ def run_loose(problem, cfg, n_workers, r):
 class TestLooseFirstIteration:
     """With a loose iteration 1, exactness moves by one iteration and K is never 1."""
 
-    @settings(max_examples=20, deadline=None)
+    @pytest.mark.usefixtures("forks_at_any_work")
+    @FIXED_G
     @given(problem=linear_systems, n=st.integers(2, 6), r=st.floats(2.0, 10.0), data=st.data())
     def test_first_k_minus_1_boundaries_are_chained_fine_bitwise(self, problem, n, r, data):
         k = data.draw(st.integers(2, n + 2), label="k")
@@ -525,7 +532,8 @@ class TestLooseFirstIteration:
             assert report.converged and report.err_per_iter[-1] == 0.0
         assert run_fingerprint(*run_loose(problem, cfg, 2, r)) == run_fingerprint(*one)
 
-    @settings(max_examples=20, deadline=None)
+    @pytest.mark.usefixtures("forks_at_any_work")
+    @FIXED_G
     @given(problem=linear_systems, n=st.integers(1, 6), tol_pr=st.floats(0.02, 1.0))
     def test_never_stops_after_the_loose_iteration(self, problem, n, tol_pr):
         # tol_pr > 100 tol_t, so the rule itself loosens iteration 1 (R > 1)
@@ -650,7 +658,7 @@ class TestFineLoopKeys:
         """Solve one fixed sequence of window starts; the Newton and rejected rows of each solve."""
         problem = LinearTestProblem(-1.0, (1.0,))
         rows = []
-        with parareal._FineLoop(problem, 4, size + 1) as fine:
+        with parareal._FineLoop(problem, 4, size + 1, math.inf) as fine:
 
             def solve(k, tol, starts):
                 kept = list(fine.trajs)
@@ -905,7 +913,7 @@ class TestFineLoopFailures:
         boundaries, starts = TestFineLoopKeys.BOUNDARIES, TestFineLoopKeys.STARTS
         solved = []
         for size in (0, 1):
-            with parareal._FineLoop(problem, 4, size + 1) as fine:
+            with parareal._FineLoop(problem, 4, size + 1, math.inf) as fine:
                 fine.solve(1, tiny_steps, boundaries, starts)
                 solved.append(fine.trajs)
         assert workers_exit() == [SIGNALLED]
@@ -935,16 +943,6 @@ def counting_forks(monkeypatch) -> list:
     return started
 
 
-@pytest.fixture
-def forks_at_any_work(monkeypatch):
-    """G = 0: P = min(n_workers, N) whatever fine work Ĝ predicts, as these tiny problems need.
-
-    Their predictions (m·√(coarse tol_t / fine tol_t)) lie far below G, so
-    without this a run at two workers would fork nothing.
-    """
-    monkeypatch.setattr(parareal, "_MIN_WORK_PER_PROCESS", 0.0)
-
-
 class TestWorkerGroup:
     CFG = TestFineLoopFailures.CFG
 
@@ -955,6 +953,7 @@ class TestWorkerGroup:
         assert report.converged
         assert workers_exit() == [SIGNALLED]
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_runs_leave_at_most_p_minus_1_workers_unreaped(self, monkeypatch):
         # P = 3: each close reaps the workers of earlier runs that have exited
         monkeypatch.setattr(parareal, "_reap", REAP)
@@ -977,7 +976,7 @@ class TestWorkerGroup:
         # a worker dead before its batch was sent: the batch stays in the
         # buffer of the caller's end, whose close then fails
         with pytest.raises(IntegrationFailed, match=unfinished):
-            with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
+            with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2, math.inf) as fine:
                 os.kill(fine.pids[0], signal.SIGKILL)
                 os.waitid(os.P_PID, fine.pids[0], os.WEXITED | os.WNOWAIT)  # dead, not reaped
                 fine.solve(1, LIN_FINE, TestFineLoopKeys.BOUNDARIES, TestFineLoopKeys.STARTS)
@@ -995,7 +994,7 @@ class TestWorkerGroup:
 
         monkeypatch.setattr(os, "fork", second_fork_fails)
         with pytest.raises(IntegrationFailed, match="^cannot start fine worker 2: ") as failure:
-            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 3)
+            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 3, math.inf)
         assert type(failure.value.__cause__) is OSError
         assert str(failure.value.__cause__) == "no second fork"
         assert len(started) == 1
@@ -1027,13 +1026,12 @@ class TestWorkerGroup:
 
 
 class TestProcessCount:
-    """P is the largest p <= min(n_workers, N) with p·G <= W, Ĝ's predicted fine work; else 1."""
+    """P is min(n_workers, N) where W, Ĝ's predicted fine work, is at least 2·G; else 1."""
 
     @pytest.mark.parametrize(
-        "work, n, processes",
-        [(899.0, 4, 1), (900.0, 4, 2), (1349.0, 4, 2), (1350.0, 4, 3), (math.inf, 2, 2)],
+        "work, n, processes", [(899.0, 4, 1), (900.0, 4, 3), (math.inf, 4, 3), (900.0, 2, 2)]
     )
-    def test_each_process_gets_g(self, monkeypatch, work, n, processes):
+    def test_every_worker_or_none(self, monkeypatch, work, n, processes):
         monkeypatch.setattr(parareal, "_MIN_WORK_PER_PROCESS", 450.0)
         with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), n, 3, work) as fine:
             assert len(fine.pids) + 1 == processes
@@ -1056,7 +1054,7 @@ class TestProcessCount:
         predicted = []
         init = parareal._FineLoop.__init__
 
-        def recording_init(self, problem, n, n_workers=None, work=math.inf):
+        def recording_init(self, problem, n, n_workers, work):
             predicted.append(work)
             init(self, problem, n, n_workers, work)
 
@@ -1118,7 +1116,7 @@ class TestCpuPlacement:
         return run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers)
 
     def test_only_the_worker_gets_its_own_cpu(self, caller_never_pinned):
-        with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
+        with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2, math.inf) as fine:
             # the worker is pinned once the loop is open, before it gets any batch
             caller = os.sched_getaffinity(0)
             worker = os.sched_getaffinity(fine.pids[0])
@@ -1126,6 +1124,7 @@ class TestCpuPlacement:
         assert caller == caller_never_pinned
         assert os.sched_getaffinity(0) == caller_never_pinned
 
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_mask_unchanged_through_a_normal_exit(self, caller_never_pinned):
         problem = LinearTestProblem(-1.0, (1.0,))
         assert run_fingerprint(*self.run(problem, 2)) == run_fingerprint(*self.run(problem, 1))
@@ -1157,7 +1156,7 @@ class TestCpuPlacement:
 
     def test_mask_unchanged_through_an_interrupt(self, caller_never_pinned):
         with pytest.raises(KeyboardInterrupt):
-            with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2) as fine:
+            with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2, math.inf) as fine:
                 fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
                 raise KeyboardInterrupt
         assert os.sched_getaffinity(0) == caller_never_pinned
@@ -1178,7 +1177,7 @@ class TestCpuPlacement:
 
         monkeypatch.setattr(os, "fork", forks_then_fails)
         with pytest.raises(IntegrationFailed, match="^cannot start fine worker 1: ") as failure:
-            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2)
+            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2, math.inf)
         assert type(failure.value.__cause__) is OSError
         assert str(failure.value.__cause__) == "start failed after the fork"
         assert os.sched_getaffinity(0) == caller_never_pinned
@@ -1196,7 +1195,7 @@ class TestCpuPlacement:
             patch.setattr(os, "sched_setaffinity", cannot_pin)
             started = counting_forks(patch)
             with pytest.raises(IntegrationFailed, match="^cannot start fine worker 1: ") as failure:
-                parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2)
+                parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2, math.inf)
         assert type(failure.value.__cause__) is OSError
         assert str(failure.value.__cause__) == f"cannot pin process {started[0]}"
         assert os.sched_getaffinity(0) == caller_never_pinned
