@@ -105,7 +105,7 @@ class Problem(ABC):
 
         Default: forward differences with per-component perturbation
         ``1e-7 * max(|u_i|, 1)`` (deterministic).  Problems with a closed
-        form override this; Newton calls it where :meth:`rhs_and_jacobian` does not.
+        form override this; Newton calls it, at its start through :meth:`rhs_and_jacobian`.
         """
         f0 = self.rhs(t, u)
         columns = []
@@ -117,10 +117,10 @@ class Problem(ABC):
         return tuple(zip(*columns))
 
     def rhs_and_jacobian(self, t: float, u: State) -> tuple:
-        """``(rhs(t, u), jacobian(t, u))``, for a problem that evaluates both at once.
+        """``(rhs(t, u), jacobian(t, u))``, which the stepper takes at each Newton start.
 
-        The stepper calls it at each Newton start where it is overridden.
-        An override must equal the pair bit for bit, and a subclass that
+        A problem that evaluates both at once overrides it, as the coil
+        does.  An override must equal the pair bit for bit, and a subclass that
         overrides ``rhs`` or ``jacobian`` of a problem that fuses must too.
         The coil's three methods enter one kernel, so they are bitwise
         equal by construction.

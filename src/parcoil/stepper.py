@@ -42,10 +42,10 @@ Gaussian elimination with partial pivoting, so the stepper is sized for
 lumped systems of a few components: elimination costs O(n^3) interpreted
 operations and loses to LAPACK past about five components.
 
-Both step functions need ``rhs`` and the Jacobian at the Newton start: a
-problem that overrides :meth:`Problem.rhs_and_jacobian` (the coil) gives
-both from one call there; otherwise, and in later Newton iterations,
-``rhs`` and :func:`newton_jacobian` are called apart.
+Both step functions take ``rhs`` and the Jacobian at each Newton start
+from one :meth:`Problem.rhs_and_jacobian` call, which the coil answers
+from one evaluation; later Newton iterations call ``rhs`` and
+:func:`newton_jacobian` apart.
 
 A two-component state (the coil) takes a scalar step: both step functions
 unpack it once and run the residual, the closed-form 2x2 solve (inline),
@@ -145,13 +145,6 @@ def _all_finite(values) -> bool:
     return all(map(math.isfinite, values))
 
 
-def _start(problem: Problem, t: float, u: State) -> tuple:
-    """``rhs`` at a Newton start, and the Jacobian there if the problem fuses the two, else None."""
-    if type(problem).rhs_and_jacobian is Problem.rhs_and_jacobian:
-        return problem.rhs(t, u), None
-    return problem.rhs_and_jacobian(t, u)
-
-
 def _residual(f, dt: float, u: State, u_prev: State) -> tuple:
     """Implicit Euler residual ``u - u_prev - dt*f`` componentwise, ``f = rhs(t, u)``."""
     return tuple([a - b - dt * c for a, b, c in zip(u, u_prev, f, strict=True)])
@@ -240,7 +233,7 @@ def implicit_euler_step(
             # the tuple path below on local floats, with the same operations
             p0, p1 = u_prev
             x0, x1 = u
-            (f0, f1), jac = _start(problem, t_new, u)
+            (f0, f1), jac = problem.rhs_and_jacobian(t_new, u)
             r0 = x0 - p0 - dt * f0
             r1 = x1 - p1 - dt * f1
             if not (isfinite(r0) and isfinite(r1)):
@@ -275,7 +268,7 @@ def implicit_euler_step(
                 temp = temp_new
             raise StepFailed(f"no convergence within {tol.nr_max_iters} iterations")
 
-        f, jac = _start(problem, t_new, u)
+        f, jac = problem.rhs_and_jacobian(t_new, u)
         r = _residual(f, dt, u, u_prev)
         if not _all_finite(r):
             raise StepFailed("non-finite residual at the initial guess")
@@ -333,12 +326,12 @@ def linearized_euler_step(
             # the tuple path below on local floats, with the same operations:
             # the residual keeps u - u, so that dt*f == 0 gives 0.0, not -0.0
             x0, x1 = u
-            (f0, f1), jac = _start(problem, t_new, u)
+            (f0, f1), jac = problem.rhs_and_jacobian(t_new, u)
             r0 = x0 - x0 - dt * f0
             r1 = x1 - x1 - dt * f1
             if not (isfinite(r0) and isfinite(r1)):
                 raise StepFailed("non-finite residual")
-            (a, b), (c, d) = newton_jacobian(problem, t_new, u) if jac is None else jac
+            (a, b), (c, d) = jac
             if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
                 raise StepFailed("non-finite Jacobian")
             m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
@@ -351,11 +344,11 @@ def linearized_euler_step(
                 raise StepFailed("non-finite linearized step")
             return (x0, x1)
 
-        f, jac = _start(problem, t_new, u)
+        f, jac = problem.rhs_and_jacobian(t_new, u)
         r = _residual(f, dt, u, u)
         if not _all_finite(r):
             raise StepFailed("non-finite residual")
-        du = _newton_update(dt, newton_jacobian(problem, t_new, u) if jac is None else jac, r)
+        du = _newton_update(dt, jac, r)
         u_new = tuple(map(operator.add, u, du))
         if not _all_finite(u_new):
             raise StepFailed("non-finite linearized step")

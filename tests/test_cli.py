@@ -3,6 +3,7 @@ import csv
 import errno
 import math
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -383,8 +384,8 @@ class TestSequential:
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["sequential", "--config", cfg, "--out", out_a]) == 0
         assert main(["sequential", "--config", cfg, "--out", out_b]) == 0
-        bytes_a = open(os.path.join(out_a, "trajectory.csv"), "rb").read()
-        bytes_b = open(os.path.join(out_b, "trajectory.csv"), "rb").read()
+        bytes_a = pathlib.Path(out_a, "trajectory.csv").read_bytes()
+        bytes_b = pathlib.Path(out_b, "trajectory.csv").read_bytes()
         assert bytes_a == bytes_b
 
     def test_integration_failure_exit_code(self, tmp_path, capsys):
@@ -629,8 +630,8 @@ class TestParareal:
         with lowest_cpus(cpus) if cpus else contextlib.nullcontext():
             argv = ["parareal", "--config", cfg, "--out", outs[1], "--workers", str(workers)]
             assert main(argv) == 0
-        t1 = open(os.path.join(outs[0], "trajectory.csv"), "rb").read()
-        t2 = open(os.path.join(outs[1], "trajectory.csv"), "rb").read()
+        t1 = pathlib.Path(outs[0], "trajectory.csv").read_bytes()
+        t2 = pathlib.Path(outs[1], "trajectory.csv").read_bytes()
         assert t1 == t2
         # everything except wall-clock-derived columns must match byte for byte
         for name in ("summary.csv", "report.csv"):
@@ -721,7 +722,7 @@ class TestStudy:
         outs = [str(tmp_path / name) for name in ("w1", "w2")]
         assert main(["study", "--config", cfg, "--out", outs[0], "--workers", "1"]) == 0
         assert main(["study", "--config", cfg, "--out", outs[1], "--workers", "2"]) == 0
-        errors = [open(os.path.join(out, "study_errors.csv"), "rb").read() for out in outs]
+        errors = [pathlib.Path(out, "study_errors.csv").read_bytes() for out in outs]
         assert errors[0] == errors[1]
         # every column but the wall-clock one matches byte for byte
         (h1, rows1), (h2, rows2) = [read_csv(os.path.join(out, "study_table.csv")) for out in outs]

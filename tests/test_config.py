@@ -100,6 +100,8 @@ class TestRejectedBeforeOutput:
             ("[run]\nproblem = linear_test\nt_end = abc\n", [], ["[run]", "'t_end'"]),
             (RUN + "workers = 2.5\n", [], ["[run]", "'workers'"]),
             (RUN + "[fine]\ndt_min = 1.0\n", [], ["[fine]", "dt_min"]),
+            (RUN + "[fine]\ntol_t_mk = 0\n", [], ["[fine]", "tol_t must be positive"]),
+            (RUN + "[parareal]\ntol_pr_mk = 0\n", [], ["[parareal]", "tol_pr must be positive"]),
             (RUN + "no_equals_sign\n", [], ["cannot parse", "no_equals_sign"]),
             ("[fine]\ndt_min = 1e-9\n", [], ["[run]"]),
             ("[run]\nproblem = linear_test\n", [], ["[run]", "'t_end'"]),
@@ -124,6 +126,8 @@ class TestRejectedBeforeOutput:
             "t_end_not_a_number",
             "workers_not_an_integer",
             "invalid_fine_settings",
+            "fine_tol_t_0",
+            "tol_pr_0",
             "line_without_equals",
             "no_run_section",
             "no_t_end",
@@ -146,6 +150,20 @@ class TestRejectedBeforeOutput:
         for name in names:
             assert name in err
         assert not out.exists()
+
+
+class TestRampPoints:
+    def test_an_empty_entry_is_skipped(self, tmp_path):
+        # a trailing comma leaves an empty entry: the same ramp, the same run
+        outputs = []
+        for name, points in (("plain", "0.5:20, 1:0"), ("comma", "0.5:20, 1:0,")):
+            text = f"[run]\nproblem = ni_coil\nt_end = 1.0\n[ramp]\npoints = {points}\n"
+            path = write_cfg(tmp_path, text, f"{name}.cfg")
+            out = tmp_path / name
+            assert main(["sequential", "--config", path, "--out", str(out)]) == 0
+            outputs.append((load_run_config(path), (out / "trajectory.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].ramp.segments == ((0.5, 20.0), (1.0, 0.0))
 
 
 class TestShippedConfigs:

@@ -127,6 +127,18 @@ class TestMaxPossibleSpeedup:
     def test_exact_ratio_not_rounded(self):
         assert max_possible_speedup(24, 5) == 4.8
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_iteration_count_below_1_is_refused(self, k):
+        with pytest.raises(ValueError, match="^iteration count must be >= 1$"):
+            max_possible_speedup(8, k)
+
+
+class TestCoarseSweepTimes:
+    def test_each_iteration_sums_its_row(self):
+        report = synthetic_report([[1, 1], [1, 1], [0, 1]])
+        report.time_g_per_window_per_iter[1:] = [[0.25, 0.5], [0.0, 0.125]]
+        assert report.time_g_per_iter == [0.0, 0.75, 0.125]
+
 
 class TestMaxTemperatureDeviation:
     PROBLEM = LinearTestProblem(-1.0, (0.0, 0.0))  # T_max is the larger component

@@ -5,7 +5,7 @@
 bit for bit (compared by ``float.hex``, so 0.0 and -0.0 differ) on every
 branch, and a whole run that takes the fused call at each Newton start
 must equal, bit for bit and count for count, the run that takes the
-default pair (``rhs``, the residual check, then ``newton_jacobian``).
+default pair (``Problem.rhs_and_jacobian``: ``rhs``, then ``jacobian``).
 """
 
 import dataclasses
@@ -235,28 +235,24 @@ class TestFusedKernel:
         )
 
 
-class FusedLinear(LinearTestProblem):
-    """The linear problem with ``rhs_and_jacobian`` overridden by the default pair."""
-
-    calls = 0
-
-    def rhs_and_jacobian(self, t, u):
-        self.calls += 1
-        return super().rhs_and_jacobian(t, u)
-
-
 @pytest.mark.parametrize("u_0", [(1.0,), (1.0, -2.0, 3.0)], ids=["one", "three"])
 @pytest.mark.parametrize("linearized", [False, True], ids=["implicit", "linearized"])
-def test_tuple_path_takes_the_fused_start(u_0, linearized):
-    # the general (not two-component) path of both step functions
+def test_tuple_path_takes_the_fused_start(monkeypatch, u_0, linearized):
+    # the general (not two-component) path of both step functions: one
+    # rhs_and_jacobian call per trial step
+    calls = []
+    default = Problem.rhs_and_jacobian
+
+    def counting(self, t, u):
+        calls.append(t)
+        return default(self, t, u)
+
+    monkeypatch.setattr(Problem, "rhs_and_jacobian", counting)
     tol = StepperTolerances(tol_nr=1e-10, tol_t=1e-5, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
-    results = []
-    for problem in (LinearTestProblem(-1.0, u_0), FusedLinear(-1.0, u_0)):
-        counters = StepCounters()
-        traj = adaptive_integrate(problem, 0.0, 1.0, u_0, tol, counters, linearized=linearized)
-        results.append(as_hex((traj.times, traj.states, dataclasses.asdict(counters))))
-    assert problem.calls == counters.steps_accepted + counters.steps_rejected
-    assert results[0] == results[1]
+    counters = StepCounters()
+    problem = LinearTestProblem(-1.0, u_0)  # keeps the default rhs_and_jacobian
+    adaptive_integrate(problem, 0.0, 1.0, u_0, tol, counters, linearized=linearized)
+    assert len(calls) == counters.steps_accepted + counters.steps_rejected > 0
 
 
 def run_results(cfg, problem):

@@ -110,6 +110,11 @@ class TestWindowBoundaryIndices:
         with pytest.raises(PartitionError):
             window_boundary_indices(3, 4)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_window(self, n):
+        with pytest.raises(ValueError, match="^need at least one window$"):
+            window_boundary_indices(3, n)
+
     def test_random_cases_match_floor_oracle(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
@@ -234,6 +239,14 @@ class TestPrError:
         updated = [as_state([1e-3]), as_state([7e-3]), as_state([2e-3])]
         fine = [as_state([0.0]), as_state([0.0]), as_state([0.0])]
         assert pr_error(updated, fine, self.PROBLEM) == pytest.approx(7e-3, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_updated, n_fine", [(2, 1), (1, 2), (0, 0)], ids=["fewer_fine", "more_fine", "none"]
+    )
+    def test_needs_one_pair_per_window(self, n_updated, n_fine):
+        state = as_state([1.0])
+        with pytest.raises(ValueError, match=r"^need one \(U_j, fine_j\) pair per window$"):
+            pr_error([state] * n_updated, [state] * n_fine, self.PROBLEM)
 
 
 def chained_fine_oracle(problem, boundaries, tol):
@@ -983,6 +996,16 @@ class TestWorkerGroup:
         assert workers_exit(fine.pids) == [-signal.SIGKILL]
         assert len(os.listdir("/proc/self/fd")) == before
 
+    @pytest.mark.parametrize("block", [False, True], ids=["poll", "block"])
+    def test_reap_drops_a_worker_waited_for_elsewhere(self, block):
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        os.waitpid(pid, 0)
+        parareal._UNREAPED.append(pid)
+        REAP(block=block)
+        assert pid not in parareal._UNREAPED
+
     def test_a_failed_fork_signals_the_workers_already_forked(self, monkeypatch):
         started = counting_forks(monkeypatch)
         fork = os.fork
@@ -1185,6 +1208,23 @@ class TestCpuPlacement:
         # ends, by os._exit(0), on the EOF of the caller's closed pipe ends
         assert parareal._UNREAPED == []
         assert workers_exit(forked) == [0]
+
+    def test_mask_unchanged_through_an_interrupted_start(self, caller_never_pinned, monkeypatch):
+        # Ctrl-C while the loop forks its second worker of P = 3
+        started = counting_forks(monkeypatch)
+        fork = os.fork
+
+        def second_fork_interrupted():
+            if started:
+                raise KeyboardInterrupt
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 3, math.inf)
+        assert len(started) == 1
+        assert workers_exit() == [SIGNALLED]
+        assert os.sched_getaffinity(0) == caller_never_pinned
 
     def test_mask_unchanged_through_a_worker_pin_that_fails(self, caller_never_pinned):
         def cannot_pin(pid, cpus):

@@ -56,6 +56,20 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory((0.0, 1.0), ((1.0,), (1.0, 2.0)))
 
+    @pytest.mark.parametrize(
+        "times, states, message",
+        [
+            ((), (), "at least one entry"),
+            ((0.0, 1.0), ((1.0,),), "got 1 states for 2 times"),
+            ((0.0, float("inf")), ((1.0,), (2.0,)), "times contain non-finite entries"),
+            ((float("nan"),), ((1.0,),), "times contain non-finite entries"),
+        ],
+        ids=["no_entry", "fewer_states", "infinite_time", "nan_time"],
+    )
+    def test_rejects_malformed_entries(self, times, states, message):
+        with pytest.raises(ValueError, match=message):
+            Trajectory(times, states)
+
     def test_terminal_state_and_span(self):
         traj = Trajectory(np.array([2.0, 3.0]), np.array([[1.0, 5.0], [4.0, 6.0]]))
         assert traj.times == (2.0, 3.0)

@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 import textwrap
 
 import numpy as np
@@ -237,6 +238,20 @@ class TestOverflow:
         assert traj.times[-1] == 20.0
         assert traj.terminal_state[0] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("u0", [(1e308,), (1e308, 1e308, 1e308)], ids=["one", "three"])
+    @pytest.mark.parametrize("linearized", [False, True], ids=["implicit", "linearized"])
+    def test_overflowing_update_is_a_failed_step(self, u0, linearized):
+        # the tuple path: growth at rate 1 over dt = 0.5 doubles 1e308 to inf
+        problem = LinearTestProblem(1.0, u0)
+        counters = StepCounters()
+        if linearized:
+            with pytest.raises(StepFailed, match="^non-finite linearized step$"):
+                linearized_euler_step(problem, 0.0, 0.5, u0, counters)
+        else:
+            with pytest.raises(StepFailed, match="^non-finite Newton iterate$"):
+                implicit_euler_step(problem, 0.0, 0.5, u0, u0, TIGHT, counters)
+        assert counters.nr_iterations == 1
+
 
 class TestArithmeticError:
     def test_float_overflow_in_rhs_is_a_failed_step(self):
@@ -302,8 +317,8 @@ class RecordingCoil(RecordsStates, CoilProblem):
 class RecordingCubic(RecordsStates, CubicDecay):
     """Default forward-difference Jacobian, whose perturbed states are recorded too.
 
-    Recording ``rhs_and_jacobian`` overrides it, so the stepper takes the
-    default pair through it, and records the states of both calls.
+    The stepper takes the default pair through ``rhs_and_jacobian`` at each
+    Newton start, so the states of both calls are recorded there too.
     """
 
 
@@ -323,7 +338,7 @@ CONTRACT_TOLS = {
 
 # The cubic runs through the CLI as a linear_test config whose problem is replaced.
 CONTRACT_CFGS = {
-    RecordingCoil: open(os.path.join(REPO_ROOT, "configs", "ni_coil.cfg")).read(),
+    RecordingCoil: pathlib.Path(REPO_ROOT, "configs", "ni_coil.cfg").read_text(),
     RecordingCubic: textwrap.dedent(
         """
         [run]
@@ -453,6 +468,26 @@ class TestImplicitEulerStep:
         counters = StepCounters()
         implicit_euler_step(DECAY, 0.0, 0.5, as_state([1.0]), as_state([1.0]), TIGHT, counters)
         assert counters.nr_iterations >= 1
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: implicit_euler_step(DECAY, 0.0, 0.0, (1.0,), (1.0,), TIGHT), "dt must be"),
+            (lambda: implicit_euler_step(DECAY, 0.0, -0.5, (1.0,), (1.0,), TIGHT), "dt must be"),
+            (
+                lambda: implicit_euler_step(DECAY, 0.0, 0.5, (1.0,), (1.0, 1.0), TIGHT),
+                "guess and u_prev must have the same dimension",
+            ),
+            (lambda: adaptive_integrate(DECAY, 1.0, 1.0, (1.0,), TIGHT), "need t_a < t_b"),
+            (lambda: adaptive_integrate(DECAY, 1.0, 0.5, (1.0,), TIGHT), "need t_a < t_b"),
+        ],
+        ids=["dt_0", "dt_negative", "guess_size", "empty_interval", "reversed_interval"],
+    )
+    def test_bad_arguments_are_a_value_error(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call()
 
 
 class TestAdaptiveIntegrate:
