@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import os
 import sys
+from functools import partial
 
 from .config import ConfigError, RunConfig, load_run_config, make_problem, run_id
 from .diagnostics import (
@@ -59,22 +60,32 @@ def _write_csv(path: str, rows: list[dict]) -> None:
             writer.writerow([_fmt(v) for v in row.values()])
 
 
-def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory) -> None:
-    """Write the trajectory column by column, one ``%.12g`` format per row.
+def _trajectory_rows(problem: Problem, times, states) -> str:
+    """The ``trajectory.csv`` rows of these points, built column by column, one ``%.12g`` format per row.
 
     Every cell must be a number: unlike :func:`_fmt`, the row format writes
-    no empty cell for None and raises ``TypeError``, before the file is opened.
+    no empty cell for None and raises ``TypeError``.  Each row is formatted
+    on its own, so the rows of consecutive slices join to those of the whole.
     """
     derived = problem.derived_columns()
-    header = ["time_s", *problem.component_names, "T_max_K", *(name for name, _ in derived)]
-    times, states = traj.times, traj.states
     extra = ([fn(t, u) for t, u in zip(times, states)] for _, fn in derived)
     columns = zip(times, *zip(*states), map(problem.max_temperature, states), *extra)
-    line = ",".join(["%.12g"] * len(header)) + "\r\n"
-    rows = [line % row for row in columns]
+    line = ",".join(["%.12g"] * (len(problem.component_names) + 2 + len(derived))) + "\r\n"
+    return "".join([line % row for row in columns])
+
+
+def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory, rows=None) -> None:
+    """Write the header and the rows of ``traj``: ``rows`` if given, else :func:`_trajectory_rows`'.
+
+    The text is built before the file is opened, so a row that cannot be
+    formatted writes no file.
+    """
+    if rows is None:
+        rows = _trajectory_rows(problem, traj.times, traj.states)
+    names = (name for name, _ in problem.derived_columns())
     with _output(path) as handle:
-        csv.writer(handle).writerow(header)
-        handle.write("".join(rows))
+        csv.writer(handle).writerow(["time_s", *problem.component_names, "T_max_K", *names])
+        handle.write(rows)
 
 
 def _sequential_fine_run(context: str, problem: Problem, cfg: RunConfig, tol: StepperTolerances):
@@ -180,10 +191,18 @@ def cmd_parareal(problem: Problem, cfg: RunConfig, rid: str, args) -> int:
         traj, _, wall = _sequential_fine_run(context, problem, cfg, cfg.parareal.fine_tol)
         baseline = traj, wall
 
+    # each fine-loop process formats the rows of the windows it last solved
     traj, report = run_parareal(
-        problem, cfg.t_start, cfg.t_end, problem.initial_state(), cfg.parareal, cfg.workers
+        problem,
+        cfg.t_start,
+        cfg.t_end,
+        problem.initial_state(),
+        cfg.parareal,
+        cfg.workers,
+        format_rows=partial(_trajectory_rows, problem),
     )
-    _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, traj)
+    path = os.path.join(cfg.out_dir, "trajectory.csv")
+    _write_trajectory_csv(path, problem, traj, report.trajectory_rows)
     _write_csv(os.path.join(cfg.out_dir, "report.csv"), _report_rows(report, rid))
     summary = _summary_rows(problem, traj, report, rid, baseline)
     _write_csv(os.path.join(cfg.out_dir, "summary.csv"), summary)

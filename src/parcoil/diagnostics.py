@@ -51,6 +51,8 @@ class PararealReport:
     (forking its workers, after the adaptive coarse pass) and of closing
     it; ``total_wall`` spans both.  ``processes`` is the number of
     processes that ran the fine solves: this one and its forked workers.
+    ``trajectory_rows`` is the formatted text of the trajectory's rows when
+    the run was asked for it (``run_parareal``'s ``format_rows``), else None.
     """
 
     n_windows: int
@@ -74,6 +76,7 @@ class PararealReport:
     time_loop_open: float = 0.0
     time_loop_close: float = 0.0
     processes: int = 1
+    trajectory_rows: str | None = None
 
     @property
     def iterations_run(self) -> int:

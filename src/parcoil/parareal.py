@@ -20,6 +20,10 @@ last Newton counts.  This process solves the first batch, and up to P-1
 worker processes, forked with ``os.fork`` and fed through one pipe pair
 each, solve the rest (P fine solves at once; P = 1 starts no process).
 Each pipe carries a stream of pickles, one per batch and one per reply.
+A caller that asks for the trajectory's rows (``format_rows``) gets
+them from the same processes: after the last iteration each worker is
+sent the numbers of the windows whose final solve it ran, formats their
+rows while this process formats its own, and sends back the text.
 Closing the loop signals the workers and does not wait for them: they
 are reaped after the run (see :func:`_reap`).  :class:`_FineLoop` alone
 decides P, from the fine work the coarse pass predicts, and pins its
@@ -51,6 +55,7 @@ import pickle
 import signal
 import struct
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -215,15 +220,54 @@ def _solve_batch(problem, tol, k, windows):
     return results
 
 
+# The text of the rows of points (times, states), one row per point.
+RowFormat = Callable[[Sequence[float], Sequence[State]], str]
+
+
+def _format_windows(format_rows: RowFormat, trajs: dict, windows) -> list[tuple[int, str]]:
+    """The rows of ``windows``, ascending window numbers, from ``trajs[j]`` for each ``j``.
+
+    Window 1 gives every point, a later window all but its first, which is
+    the last of the window before: the rows of the trajectory
+    :func:`_stitch` joins.  Each run of consecutive windows is formatted in
+    one call, and comes back as ``(its first window, its text)``, so that a
+    process that holds every window makes one call, as the sequential solve
+    does.  An exception in ``format_rows`` becomes an
+    :class:`IntegrationFailed` naming the windows and the exception, so
+    that it reads the same from any process.
+    """
+    runs = []  # [first window, last window, times, states]
+    for j in windows:
+        if runs and runs[-1][1] == j - 1:
+            run = runs[-1]
+            run[1] = j
+        else:
+            run = [j, j, [], []]
+            runs.append(run)
+        start = 0 if j == 1 else 1
+        run[2] += trajs[j].times[start:]
+        run[3] += trajs[j].states[start:]
+    try:
+        return [(first, format_rows(times, states)) for first, _, times, states in runs]
+    except Exception as exc:
+        raise IntegrationFailed(
+            f"cannot format the rows of windows {list(windows)}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def _send(pipe, message) -> None:
     """Write ``message`` to ``pipe``, an ``os.fdopen`` file, as one pickle, and flush it."""
     pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
     pipe.flush()
 
 
-def _fine_worker(requests: int, replies: int, problem, inherited) -> None:
-    """A forked worker's life: answer each ``(k, tol, windows)`` with its results or its exception.
+def _fine_worker(requests: int, replies: int, problem, format_rows, inherited) -> None:
+    """A forked worker's life: answer each request with its results or its exception.
 
+    A request ``(k, tol, windows)`` is a batch to solve; the worker keeps
+    its last solve of each window it solved.  A list of window numbers
+    asks for the rows of those windows, from those solves, as
+    :func:`_format_windows` gives them.
     It first closes ``inherited``, the caller's pipe ends (holding one, it
     would see no EOF when the caller closes them), and it leaves by
     ``os._exit`` whatever happens, never into the caller's stack.  An
@@ -239,14 +283,24 @@ def _fine_worker(requests: int, replies: int, problem, inherited) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        solved: dict[int, Trajectory] = {}
         while True:
             try:
-                k, tol, windows = pickle.load(requests)
+                request = pickle.load(requests)
             except EOFError:  # the caller closed its end
                 code = 0
                 break
+            if isinstance(request, list):
+                try:
+                    reply = _format_windows(format_rows, solved, request)
+                except IntegrationFailed as exc:
+                    reply = exc
+                _send(replies, reply)
+                continue
+            k, tol, windows = request
             try:
                 reply = _solve_batch(problem, tol, k, windows)
+                solved.update((j, traj) for j, traj, *_ in reply)
             except Exception as exc:
                 reply = exc
                 try:
@@ -312,14 +366,18 @@ class _FineLoop:
     process starts.
 
     It keeps each window's last fine solve: the key (start bytes,
-    tolerance) that decides whether to re-solve it, its trajectory, and
-    its Newton count, the cost on which re-solves are dealt longest-first
-    into batches (equal counts deal iteration 1 round-robin).
-    A worker is forked by ``os.fork``, so it inherits the problem, and gets
-    the tolerance with every batch; each worker has its own pair of pipes,
-    opened as buffered files that carry one pickle per message.  No thread
-    runs beside the caller, so nothing waits for the GIL while the caller
-    solves a batch itself.
+    tolerance) that decides whether to re-solve it, its trajectory, its
+    Newton count, the cost on which re-solves are dealt longest-first
+    into batches (equal counts deal iteration 1 round-robin), and the
+    process that ran it, which keeps that trajectory too.
+    A worker is forked by ``os.fork``, so it inherits the problem and
+    ``format_rows``, and gets the tolerance with every batch; each worker
+    has its own pair of pipes, opened as buffered files that carry one
+    pickle per message.  No thread runs beside the caller, so nothing
+    waits for the GIL while the caller solves a batch itself.
+    :meth:`rows` asks each process for the rows of the windows it last
+    solved, formatted by ``format_rows``: only window numbers and text
+    cross the pipes.
     Workers ignore SIGINT.  Leaving the ``with`` block, normally or by any
     exception (Ctrl-C included), sends each worker SIGTERM and closes the
     pipes without waiting for the workers to exit; :func:`_reap` waits for
@@ -336,7 +394,14 @@ class _FineLoop:
     pipes, fork or pin) then becomes an :class:`IntegrationFailed` naming i.
     """
 
-    def __init__(self, problem: Problem, n: int, n_workers: int | None, work: float):
+    def __init__(
+        self,
+        problem: Problem,
+        n: int,
+        n_workers: int | None,
+        work: float,
+        format_rows: RowFormat | None = None,
+    ):
         allowed = _allowed_cpus()
         if n_workers is None:
             n_workers = len(allowed) if allowed is not None else os.cpu_count() or 1
@@ -344,9 +409,11 @@ class _FineLoop:
             raise ValueError(f"n_workers must be an integer >= 1, not {n_workers!r}")
         p = min(n_workers, n) if work >= 2 * _MIN_WORK_PER_PROCESS else 1
         self.problem = problem
+        self.format_rows = format_rows
         self.keys: list[tuple[bytes, StepperTolerances] | None] = [None] * n
         self.trajs: list[Trajectory | None] = [None] * n
         self.nr = [1] * n
+        self.owners = [0] * n  # the process of each window's last solve: 0 this one, i worker i
         self.pids: list[int] = []
         self.pipes: list = []  # this process's ends, as files: to, then from, each worker
         cpus = sorted(allowed) if p > 1 and len(allowed or ()) == p else [None] * p
@@ -359,7 +426,7 @@ class _FineLoop:
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _fine_worker(requests, replies, problem, self.pipes)
+                        _fine_worker(requests, replies, problem, format_rows, self.pipes)
                     self.pids.append(pid)
                     _UNREAPED.append(pid)
                     if cpu is not None:
@@ -424,29 +491,16 @@ class _FineLoop:
             return nr_row, rejected_row, wall_row, accepted_row
         costs = [self.nr[j - 1] for j, *_ in windows]
         batches = [[windows[i] for i in b] for b in _fine_batches(costs, len(self.pids) + 1)]
-        for pipe, batch in zip(self.pipes[::2], batches[1:]):
-            with contextlib.suppress(OSError):  # a dead worker is reported below
-                _send(pipe, (k, tol, batch))
+        asked = [(i, [j for j, *_ in batch]) for i, batch in enumerate(batches[1:], 1)]
+        for i, batch in enumerate(batches[1:], 1):
+            self._ask(i, (k, tol, batch))
         results = _solve_batch(self.problem, tol, k, batches[0])
-        lost, failure = [], None
-        for pipe, batch in zip(self.pipes[1::2], batches[1:]):
-            try:
-                reply = pickle.load(pipe)
-            except (EOFError, OSError, pickle.UnpicklingError):  # cut short by a death
-                lost += [j for j, *_ in batch]
-                continue
-            if isinstance(reply, Exception):
-                failure = failure or reply
-            else:
-                results += reply
-        if lost:
-            raise IntegrationFailed(
-                f"a fine worker process died during iteration {k} "
-                f"while windows {sorted(lost)} were unfinished"
-            )
-        if failure is not None:
-            raise failure
+        for reply in self._replies(asked, k):
+            results += reply
         self.keys = keys
+        for owner, batch in enumerate(batches):
+            for j, *_ in batch:
+                self.owners[j - 1] = owner
         for j, traj, counters, wall in results:
             self.trajs[j - 1] = traj
             self.nr[j - 1] = nr_row[j - 1] = counters.nr_iterations
@@ -454,6 +508,66 @@ class _FineLoop:
             wall_row[j - 1] = wall
             accepted_row[j - 1] = counters.steps_accepted
         return nr_row, rejected_row, wall_row, accepted_row
+
+    def rows(self) -> str:
+        """The rows of the stitched final trajectory, as ``format_rows`` writes them.
+
+        Each window's rows come from the process that last solved it:
+        window 1 whole, each later one without its first point, as
+        :func:`_stitch` joins them.  The workers get their window numbers
+        first, then this process formats its own windows.  A failure to
+        format, here or in a worker, raises :class:`IntegrationFailed`
+        naming that process's windows; a worker that died raises one
+        naming the windows whose rows never came.
+        """
+        owned = [[] for _ in range(len(self.pids) + 1)]
+        for j, owner in enumerate(self.owners, 1):
+            owned[owner].append(j)
+        asked = [(i, js) for i, js in enumerate(owned[1:], 1) if js]
+        for i, js in asked:
+            self._ask(i, js)
+        own = {j: self.trajs[j - 1] for j in owned[0]}
+        texts = _format_windows(self.format_rows, own, owned[0])
+        for reply in self._replies(asked):
+            texts += reply
+        return "".join([text for _, text in sorted(texts)])
+
+    def _ask(self, i: int, request) -> None:
+        """Send ``request`` to worker ``i``; a dead worker is reported by :meth:`_replies`."""
+        with contextlib.suppress(OSError):
+            _send(self.pipes[2 * i - 2], request)
+
+    def _replies(self, asked, k: int | None = None) -> list:
+        """The reply of each worker ``i`` in ``asked``, ``(i, windows)`` pairs, in that order.
+
+        The first exception a worker sent is raised once every reply has
+        been read.  A worker that died, before its reply or part way
+        through it, raises :class:`IntegrationFailed` naming the windows
+        whose results, in iteration ``k``, or rows (``k`` None) never came.
+        """
+        replies, lost, failure = [], [], None
+        for i, js in asked:
+            try:
+                reply = pickle.load(self.pipes[2 * i - 1])
+            except (EOFError, OSError, pickle.UnpicklingError):  # cut short by a death
+                lost += js
+                continue
+            if isinstance(reply, Exception):
+                failure = failure or reply
+            else:
+                replies.append(reply)
+        if lost and k is None:
+            raise IntegrationFailed(
+                f"a fine worker process died before the rows of windows {sorted(lost)} came"
+            )
+        if lost:
+            raise IntegrationFailed(
+                f"a fine worker process died during iteration {k} "
+                f"while windows {sorted(lost)} were unfinished"
+            )
+        if failure is not None:
+            raise failure
+        return replies
 
 
 def _stitch(fine_trajs) -> Trajectory:
@@ -472,6 +586,8 @@ def run_parareal(
     u_0: State,
     cfg: PararealConfig,
     n_workers: int | None = None,
+    *,
+    format_rows: RowFormat | None = None,
 ) -> tuple[Trajectory, PararealReport]:
     """Execute the full algorithm from ``t_0`` to ``t_N``.
 
@@ -488,6 +604,14 @@ def run_parareal(
     :class:`PartitionError` and :class:`IntegrationFailed` propagate with
     iteration/window context.  ``n_workers`` goes to :class:`_FineLoop`,
     which opens after Ĝ and sets P from it and Ĝ's predicted fine work.
+
+    ``format_rows(times, states)``, when given, returns the text of those
+    points' rows, one independent row per point, and may be any callable
+    (the workers inherit it at the fork).  The rows of the returned
+    trajectory then come back as ``report.trajectory_rows``, each window's
+    formatted by the process that last solved it, before the loop closes;
+    a failure there raises :class:`IntegrationFailed`.  That formatting
+    is left out of ``report.total_wall``.
     """
     if not t_0 < t_N:
         raise ValueError("need t_0 < t_N")
@@ -511,7 +635,7 @@ def run_parareal(
     # order-1 controller accepts steps of size proportional to sqrt(tol_t).
     work = m * math.sqrt(cfg.coarse_tol.tol_t / cfg.fine_tol.tol_t)
     open_start = time.perf_counter()
-    with _FineLoop(problem, n, n_workers, work) as fine:
+    with _FineLoop(problem, n, n_workers, work, format_rows) as fine:
         time_loop_open = time.perf_counter() - open_start
         u_bounds = [coarse_traj.states[i] for i in idx]  # U_j, with U_0 = u_0
         u_coarse = list(u_bounds)  # coarse results of the previous iteration
@@ -558,6 +682,8 @@ def run_parareal(
             )
             if err_per_iter[-1] < cfg.tol_pr and tol == cfg.fine_tol:
                 break
+        rows_start = time.perf_counter()
+        rows = fine.rows() if format_rows is not None else None
         close_start = time.perf_counter()
     time_loop_close = time.perf_counter() - close_start
 
@@ -573,7 +699,7 @@ def run_parareal(
         time_ghat=time_ghat,
         time_g_per_window_per_iter=time_g,
         time_f_per_window_per_iter=time_f,
-        total_wall=time.perf_counter() - wall_start,
+        total_wall=time.perf_counter() - wall_start - (close_start - rows_start),
         time_loop_open=time_loop_open,
         time_loop_close=time_loop_close,
         nr_ghat=ghat_counters.nr_iterations,
@@ -585,5 +711,6 @@ def run_parareal(
         fine_tol_t_per_iter=fine_tol_t,
         boundary_states=tuple(u_bounds),
         processes=len(fine.pids) + 1,
+        trajectory_rows=rows,
     )
     return trajectory, report

@@ -17,8 +17,14 @@ Two propagator flavors drive them:
   the explicit Euler step on a call's first step, linear extrapolation of
   the last two accepted states after it) and lands exactly on forced event
   times, e.g. instants where a source ramp changes rate.  Every call, so
-  every Parareal window, starts with an estimate of second order, and needs
-  no warm-up that the sequential solve does not pay.
+  every Parareal window, starts with an estimate of second order.  Each
+  window still restarts at ``dt_init`` and must land on its end, costs
+  that the sequential solve pays once, so the windows of a run take more
+  steps than one solve of the whole interval.  On the benchmark's
+  quench-coarse scenario (seed 0) the 32 windows solved from the final
+  boundary values accept 256 steps and reject 16, against 216 and 19 for
+  the sequential solve; on quench-fine's 16 windows, 3354 and 45 against
+  3338 and 37.
 * :func:`fixed_integrate` replays linearized steps on a prescribed grid
   with no rejection and no tolerance, as required when a coarse sweep
   must reuse the time steps chosen by an earlier adaptive pass.

@@ -23,6 +23,7 @@ from parcoil import (
     cli,
     load_run_config,
     make_problem,
+    parareal,
     window_boundary_indices,
 )
 from parcoil.cli import main
@@ -66,6 +67,15 @@ LINEAR_CFG = textwrap.dedent(
 )
 
 LINEAR3_CFG = LINEAR_CFG.replace("initial = 1.0", "initial = 1.0, 2.0, 3.0")
+
+# the shipped coil at the benchmark's quench-fine size: N 16, fine tolerances 0.01 mK
+QUENCH_FINE_CFG = (
+    pathlib.Path(SHIPPED_COIL_CFG)
+    .read_text(encoding="utf-8")
+    .replace("n_windows = 8", "n_windows = 16")
+    .replace("tol_nr_mk = 0.1 ", "tol_nr_mk = 0.01 ")
+    .replace("tol_t_mk = 0.1 ", "tol_t_mk = 0.01 ")
+)
 
 DEGENERATE_CFG = textwrap.dedent(
     """
@@ -139,6 +149,33 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def log_fine_loop(monkeypatch):
+    """Record, for the in-process runs after this call, each fine solve and each rows reply.
+
+    Returns two lists that fill as they run: per F call, the process of
+    each window's last solve (0 this one, i worker i) with the windows the
+    call re-solved (True) or skipped; per worker asked for rows, the
+    length of the text it sent.
+    """
+    solves, replies = [], []
+    solve, read = parareal._FineLoop.solve, parareal._FineLoop._replies
+
+    def logged_solve(self, *args):
+        rows = solve(self, *args)
+        solves.append((list(self.owners), [nr > 0 for nr in rows[0]]))
+        return rows
+
+    def logged_replies(self, asked, k=None):
+        got = read(self, asked, k)
+        if k is None:
+            replies.extend(sum(len(text) for _, text in texts) for texts in got)
+        return got
+
+    monkeypatch.setattr(parareal._FineLoop, "solve", logged_solve)
+    monkeypatch.setattr(parareal._FineLoop, "_replies", logged_replies)
+    return solves, replies
 
 
 def read_csv(path):
@@ -422,6 +459,49 @@ class TestSequential:
         )
 
 
+# `python -c` this with `raises|dies|dies_replying` and the CLI's arguments: the linear
+# problem, with G = 0 as the forks_at_any_work fixture sets it, and with a derived
+# column that raises, or kills the process, in a forked worker only; or a worker that
+# dies half-way through writing its rows.
+ROWS_FAIL_IN_WORKER = textwrap.dedent(
+    """
+    import os, pickle, sys
+    from parcoil import LinearTestProblem, cli, parareal
+
+    parareal._MIN_WORK_PER_PROCESS = 0.0
+    CALLER, HOW = os.getpid(), sys.argv.pop(1)
+
+
+    class FailsInWorker(LinearTestProblem):
+        def derived_columns(self):
+            return (("twice_u_0", self.twice),)
+
+        def twice(self, t, u):
+            if os.getpid() != CALLER and HOW == "raises":
+                raise ValueError("not here")
+            if os.getpid() != CALLER and HOW == "dies":
+                os._exit(3)
+            return 2.0 * u[0]
+
+
+    def half_the_rows_then_death(pipe, message, send=parareal._send):
+        # a rows reply is a list of (window, text) pairs
+        if os.getpid() != CALLER and isinstance(message, list) and isinstance(message[0][1], str):
+            data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+            pipe.write(data[: len(data) // 2])
+            pipe.flush()
+            os._exit(3)
+        send(pipe, message)
+
+
+    if HOW == "dies_replying":
+        parareal._send = half_the_rows_then_death
+    cli.make_problem = lambda cfg: FailsInWorker(-1.0, (1.0,))
+    sys.exit(cli.main(sys.argv[1:]))
+    """
+)
+
+
 def refused_fork():
     """``os.fork`` under a process limit: it fails with EAGAIN."""
     raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
@@ -516,6 +596,28 @@ class TestParareal:
         reason = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
         assert capsys.readouterr().err == f"error: cannot start fine worker 1: {reason}\n"
 
+    @pytest.mark.parametrize(
+        "how, message",
+        [
+            ("raises", "cannot format the rows of windows [2, 3]: ValueError: not here"),
+            ("dies", "a fine worker process died before the rows of windows [2, 3] came"),
+            ("dies_replying", "a fine worker process died before the rows of windows [2, 3] came"),
+        ],
+    )
+    def test_worker_that_cannot_send_its_rows_exits_2(self, tmp_path, how, message):
+        # at 2 workers the worker last solved windows 2 and 3; in a subprocess, so a hang fails
+        out = tmp_path / "o"
+        argv = ["parareal", "--config", write_cfg(tmp_path, LINEAR_CFG), "--out", str(out)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", ROWS_FAIL_IN_WORKER, how, *argv, "--workers", "2"],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr.decode()) == (2, f"error: {message}\n")
+        assert list(out.iterdir()) == []  # no trajectory.csv, nor any other file
+
     def test_non_finite_rhs_at_the_start_fails_the_baseline(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "make_problem", lambda cfg: NanAt(0.0, (1.0,)))
         cfg = write_cfg(tmp_path, LINEAR_CFG)
@@ -597,17 +699,21 @@ class TestParareal:
         assert "reduce n_windows" in err
 
     @pytest.mark.parametrize(
-        "cfg, workers, cpus, balance",
+        "cfg, workers, cpus, balance, shows",
         [
-            (LINEAR_CFG, 2, None, None),
-            (SHIPPED_COIL_CFG, 2, None, "0.290953545232"),  # 119 / 409 fine Newton iterations
+            (LINEAR_CFG, 2, None, None, ("kept",)),
+            # 119 / 409 fine Newton iterations
+            (SHIPPED_COIL_CFG, 2, None, "0.290953545232", ()),
             # one allowed CPU pins nothing; exactly two pin the worker to the second
-            (SHIPPED_COIL_CFG, 2, 1, "0.290953545232"),
-            (SHIPPED_COIL_CFG, 2, 2, "0.290953545232"),
-            (SHIPPED_LINEAR_CFG, 2, None, "0.247058823529"),  # 42 / 170
-            (SHIPPED_LINEAR_CFG, 6, None, "0.247058823529"),
+            (SHIPPED_COIL_CFG, 2, 1, "0.290953545232", ()),
+            (SHIPPED_COIL_CFG, 2, 2, "0.290953545232", ()),
+            # 42 / 170; at K 3 window 2's final solve stays in worker 1 from iteration 2
+            (SHIPPED_LINEAR_CFG, 2, None, "0.247058823529", ("kept",)),
+            (SHIPPED_LINEAR_CFG, 6, None, "0.247058823529", ("kept",)),
             # a three-component state: the tuple prediction and step end to end
-            (LINEAR3_CFG, 3, None, None),
+            (LINEAR3_CFG, 3, None, None, ()),
+            # 3355 rows: each worker's text is more than a pipe holds
+            (QUENCH_FINE_CFG, 3, None, None, ("over_a_pipe",)),
         ],
         ids=[
             "linear",
@@ -617,22 +723,33 @@ class TestParareal:
             "linear_test.cfg",
             "linear_test.cfg-6_workers",
             "linear-three_components",
+            "quench_fine-3_workers",
         ],
     )
     @pytest.mark.usefixtures("forks_at_any_work")
-    def test_deterministic_across_runs_and_workers(self, tmp_path, cfg, workers, cpus, balance):
+    def test_deterministic_across_runs_and_workers(
+        self, tmp_path, monkeypatch, cfg, workers, cpus, balance, shows
+    ):
         if cpus and ALLOWED_CPUS < cpus:
             pytest.skip(f"needs {cpus} allowed CPUs")
-        if cfg in (LINEAR_CFG, LINEAR3_CFG):
+        if cfg in (LINEAR_CFG, LINEAR3_CFG, QUENCH_FINE_CFG):
             cfg = write_cfg(tmp_path, cfg)
         outs = [str(tmp_path / name) for name in ("w1", "many")]
         assert main(["parareal", "--config", cfg, "--out", outs[0], "--workers", "1"]) == 0
+        solves, replies = log_fine_loop(monkeypatch)
         with lowest_cpus(cpus) if cpus else contextlib.nullcontext():
             argv = ["parareal", "--config", cfg, "--out", outs[1], "--workers", str(workers)]
             assert main(argv) == 0
         t1 = pathlib.Path(outs[0], "trajectory.csv").read_bytes()
         t2 = pathlib.Path(outs[1], "trajectory.csv").read_bytes()
         assert t1 == t2
+        # the workers formatted the rows of their windows: one text per worker that owns one
+        owners, solved = solves[-1]
+        assert len(replies) == len(set(owners) - {0}) >= 1
+        # a window whose final solve stayed in a worker that the last iteration skipped
+        kept = any(owner and not again for owner, again in zip(owners, solved))
+        assert kept == ("kept" in shows)
+        assert (max(replies) > 64 * 1024) == ("over_a_pipe" in shows)
         # everything except wall-clock-derived columns must match byte for byte
         for name in ("summary.csv", "report.csv"):
             h1, rows1 = read_csv(os.path.join(outs[0], name))

@@ -937,6 +937,58 @@ class TestFineLoopFailures:
             assert bits(there.states) == bits(here.states)
 
 
+def repr_rows(times, states):
+    """A row format that a library caller might pass: one ``repr`` line per point."""
+    return "".join(f"{t!r} {u!r}\n" for t, u in zip(times, states))
+
+
+class TestTrajectoryRows:
+    """``format_rows``: each window's rows come from the process of its last solve."""
+
+    CFG = TestFineLoopFailures.CFG
+
+    def run(self, problem, n_workers, format_rows=repr_rows):
+        return run_parareal(
+            problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers, format_rows=format_rows
+        )
+
+    @pytest.mark.usefixtures("forks_at_any_work")
+    @pytest.mark.parametrize("n_workers", [2, 3, 4])
+    def test_rows_of_the_stitched_trajectory_at_any_worker_count(self, n_workers):
+        problem = LinearTestProblem(-1.0, (1.0,))
+        plain = self.run(problem, 1, None)
+        assert plain[1].trajectory_rows is None
+        one, many = self.run(problem, 1), self.run(problem, n_workers)
+        assert many[1].processes == n_workers
+        assert one[1].trajectory_rows == repr_rows(plain[0].times, plain[0].states)
+        assert run_fingerprint(*many) == run_fingerprint(*one)
+        assert workers_exit() == [SIGNALLED] * (n_workers - 1)
+
+    @pytest.mark.usefixtures("forks_at_any_work")
+    def test_a_closure_reaches_the_workers(self):
+        # nothing that formats rows crosses a pipe: the workers inherit it at the fork
+        problem, lock = LinearTestProblem(-1.0, (1.0,)), threading.Lock()
+
+        def locked_rows(times, states):
+            with lock:
+                return repr_rows(times, states)
+
+        two = self.run(problem, 2, locked_rows)
+        assert run_fingerprint(*two) == run_fingerprint(*self.run(problem, 1))
+        assert workers_exit() == [SIGNALLED]
+
+    @pytest.mark.usefixtures("forks_at_any_work")
+    def test_a_failure_here_names_this_process_windows(self):
+        def fails(times, states):
+            raise ZeroDivisionError("no rows")
+
+        problem = LinearTestProblem(-1.0, (1.0,))
+        unformatted = r"^cannot format the rows of windows \[1, 4\]: ZeroDivisionError: no rows$"
+        with pytest.raises(IntegrationFailed, match=unformatted):
+            self.run(problem, 2, fails)
+        assert workers_exit() == [SIGNALLED]
+
+
 def refuse_to_pin(pid, cpus):
     raise AssertionError(f"pinned process {pid} to {cpus}")
 
@@ -1077,9 +1129,9 @@ class TestProcessCount:
         predicted = []
         init = parareal._FineLoop.__init__
 
-        def recording_init(self, problem, n, n_workers, work):
+        def recording_init(self, problem, n, n_workers, work, *rest):
             predicted.append(work)
-            init(self, problem, n, n_workers, work)
+            init(self, problem, n, n_workers, work, *rest)
 
         monkeypatch.setattr(parareal._FineLoop, "__init__", recording_init)
         started = counting_forks(monkeypatch)
