@@ -74,14 +74,12 @@ def _trajectory_rows(problem: Problem, times, states) -> str:
     return "".join([line % row for row in columns])
 
 
-def _write_trajectory_csv(path: str, problem: Problem, traj: Trajectory, rows=None) -> None:
-    """Write the header and the rows of ``traj``: ``rows`` if given, else :func:`_trajectory_rows`'.
+def _write_trajectory_csv(path: str, problem: Problem, rows: str) -> None:
+    """Write the header and the ``rows`` text (:func:`_trajectory_rows`) of ``trajectory.csv``.
 
-    The text is built before the file is opened, so a row that cannot be
-    formatted writes no file.
+    The callers build the text before the file is opened, so a row that
+    cannot be formatted writes no file.
     """
-    if rows is None:
-        rows = _trajectory_rows(problem, traj.times, traj.states)
     names = (name for name, _ in problem.derived_columns())
     with _output(path) as handle:
         csv.writer(handle).writerow(["time_s", *problem.component_names, "T_max_K", *names])
@@ -97,7 +95,8 @@ def _sequential_fine_run(context: str, problem: Problem, cfg: RunConfig, tol: St
 def cmd_sequential(problem: Problem, cfg: RunConfig, rid: str, args) -> int:
     context = "sequential fine solve failed"
     traj, counters, wall = _sequential_fine_run(context, problem, cfg, cfg.parareal.fine_tol)
-    _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, traj)
+    rows = _trajectory_rows(problem, traj.times, traj.states)
+    _write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), problem, rows)
     row = {
         "run_id": rid,
         "wall_s": wall,
@@ -202,7 +201,7 @@ def cmd_parareal(problem: Problem, cfg: RunConfig, rid: str, args) -> int:
         format_rows=partial(_trajectory_rows, problem),
     )
     path = os.path.join(cfg.out_dir, "trajectory.csv")
-    _write_trajectory_csv(path, problem, traj, report.trajectory_rows)
+    _write_trajectory_csv(path, problem, report.trajectory_rows)
     _write_csv(os.path.join(cfg.out_dir, "report.csv"), _report_rows(report, rid))
     summary = _summary_rows(problem, traj, report, rid, baseline)
     _write_csv(os.path.join(cfg.out_dir, "summary.csv"), summary)

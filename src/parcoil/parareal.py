@@ -3,9 +3,10 @@
 The first iteration runs one adaptive coarse pass over the whole interval;
 its accepted time steps both seed the initial boundary values and define
 the windows (equal step-count split via the floor formula).  Every coarse
-step, in the pass and in the fixed-grid sweeps, is one linearly implicit
-Euler step from the previous state (one Jacobian and one linear solve, no
-Newton loop), so a sweep from a state of the pass replays it bit for bit:
+step, in the pass and in the fixed-grid sweeps, is the fine propagator's
+Newton step started at the previous state and stopped after its first
+iteration: the linearly implicit Euler step (one Jacobian and one linear
+solve), so a sweep from a state of the pass replays it bit for bit:
 the coarse propagator G is one and the same in every iteration.
 Later iterations alternate a sequential fixed-grid coarse sweep with the
 standard correction

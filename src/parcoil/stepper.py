@@ -1,16 +1,13 @@
-"""Implicit Euler time integration, by Newton-Raphson or linearized.
+"""Implicit Euler time integration by Newton-Raphson, or by its first iterate.
 
-Two step functions share one residual and one linear solve:
+One step kernel, :func:`implicit_euler_step`, solves the implicit Euler
+equation by Newton-Raphson to a tolerance (the fine propagator and the
+sequential solve).  Without a tolerance it returns its first iterate with
+no convergence test; started at the previous state, that is the linearly
+implicit (Rosenbrock) Euler step ``u + (I - dt*J)^-1 * dt*f``, which
+:func:`linearized_euler_step` takes (the coarse propagator).
 
-* :func:`implicit_euler_step` solves the implicit Euler equation by
-  Newton-Raphson to a tolerance (the fine propagator and the sequential
-  solve).
-* :func:`linearized_euler_step` takes the linearly implicit (Rosenbrock)
-  Euler step ``u + (I - dt*J)^-1 * dt*f``: the first Newton iteration
-  started at the previous state, with no convergence test (the coarse
-  propagator).
-
-Two propagator flavors drive them:
+Two propagator flavors drive it:
 
 * :func:`adaptive_integrate` controls the step size from the local
   truncation error of the maximum temperature (solution minus prediction:
@@ -48,13 +45,13 @@ Gaussian elimination with partial pivoting, so the stepper is sized for
 lumped systems of a few components: elimination costs O(n^3) interpreted
 operations and loses to LAPACK past about five components.
 
-Both step functions take ``rhs`` and the Jacobian at each Newton start
-from one :meth:`Problem.rhs_and_jacobian` call, which the coil answers
+The kernel takes ``rhs`` and the Jacobian at each Newton start from one
+:meth:`Problem.rhs_and_jacobian` call, which the coil answers
 from one evaluation; later Newton iterations call ``rhs`` and
 :func:`newton_jacobian` apart.
 
-A two-component state (the coil) takes a scalar step: both step functions
-unpack it once and run the residual, the closed-form 2x2 solve (inline),
+A two-component state (the coil) takes a scalar step: the kernel unpacks
+it once and runs the residual, the closed-form 2x2 solve (inline),
 the update and the finiteness checks on local floats, with the float
 operations of the tuple step in the same order, so the results are the
 same to the bit.  This skips the tuple building of the general path.
@@ -162,8 +159,8 @@ def _newton_update(dt: float, jac, r: tuple) -> tuple:
     Gaussian elimination with partial pivoting on Python floats, which on
     a few components costs a fraction of a LAPACK call; it takes O(n^3)
     interpreted operations, so past about five components LAPACK would be
-    faster.  The step functions solve two-component systems in closed form
-    themselves and call this for every other size.  Raises
+    faster.  The step kernel solves two-component systems in closed form
+    itself and calls this for every other size.  Raises
     :class:`StepFailed` on a non-finite Jacobian or an exactly zero pivot
     (the singularity test of LAPACK's ``dgesv``).  Python float products
     and quotients overflow to ``inf`` without raising, so overflow surfaces
@@ -213,7 +210,7 @@ def implicit_euler_step(
     dt: float,
     u_prev: State,
     guess: State,
-    tol: StepperTolerances,
+    tol: StepperTolerances | None,
     counters: StepCounters | None = None,
 ) -> State:
     """Solve ``u - u_prev - dt*rhs(t+dt, u) = 0`` by Newton-Raphson.
@@ -221,7 +218,11 @@ def implicit_euler_step(
     ``u_prev`` and ``guess`` are states; the solution comes back as one.
     Starts from ``guess``; converged when the max-temperature change
     between subsequent iterates is below ``tol.tol_nr`` and the residual
-    norm has decreased from its initial value.  Raises :class:`StepFailed` on
+    norm has decreased from its initial value.  With ``tol`` None the
+    first iterate comes back without a convergence test, counted as one
+    Newton iteration whether or not the step succeeds: from
+    ``guess = u_prev`` that is the linearly implicit Euler step
+    (:func:`linearized_euler_step`).  Raises :class:`StepFailed` on
     non-finite residuals, Jacobians or iterates, on an ``ArithmeticError``
     (a float overflow or division by zero) inside ``rhs`` or the Jacobian,
     on a singular Newton matrix, or when the iteration budget is exhausted.
@@ -234,6 +235,7 @@ def implicit_euler_step(
     t_new = t + dt
     u = guess
     iters = 0
+    max_iters = 1 if tol is None else tol.nr_max_iters
     try:
         if len(u_prev) == 2:
             # the tuple path below on local floats, with the same operations
@@ -244,10 +246,11 @@ def implicit_euler_step(
             r1 = x1 - p1 - dt * f1
             if not (isfinite(r0) and isfinite(r1)):
                 raise StepFailed("non-finite residual at the initial guess")
-            r0_norm = math.hypot(r0, r1)
-            r_floor = 1e-14 * (1.0 + math.hypot(p0, p1))
-            temp = problem.max_temperature(u)
-            for _ in range(tol.nr_max_iters):
+            if tol is not None:
+                r0_norm = math.hypot(r0, r1)
+                r_floor = 1e-14 * (1.0 + math.hypot(p0, p1))
+                temp = problem.max_temperature(u)
+            for _ in range(max_iters):
                 iters += 1
                 (a, b), (c, d) = newton_jacobian(problem, t_new, u) if jac is None else jac
                 jac = None
@@ -262,6 +265,8 @@ def implicit_euler_step(
                 if not (isfinite(x0) and isfinite(x1)):
                     raise StepFailed("non-finite Newton iterate")
                 u = (x0, x1)
+                if tol is None:
+                    return u
                 f0, f1 = problem.rhs(t_new, u)
                 r0 = x0 - p0 - dt * f0
                 r1 = x1 - p1 - dt * f1
@@ -272,25 +277,28 @@ def implicit_euler_step(
                 if abs(temp_new - temp) < tol.tol_nr and (r_norm < r0_norm or r_norm <= r_floor):
                     return u
                 temp = temp_new
-            raise StepFailed(f"no convergence within {tol.nr_max_iters} iterations")
+            raise StepFailed(f"no convergence within {max_iters} iterations")
 
         f, jac = problem.rhs_and_jacobian(t_new, u)
         r = _residual(f, dt, u, u_prev)
         if not _all_finite(r):
             raise StepFailed("non-finite residual at the initial guess")
-        r0_norm = math.hypot(*r)
-        # A very good predictor leaves the initial residual at rounding
-        # noise, where a strict decrease is unattainable; residuals at or
-        # below this scale-aware floor count as converged.
-        r_floor = 1e-14 * (1.0 + math.hypot(*u_prev))
-        temp = problem.max_temperature(u)
-        for _ in range(tol.nr_max_iters):
+        if tol is not None:
+            r0_norm = math.hypot(*r)
+            # A very good predictor leaves the initial residual at rounding
+            # noise, where a strict decrease is unattainable; residuals at or
+            # below this scale-aware floor count as converged.
+            r_floor = 1e-14 * (1.0 + math.hypot(*u_prev))
+            temp = problem.max_temperature(u)
+        for _ in range(max_iters):
             iters += 1
             du = _newton_update(dt, newton_jacobian(problem, t_new, u) if jac is None else jac, r)
             jac = None
             u_new = tuple(map(operator.add, u, du))
             if not _all_finite(u_new):
                 raise StepFailed("non-finite Newton iterate")
+            if tol is None:
+                return u_new
             r = _residual(problem.rhs(t_new, u_new), dt, u_new, u_prev)
             if not _all_finite(r):
                 raise StepFailed("non-finite residual")
@@ -299,14 +307,16 @@ def implicit_euler_step(
             if abs(temp_new - temp) < tol.tol_nr and (r_norm < r0_norm or r_norm <= r_floor):
                 return u_new
             u, temp = u_new, temp_new
-        raise StepFailed(f"no convergence within {tol.nr_max_iters} iterations")
+        raise StepFailed(f"no convergence within {max_iters} iterations")
     except ArithmeticError as exc:
         # Python floats raise where numpy returned inf or nan; both are a
         # failed evaluation of this step, not a crash.
         raise StepFailed(f"arithmetic error in rhs or Jacobian: {exc}") from exc
     finally:
         if counters is not None:
-            counters.nr_iterations += iters
+            # the first-iterate form counts its one iteration even when it
+            # fails before taking it
+            counters.nr_iterations += 1 if tol is None else iters
 
 
 def linearized_euler_step(
@@ -324,46 +334,9 @@ def linearized_euler_step(
     Newton iteration whether or not the step succeeds.  Raises
     :class:`StepFailed` on a non-finite residual, Jacobian or result, on a
     singular matrix, or on an ``ArithmeticError`` inside ``rhs`` or the
-    Jacobian.
+    Jacobian, and ``ValueError`` if ``dt`` is not positive.
     """
-    t_new = t + dt
-    try:
-        if len(u) == 2:
-            # the tuple path below on local floats, with the same operations:
-            # the residual keeps u - u, so that dt*f == 0 gives 0.0, not -0.0
-            x0, x1 = u
-            (f0, f1), jac = problem.rhs_and_jacobian(t_new, u)
-            r0 = x0 - x0 - dt * f0
-            r1 = x1 - x1 - dt * f1
-            if not (isfinite(r0) and isfinite(r1)):
-                raise StepFailed("non-finite residual")
-            (a, b), (c, d) = jac
-            if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
-                raise StepFailed("non-finite Jacobian")
-            m00, m01, m10, m11 = 1.0 - dt * a, -dt * b, -dt * c, 1.0 - dt * d
-            det = m00 * m11 - m01 * m10
-            if det == 0.0:
-                raise StepFailed("singular Newton matrix: zero determinant")
-            x0 = x0 + (m01 * r1 - m11 * r0) / det
-            x1 = x1 + (m10 * r0 - m00 * r1) / det
-            if not (isfinite(x0) and isfinite(x1)):
-                raise StepFailed("non-finite linearized step")
-            return (x0, x1)
-
-        f, jac = problem.rhs_and_jacobian(t_new, u)
-        r = _residual(f, dt, u, u)
-        if not _all_finite(r):
-            raise StepFailed("non-finite residual")
-        du = _newton_update(dt, jac, r)
-        u_new = tuple(map(operator.add, u, du))
-        if not _all_finite(u_new):
-            raise StepFailed("non-finite linearized step")
-        return u_new
-    except ArithmeticError as exc:
-        raise StepFailed(f"arithmetic error in rhs or Jacobian: {exc}") from exc
-    finally:
-        if counters is not None:
-            counters.nr_iterations += 1
+    return implicit_euler_step(problem, t, dt, u, u, None, counters)
 
 
 def adaptive_integrate(

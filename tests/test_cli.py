@@ -1055,7 +1055,8 @@ class TestCsvFormatting:
             tol = StepperTolerances(tol_nr=1e-8, tol_t=1e-5, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
         traj = adaptive_integrate(problem, 0.0, t_end, problem.initial_state(), tol)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        cli._write_trajectory_csv(str(got), problem, traj)
+        rows = cli._trajectory_rows(problem, traj.times, traj.states)
+        cli._write_trajectory_csv(str(got), problem, rows)
         self._csv_writer_reference(str(want), problem, traj)
         assert len(traj.times) > 100
         assert got.read_bytes() == want.read_bytes()
@@ -1119,7 +1120,8 @@ class TestTrajectoryWriter:
     @staticmethod
     def assert_same_bytes(tmp_path, problem, traj):
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        cli._write_trajectory_csv(str(got), problem, traj)
+        rows = cli._trajectory_rows(problem, traj.times, traj.states)
+        cli._write_trajectory_csv(str(got), problem, rows)
         row_format_reference(str(want), problem, traj)
         assert got.read_bytes() == want.read_bytes()
 
@@ -1149,5 +1151,7 @@ class TestTrajectoryWriter:
         problem = Tabled(1, [{0.0: 1.0, 1.0: bad, 2.0: 3.0}])
         path = tmp_path / "trajectory.csv"
         with pytest.raises(TypeError):
-            cli._write_trajectory_csv(str(path), problem, traj)
+            cli._write_trajectory_csv(
+                str(path), problem, cli._trajectory_rows(problem, traj.times, traj.states)
+            )
         assert not path.exists()

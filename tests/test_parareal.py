@@ -1383,7 +1383,8 @@ class TestCoarseFailures:
         )
         context = (
             r"^coarse sweep failed in window 3 during iteration 2: "
-            r"step failed on the fixed grid at t=\S+ \(dt=\S+\): non-finite residual$"
+            r"step failed on the fixed grid at t=\S+ \(dt=\S+\): "
+            r"non-finite residual at the initial guess$"
         )
         with pytest.raises(IntegrationFailed, match=context):
             run_parareal(problem, 0.0, 1.0, problem.initial_state(), cfg, n_workers=1)

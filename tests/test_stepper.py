@@ -244,11 +244,10 @@ class TestOverflow:
         # the tuple path: growth at rate 1 over dt = 0.5 doubles 1e308 to inf
         problem = LinearTestProblem(1.0, u0)
         counters = StepCounters()
-        if linearized:
-            with pytest.raises(StepFailed, match="^non-finite linearized step$"):
+        with pytest.raises(StepFailed, match="^non-finite Newton iterate$"):
+            if linearized:
                 linearized_euler_step(problem, 0.0, 0.5, u0, counters)
-        else:
-            with pytest.raises(StepFailed, match="^non-finite Newton iterate$"):
+            else:
                 implicit_euler_step(problem, 0.0, 0.5, u0, u0, TIGHT, counters)
         assert counters.nr_iterations == 1
 
@@ -427,12 +426,16 @@ class TestImplicitEulerStep:
             implicit_euler_step(growth, 0.0, 0.5, u_prev, u_prev, TIGHT)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_nan_jacobian_fails(self, dim):
+    @pytest.mark.parametrize("linearized", [False, True], ids=["implicit", "linearized"])
+    def test_nan_jacobian_fails(self, dim, linearized):
         problem = NanJacobian(np.eye(dim), np.ones(dim))
         u_prev = problem.initial_state()
         counters = StepCounters()
-        with pytest.raises(StepFailed, match="non-finite Jacobian"):
-            implicit_euler_step(problem, 0.0, 0.5, u_prev, u_prev, TIGHT, counters)
+        with pytest.raises(StepFailed, match="^non-finite Jacobian$"):
+            if linearized:
+                linearized_euler_step(problem, 0.0, 0.5, u_prev, counters)
+            else:
+                implicit_euler_step(problem, 0.0, 0.5, u_prev, u_prev, TIGHT, counters)
         assert counters.nr_iterations == 1
 
     def test_linear_closed_form(self):
@@ -476,6 +479,7 @@ class TestArgumentChecks:
         [
             (lambda: implicit_euler_step(DECAY, 0.0, 0.0, (1.0,), (1.0,), TIGHT), "dt must be"),
             (lambda: implicit_euler_step(DECAY, 0.0, -0.5, (1.0,), (1.0,), TIGHT), "dt must be"),
+            (lambda: linearized_euler_step(DECAY, 0.0, 0.0, (1.0,)), "dt must be"),
             (
                 lambda: implicit_euler_step(DECAY, 0.0, 0.5, (1.0,), (1.0, 1.0), TIGHT),
                 "guess and u_prev must have the same dimension",
@@ -483,7 +487,14 @@ class TestArgumentChecks:
             (lambda: adaptive_integrate(DECAY, 1.0, 1.0, (1.0,), TIGHT), "need t_a < t_b"),
             (lambda: adaptive_integrate(DECAY, 1.0, 0.5, (1.0,), TIGHT), "need t_a < t_b"),
         ],
-        ids=["dt_0", "dt_negative", "guess_size", "empty_interval", "reversed_interval"],
+        ids=[
+            "dt_0",
+            "dt_negative",
+            "linearized_dt_0",
+            "guess_size",
+            "empty_interval",
+            "reversed_interval",
+        ],
     )
     def test_bad_arguments_are_a_value_error(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -751,11 +762,16 @@ class TestFixedIntegrate:
         one_step = linearized_euler_step(DECAY, 0.0, 0.5, DECAY.initial_state())
         assert np.array_equal(via_grid.terminal_state, one_step)
 
-    def test_step_failure_is_fatal(self):
-        # a fixed grid cannot subdivide, so a failed step ends the solve
-        problem = NanRhs()
-        with pytest.raises(IntegrationFailed, match=r"at t=0 \(dt=0.5\): non-finite residual$"):
-            fixed_integrate(problem, [0.0, 0.5, 1.0], problem.initial_state())
+    @pytest.mark.parametrize("u0", [(1.0,), (1.0, 2.0, 3.0)], ids=["one", "three"])
+    def test_step_failure_is_fatal(self, u0):
+        # a fixed grid cannot subdivide, so a failed step ends the solve;
+        # the failed coarse step still counts its one Newton iteration
+        problem = NanRhs(-1.0, u0)
+        counters = StepCounters()
+        message = r"at t=0 \(dt=0.5\): non-finite residual at the initial guess$"
+        with pytest.raises(IntegrationFailed, match=message):
+            fixed_integrate(problem, [0.0, 0.5, 1.0], problem.initial_state(), counters)
+        assert counters.nr_iterations == 1
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -829,10 +845,15 @@ class TestLinearizedEulerStep:
             linearized_euler_step(LinearTestProblem(2.0, u0), 0.0, 0.5, u0, counters)
         assert counters.nr_iterations == 1
 
-    def test_float_overflow_in_rhs_is_a_failed_step(self):
+    @pytest.mark.parametrize(
+        "problem, u0",
+        [(PowerBlowup(), (6.0,)), (DividesByZero(-1.0, (1.0, 1.0, 1.0)), (1.0, 1.0, 1.0))],
+        ids=["overflow-one", "zero-division-three"],
+    )
+    def test_float_overflow_in_rhs_is_a_failed_step(self, problem, u0):
         counters = StepCounters()
         with pytest.raises(StepFailed, match="arithmetic error"):
-            linearized_euler_step(PowerBlowup(), 0.0, 0.5, (6.0,), counters)
+            linearized_euler_step(problem, 0.0, 0.5, u0, counters)
         assert counters.nr_iterations == 1
 
     def test_adaptive_halves_after_failed_step(self):

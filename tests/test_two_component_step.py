@@ -1,11 +1,13 @@
 """The scalar two-component step and loop against the tuple paths they replace.
 
-The reference below is the tuple path of ``implicit_euler_step``,
-``linearized_euler_step`` and the closed-form 2x2 Newton update as they
-were before two-component states got their own scalar path.  The scalar
-path must give the same bits (compared by ``float.hex``, so 0.0 and -0.0
-differ), the same Newton count and the same ``StepFailed`` message, on
-well-posed steps and on every way a step can fail.
+The reference below is the tuple path of the step kernel
+``implicit_euler_step`` with the closed-form 2x2 Newton update, as it was
+before two-component states got their own scalar path, and the first
+iterate of that path from the previous state, the coarse step that
+``linearized_euler_step`` takes through the kernel.  The scalar path must
+give the same bits (compared by ``float.hex``, so 0.0 and -0.0 differ),
+the same Newton count and the same ``StepFailed`` message, on well-posed
+steps and on every way a step can fail.
 
 The second reference is ``adaptive_integrate``'s loop as it was before it
 took its prediction and error estimate inline: every trial step through a
@@ -100,11 +102,11 @@ def reference_linearized_step(problem, t, dt, u, counters):
     try:
         r = _residual(problem, t_new, dt, u, u)
         if not _all_finite(r):
-            raise StepFailed("non-finite residual")
+            raise StepFailed("non-finite residual at the initial guess")
         du = _newton_update_2x2(dt, problem.jacobian(t_new, u), r)
         u_new = tuple(map(operator.add, u, du))
         if not _all_finite(u_new):
-            raise StepFailed("non-finite linearized step")
+            raise StepFailed("non-finite Newton iterate")
         return u_new
     except ArithmeticError as exc:
         raise StepFailed(f"arithmetic error in rhs or Jacobian: {exc}") from exc
