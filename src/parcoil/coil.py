@@ -7,8 +7,9 @@ which is what delays the magnetic field of a no-insulation winding.  The
 HTS path carries the strongly nonlinear power-law resistivity, so driving
 the coil near its critical current produces a partial quench with current
 redistribution and a pronounced temperature transient.  One private kernel
-holds the law; the module-level ``coil_rhs``, ``coil_jacobian`` and
-``coil_rhs_and_jacobian`` enter it, agree bit for bit and can each be wrapped by name.
+holds the law, and each :class:`CoilProblem` method calls it.  Its one
+module-level entry, ``coil_rhs``, stays because ``perfbench/tracing.py``
+wraps it by name.
 
 A scalar linear test problem with the closed-form solution
 ``u(t) = u0 * exp(rate * t)`` is included as a verification oracle.
@@ -26,8 +27,6 @@ __all__ = [
     "RampSchedule",
     "source_current",
     "coil_rhs",
-    "coil_jacobian",
-    "coil_rhs_and_jacobian",
     "axial_field",
     "linear_test_rhs",
     "CoilProblem",
@@ -167,16 +166,6 @@ def coil_rhs(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tupl
     return _coil_law(t, s, params, ramp, False)
 
 
-def coil_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tuple:
-    """Jacobian rows of :func:`coil_rhs` with respect to ``(I_theta, T)``."""
-    return _coil_law(t, s, params, ramp, True)[1]
-
-
-def coil_rhs_and_jacobian(t: float, s: State, params: CoilParams, ramp: RampSchedule) -> tuple:
-    """``(coil_rhs(...), coil_jacobian(...))`` from one evaluation of the law."""
-    return _coil_law(t, s, params, ramp, True)
-
-
 def axial_field(s: State, params: CoilParams) -> float:
     """Central axial flux density B_z = field_constant * I_theta (T)."""
     return params.field_constant * s[0]
@@ -202,10 +191,10 @@ class CoilProblem(Problem):
         return coil_rhs(t, u, self.params, self.ramp)
 
     def jacobian(self, t: float, u: State) -> tuple:
-        return coil_jacobian(t, u, self.params, self.ramp)
+        return _coil_law(t, u, self.params, self.ramp, True)[1]
 
     def rhs_and_jacobian(self, t: float, u: State) -> tuple:
-        return coil_rhs_and_jacobian(t, u, self.params, self.ramp)
+        return _coil_law(t, u, self.params, self.ramp, True)
 
     def max_temperature(self, u: State) -> float:
         return u[1]

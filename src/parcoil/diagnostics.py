@@ -42,7 +42,7 @@ class PararealReport:
     looser tolerance than the later ones), so sums over the matrices count
     only the work done.  ``fine_tol_t_per_iter`` is the fine ``tol_t`` (K)
     of each iteration's solves.  ``boundaries`` are the window boundary
-    times t_j and ``boundary_states`` the final U_j, j = 0..N, as tuples.
+    times t_j, j = 0..N; the boundary values U_j are not reported.
     ``ghat_steps_rejected`` and ``rejected_f_per_window_per_iter`` count
     the trial steps the adaptive coarse pass and each fine solve rejected,
     and ``accepted_f_per_window_per_iter`` the steps each fine solve
@@ -69,7 +69,6 @@ class PararealReport:
     nr_g_per_window_per_iter: list[list[int]]
     nr_f_per_window_per_iter: list[list[int]]
     fine_tol_t_per_iter: list[float] = field(default_factory=list)
-    boundary_states: tuple[tuple[float, ...], ...] = ()
     ghat_steps_rejected: int = 0
     rejected_f_per_window_per_iter: list[list[int]] = field(default_factory=list)
     accepted_f_per_window_per_iter: list[list[int]] = field(default_factory=list)

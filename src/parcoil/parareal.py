@@ -28,10 +28,8 @@ rows while this process formats its own, and sends back the text.
 Closing the loop signals the workers and does not wait for them: they
 are reaped after the run (see :func:`_reap`).  :class:`_FineLoop` alone
 decides P, from the fine work the coarse pass predicts, and pins its
-workers, never the caller, to CPUs; its docstring gives both rules.
-Left to the scheduler on the 2-CPU benchmark host, a worker and its
-caller often shared one CPU: quench-fine's run_parareal took 61.7 ms,
-against 33.0 ms with the worker pinned and 33.2 ms with the caller too.
+workers, never the caller, to CPUs; its docstring gives both rules, and
+README the measurements behind them.
 
 Iteration 1's fine results only seed the first correction, so they are
 solved at a looser tolerance (:attr:`PararealConfig.first_fine_tol`, after
@@ -225,20 +223,15 @@ def _solve_batch(problem, tol, k, windows):
 RowFormat = Callable[[Sequence[float], Sequence[State]], str]
 
 
-def _format_windows(format_rows: RowFormat, trajs: dict, windows) -> list[tuple[int, str]]:
-    """The rows of ``windows``, ascending window numbers, from ``trajs[j]`` for each ``j``.
+def _join_windows(windows) -> list[list]:
+    """Join ``(j, trajectory)`` pairs, ascending ``j``, one run of consecutive windows at a time.
 
     Window 1 gives every point, a later window all but its first, which is
-    the last of the window before: the rows of the trajectory
-    :func:`_stitch` joins.  Each run of consecutive windows is formatted in
-    one call, and comes back as ``(its first window, its text)``, so that a
-    process that holds every window makes one call, as the sequential solve
-    does.  An exception in ``format_rows`` becomes an
-    :class:`IntegrationFailed` naming the windows and the exception, so
-    that it reads the same from any process.
+    the last of the window before.  Each run comes back as ``[its first
+    window, its last window, times, states]``, the points as plain lists.
     """
-    runs = []  # [first window, last window, times, states]
-    for j in windows:
+    runs = []
+    for j, traj in windows:
         if runs and runs[-1][1] == j - 1:
             run = runs[-1]
             run[1] = j
@@ -246,13 +239,28 @@ def _format_windows(format_rows: RowFormat, trajs: dict, windows) -> list[tuple[
             run = [j, j, [], []]
             runs.append(run)
         start = 0 if j == 1 else 1
-        run[2] += trajs[j].times[start:]
-        run[3] += trajs[j].states[start:]
+        run[2] += traj.times[start:]
+        run[3] += traj.states[start:]
+    return runs
+
+
+def _format_windows(format_rows: RowFormat, windows) -> list[tuple[int, str]]:
+    """The rows of ``(j, trajectory)`` pairs, ascending ``j``, as :func:`_join_windows` joins them.
+
+    Each run of consecutive windows is formatted in one call, and comes
+    back as ``(its first window, its text)``, so that a process that holds
+    every window makes one call, as the sequential solve does.  An
+    exception in ``format_rows`` becomes an :class:`IntegrationFailed`
+    naming the windows and the exception, so that it reads the same from
+    any process.
+    """
+    runs = _join_windows(windows)
     try:
         return [(first, format_rows(times, states)) for first, _, times, states in runs]
     except Exception as exc:
         raise IntegrationFailed(
-            f"cannot format the rows of windows {list(windows)}: {type(exc).__name__}: {exc}"
+            f"cannot format the rows of windows {[j for j, _ in windows]}: "
+            f"{type(exc).__name__}: {exc}"
         ) from exc
 
 
@@ -293,7 +301,7 @@ def _fine_worker(requests: int, replies: int, problem, format_rows, inherited) -
                 break
             if isinstance(request, list):
                 try:
-                    reply = _format_windows(format_rows, solved, request)
+                    reply = _format_windows(format_rows, [(j, solved[j]) for j in request])
                 except IntegrationFailed as exc:
                     reply = exc
                 _send(replies, reply)
@@ -355,7 +363,7 @@ _MIN_WORK_PER_PROCESS = 450.0
 
 
 class _FineLoop:
-    """The fine propagator F over ``n`` windows, run by P processes: this one and P-1 workers.
+    """F on the ``n`` windows of ``boundaries``, run by P processes: this one and P-1 workers.
 
     P is min(``n_workers``, ``n``) where ``work``, one iteration's
     predicted fine Newton work, is at least 2·G, else 1: G is
@@ -388,8 +396,7 @@ class _FineLoop:
     process pins worker i to the (i+1)-th lowest of them right after its
     fork (a worker that pinned itself would run on this process's CPU until
     it did), so the fine solves of one iteration run at the same time.
-    This process's own mask is never changed: pinning it too took 33.2 ms
-    on quench-fine against 33.0 ms (61.7 ms with nothing pinned).
+    This process's own mask is never changed: pinning it too gained nothing.
     :meth:`close`, which also runs when ``__init__`` fails after the
     checks, signals the workers; an ``OSError`` starting worker i (its
     pipes, fork or pin) then becomes an :class:`IntegrationFailed` naming i.
@@ -398,7 +405,7 @@ class _FineLoop:
     def __init__(
         self,
         problem: Problem,
-        n: int,
+        boundaries: Sequence[float],
         n_workers: int | None,
         work: float,
         format_rows: RowFormat | None = None,
@@ -408,8 +415,10 @@ class _FineLoop:
             n_workers = len(allowed) if allowed is not None else os.cpu_count() or 1
         if type(n_workers) is not int or n_workers < 1:  # a float or a bool is no count
             raise ValueError(f"n_workers must be an integer >= 1, not {n_workers!r}")
+        n = len(boundaries) - 1
         p = min(n_workers, n) if work >= 2 * _MIN_WORK_PER_PROCESS else 1
         self.problem = problem
+        self.boundaries = boundaries
         self.format_rows = format_rows
         self.keys: list[tuple[bytes, StepperTolerances] | None] = [None] * n
         self.trajs: list[Trajectory | None] = [None] * n
@@ -466,7 +475,7 @@ class _FineLoop:
         return self.trajs[j - 1].terminal_state if key and key[0] == _bits(u) else None
 
     def solve(
-        self, k: int, tol: StepperTolerances, boundaries, starts
+        self, k: int, tol: StepperTolerances, starts
     ) -> tuple[list[int], list[int], list[float], list[int]]:
         """Iteration ``k``'s fine solve at ``tol`` from the window starts U_0..U_{N-1}.
 
@@ -484,7 +493,7 @@ class _FineLoop:
         nr_row, rejected_row, wall_row, accepted_row = [0] * n, [0] * n, [0.0] * n, [0] * n
         keys = [(_bits(u), tol) for u in starts]
         windows = [
-            (j, boundaries[j - 1], boundaries[j], u)
+            (j, self.boundaries[j - 1], self.boundaries[j], u)
             for j, u in enumerate(starts, 1)
             if keys[j - 1] != self.keys[j - 1]
         ]
@@ -511,11 +520,10 @@ class _FineLoop:
         return nr_row, rejected_row, wall_row, accepted_row
 
     def rows(self) -> str:
-        """The rows of the stitched final trajectory, as ``format_rows`` writes them.
+        """The rows of the joined final trajectory, as ``format_rows`` writes them.
 
-        Each window's rows come from the process that last solved it:
-        window 1 whole, each later one without its first point, as
-        :func:`_stitch` joins them.  The workers get their window numbers
+        Each window's rows come from the process that last solved it, as
+        :func:`_join_windows` joins them.  The workers get their window numbers
         first, then this process formats its own windows.  A failure to
         format, here or in a worker, raises :class:`IntegrationFailed`
         naming that process's windows; a worker that died raises one
@@ -527,8 +535,7 @@ class _FineLoop:
         asked = [(i, js) for i, js in enumerate(owned[1:], 1) if js]
         for i, js in asked:
             self._ask(i, js)
-        own = {j: self.trajs[j - 1] for j in owned[0]}
-        texts = _format_windows(self.format_rows, own, owned[0])
+        texts = _format_windows(self.format_rows, [(j, self.trajs[j - 1]) for j in owned[0]])
         for reply in self._replies(asked):
             texts += reply
         return "".join([text for _, text in sorted(texts)])
@@ -569,15 +576,6 @@ class _FineLoop:
         if failure is not None:
             raise failure
         return replies
-
-
-def _stitch(fine_trajs) -> Trajectory:
-    """Concatenate window trajectories, keeping the fine value at shared boundaries."""
-    times, states = list(fine_trajs[0].times), list(fine_trajs[0].states)
-    for traj in fine_trajs[1:]:
-        times += traj.times[1:]
-        states += traj.states[1:]
-    return Trajectory(times, states)
 
 
 def run_parareal(
@@ -636,7 +634,7 @@ def run_parareal(
     # order-1 controller accepts steps of size proportional to sqrt(tol_t).
     work = m * math.sqrt(cfg.coarse_tol.tol_t / cfg.fine_tol.tol_t)
     open_start = time.perf_counter()
-    with _FineLoop(problem, n, n_workers, work, format_rows) as fine:
+    with _FineLoop(problem, boundaries, n_workers, work, format_rows) as fine:
         time_loop_open = time.perf_counter() - open_start
         u_bounds = [coarse_traj.states[i] for i in idx]  # U_j, with U_0 = u_0
         u_coarse = list(u_bounds)  # coarse results of the previous iteration
@@ -671,7 +669,7 @@ def run_parareal(
             nr_g.append(g_nr)
             time_g.append(g_wall)
 
-            f_nr, f_rejected, f_wall, f_accepted = fine.solve(k, tol, boundaries, u_bounds[:-1])
+            f_nr, f_rejected, f_wall, f_accepted = fine.solve(k, tol, u_bounds[:-1])
             nr_f.append(f_nr)
             rejected_f.append(f_rejected)
             time_f.append(f_wall)
@@ -689,7 +687,7 @@ def run_parareal(
     time_loop_close = time.perf_counter() - close_start
 
     converged = err_per_iter[-1] < cfg.tol_pr
-    trajectory = _stitch(fine.trajs)
+    [[_, _, times, states]] = _join_windows(enumerate(fine.trajs, 1))
     report = PararealReport(
         n_windows=n,
         m_coarse_steps=m,
@@ -710,8 +708,7 @@ def run_parareal(
         rejected_f_per_window_per_iter=rejected_f,
         accepted_f_per_window_per_iter=accepted_f,
         fine_tol_t_per_iter=fine_tol_t,
-        boundary_states=tuple(u_bounds),
         processes=len(fine.pids) + 1,
         trajectory_rows=rows,
     )
-    return trajectory, report
+    return Trajectory(times, states), report

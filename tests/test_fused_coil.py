@@ -1,13 +1,14 @@
-"""The coil's three entries against a reference copy of the law, and the fused start.
+"""The coil's law against a reference copy of it, and the fused start.
 
-``coil_rhs``, ``coil_jacobian`` and ``coil_rhs_and_jacobian`` (and the
-``CoilProblem`` methods over them) must equal the helper-based law below
-bit for bit (compared by ``float.hex``, so 0.0 and -0.0 differ) on every
-branch, and a whole run that takes the fused call at each Newton start
-must equal, bit for bit and count for count, the run that takes the
-default pair (``Problem.rhs_and_jacobian``: ``rhs``, then ``jacobian``).
+``coil_rhs`` and the ``CoilProblem`` methods ``rhs``, ``jacobian`` and
+``rhs_and_jacobian`` must equal the helper-based law below bit for bit
+(compared by ``float.hex``, so 0.0 and -0.0 differ) on every branch, and
+a whole run that takes the fused call at each Newton start must equal,
+bit for bit and count for count, the run that takes the default pair
+(``Problem.rhs_and_jacobian``: ``rhs``, then ``jacobian``).
 """
 
+import collections
 import dataclasses
 import math
 import os
@@ -26,9 +27,7 @@ from parcoil import (
     StepCounters,
     StepperTolerances,
     adaptive_integrate,
-    coil_jacobian,
     coil_rhs,
-    coil_rhs_and_jacobian,
     load_run_config,
     make_problem,
     run_parareal,
@@ -59,7 +58,7 @@ def as_hex(value):
 
 
 # The law as separate helpers, as it stood before it became one kernel;
-# the entries must keep these bits.
+# the entry and the methods must keep these bits.
 JC_REL_FLOOR = 1e-6
 
 
@@ -215,16 +214,14 @@ class TestFusedKernel:
         problem = CoilProblem(params, RAMP)
         entries = (
             coil_rhs(t, s, params, RAMP),
-            coil_jacobian(t, s, params, RAMP),
-            coil_rhs_and_jacobian(t, s, params, RAMP),
             problem.rhs(t, s),
             problem.jacobian(t, s),
             problem.rhs_and_jacobian(t, s),
         )
-        assert as_hex(entries) == as_hex((f, jac, (f, jac), f, jac, (f, jac)))
+        assert as_hex(entries) == as_hex((f, f, jac, (f, jac)))
 
     def test_overflow_reaches_both_parts(self):
-        f, jac = coil_rhs_and_jacobian(100.0, (1e30, 78.0), PARAMS, RAMP)
+        f, jac = CoilProblem(PARAMS, RAMP).rhs_and_jacobian(100.0, (1e30, 78.0))
         assert math.isinf(f[0]) and math.isinf(jac[0][0])
 
     def test_problem_method_is_the_kernel(self):
@@ -270,26 +267,33 @@ def run_results(cfg, problem):
             for f in dataclasses.fields(report)
             if f.name not in WALL_FIELDS
         }
-        assert fields["boundary_states"]
         results[n_workers] = as_hex((traj.times, traj.states, fields))
     return results
 
 
 def test_runs_equal_the_default_pair(monkeypatch):
-    # the shipped coil run with the fused start, then with the default pair
+    # the shipped coil run with the fused start, then with the default pair;
+    # each default start evaluates the law twice, once with the Jacobian
     cfg = load_run_config(SHIPPED_COIL_CFG)
     problem = make_problem(cfg)
-    calls = []
-    kernel = coil.coil_rhs_and_jacobian
+    law = collections.Counter()  # calls of the kernel, by with_jacobian
+    starts = []
+    kernel, fused = coil._coil_law, CoilProblem.rhs_and_jacobian
 
-    def counting(*args):
-        calls.append(args[0])
+    def counting_law(*args):
+        law[args[4]] += 1
         return kernel(*args)
 
-    monkeypatch.setattr(coil, "coil_rhs_and_jacobian", counting)
-    fused = run_results(cfg, problem)
-    assert calls, "the fused kernel was not called"
-    calls.clear()
+    def counting_fused(self, t, u):
+        starts.append(t)
+        return fused(self, t, u)
+
+    monkeypatch.setattr(coil, "_coil_law", counting_law)
+    monkeypatch.setattr(CoilProblem, "rhs_and_jacobian", counting_fused)
+    results = run_results(cfg, problem)
+    assert starts, "the fused kernel was not called"
+    fused_law = dict(law)
+    law.clear()
     monkeypatch.setattr(CoilProblem, "rhs_and_jacobian", Problem.rhs_and_jacobian)
-    assert run_results(cfg, problem) == fused
-    assert not calls, "the default pair called the fused kernel"
+    assert run_results(cfg, problem) == results
+    assert law == {False: fused_law[False] + len(starts), True: fused_law[True]}

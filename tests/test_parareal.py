@@ -41,6 +41,7 @@ from conftest import ALLOWED_CPUS, lowest_cpus, run_fingerprint
 
 LIN_FINE = StepperTolerances(tol_nr=1e-8, tol_t=1e-4, dt_init=0.05, dt_min=1e-12, dt_max=0.25)
 LIN_COARSE = StepperTolerances(tol_nr=1e-8, tol_t=5e-3, dt_init=0.1, dt_min=1e-12, dt_max=0.5)
+LINEAR = LinearTestProblem(-1.0, (1.0,))  # stateless, so one instance serves every test
 SHIPPED_COIL_CFG = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "ni_coil.cfg")
 
 
@@ -346,7 +347,7 @@ class TestRunParareal:
         assert report.converged and len(report.err_per_iter) == report.k_converged == k
         assert all(len(row) == 3 for row in report.time_f_per_window_per_iter)
         assert all(len(row) == 3 for row in report.nr_f_per_window_per_iter)
-        assert len(report.boundary_states) == 4
+        assert len(report.boundaries) == 4
         assert report.err_per_iter[-1] < cfg.tol_pr
         assert report.m_coarse_steps >= 3
 
@@ -637,26 +638,25 @@ class TestFineResults:
         assert len(built) == 1 + sweeps + fines + 1
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_fine_results_and_boundary_states_are_read_only(self, monkeypatch, n_workers):
+    def test_fine_results_are_read_only(self, monkeypatch, n_workers):
         problem, cfg = self.shipped_coil()
         results = []  # every fine trajectory F keeps, as it keeps it
         solve = parareal._FineLoop.solve
 
-        def recording_solve(self, k, tol, boundaries, starts):
+        def recording_solve(self, k, tol, starts):
             kept = list(self.trajs)
-            rows = solve(self, k, tol, boundaries, starts)
+            rows = solve(self, k, tol, starts)
             results.extend(traj for traj, old in zip(self.trajs, kept) if traj is not old)
             return rows
 
         monkeypatch.setattr(parareal._FineLoop, "solve", recording_solve)
-        _, report = run_parareal(
+        run_parareal(
             problem, cfg.t_start, cfg.t_end, problem.initial_state(), cfg.parareal, n_workers
         )
         assert len(results) == 8 + 7
         # tuples of floats, so immutable, also after a worker pipe
-        states = [u for traj in results for u in traj.states] + list(report.boundary_states)
+        states = [u for traj in results for u in traj.states]
         assert all(is_float_tuple(traj.times) and type(traj.states) is tuple for traj in results)
-        assert type(report.boundary_states) is tuple
         assert all(map(is_float_tuple, states))
 
 
@@ -671,11 +671,11 @@ class TestFineLoopKeys:
         """Solve one fixed sequence of window starts; the Newton and rejected rows of each solve."""
         problem = LinearTestProblem(-1.0, (1.0,))
         rows = []
-        with parareal._FineLoop(problem, 4, size + 1, math.inf) as fine:
+        with parareal._FineLoop(problem, self.BOUNDARIES, size + 1, math.inf) as fine:
 
             def solve(k, tol, starts):
                 kept = list(fine.trajs)
-                nr, rejected, wall, accepted = fine.solve(k, tol, self.BOUNDARIES, starts)
+                nr, rejected, wall, accepted = fine.solve(k, tol, starts)
                 rows.append((nr, rejected))
                 solved = [traj is not old for traj, old in zip(fine.trajs, kept)]
                 assert solved == [x > 0 for x in nr] == [x > 0.0 for x in wall]
@@ -926,8 +926,8 @@ class TestFineLoopFailures:
         boundaries, starts = TestFineLoopKeys.BOUNDARIES, TestFineLoopKeys.STARTS
         solved = []
         for size in (0, 1):
-            with parareal._FineLoop(problem, 4, size + 1, math.inf) as fine:
-                fine.solve(1, tiny_steps, boundaries, starts)
+            with parareal._FineLoop(problem, boundaries, size + 1, math.inf) as fine:
+                fine.solve(1, tiny_steps, starts)
                 solved.append(fine.trajs)
         assert workers_exit() == [SIGNALLED]
         # windows 2 and 4 came back from the worker in one reply
@@ -1041,10 +1041,10 @@ class TestWorkerGroup:
         # a worker dead before its batch was sent: the batch stays in the
         # buffer of the caller's end, whose close then fails
         with pytest.raises(IntegrationFailed, match=unfinished):
-            with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2, math.inf) as fine:
+            with parareal._FineLoop(LINEAR, TestFineLoopKeys.BOUNDARIES, 2, math.inf) as fine:
                 os.kill(fine.pids[0], signal.SIGKILL)
                 os.waitid(os.P_PID, fine.pids[0], os.WEXITED | os.WNOWAIT)  # dead, not reaped
-                fine.solve(1, LIN_FINE, TestFineLoopKeys.BOUNDARIES, TestFineLoopKeys.STARTS)
+                fine.solve(1, LIN_FINE, TestFineLoopKeys.STARTS)
         assert workers_exit(fine.pids) == [-signal.SIGKILL]
         assert len(os.listdir("/proc/self/fd")) == before
 
@@ -1069,7 +1069,7 @@ class TestWorkerGroup:
 
         monkeypatch.setattr(os, "fork", second_fork_fails)
         with pytest.raises(IntegrationFailed, match="^cannot start fine worker 2: ") as failure:
-            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 3, math.inf)
+            parareal._FineLoop(LINEAR, TestFineLoopKeys.BOUNDARIES, 3, math.inf)
         assert type(failure.value.__cause__) is OSError
         assert str(failure.value.__cause__) == "no second fork"
         assert len(started) == 1
@@ -1108,7 +1108,7 @@ class TestProcessCount:
     )
     def test_every_worker_or_none(self, monkeypatch, work, n, processes):
         monkeypatch.setattr(parareal, "_MIN_WORK_PER_PROCESS", 450.0)
-        with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), n, 3, work) as fine:
+        with parareal._FineLoop(LINEAR, [j / n for j in range(n + 1)], 3, work) as fine:
             assert len(fine.pids) + 1 == processes
         assert workers_exit() == [SIGNALLED] * (processes - 1)
 
@@ -1191,7 +1191,7 @@ class TestCpuPlacement:
         return run_parareal(problem, 0.0, 1.0, problem.initial_state(), self.CFG, n_workers)
 
     def test_only_the_worker_gets_its_own_cpu(self, caller_never_pinned):
-        with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2, math.inf) as fine:
+        with parareal._FineLoop(LINEAR, self.BOUNDARIES, 2, math.inf) as fine:
             # the worker is pinned once the loop is open, before it gets any batch
             caller = os.sched_getaffinity(0)
             worker = os.sched_getaffinity(fine.pids[0])
@@ -1231,8 +1231,8 @@ class TestCpuPlacement:
 
     def test_mask_unchanged_through_an_interrupt(self, caller_never_pinned):
         with pytest.raises(KeyboardInterrupt):
-            with parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2, math.inf) as fine:
-                fine.solve(1, LIN_FINE, self.BOUNDARIES, self.STARTS)
+            with parareal._FineLoop(LINEAR, self.BOUNDARIES, 2, math.inf) as fine:
+                fine.solve(1, LIN_FINE, self.STARTS)
                 raise KeyboardInterrupt
         assert os.sched_getaffinity(0) == caller_never_pinned
         assert workers_exit() == [SIGNALLED]
@@ -1252,7 +1252,7 @@ class TestCpuPlacement:
 
         monkeypatch.setattr(os, "fork", forks_then_fails)
         with pytest.raises(IntegrationFailed, match="^cannot start fine worker 1: ") as failure:
-            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2, math.inf)
+            parareal._FineLoop(LINEAR, self.BOUNDARIES, 2, math.inf)
         assert type(failure.value.__cause__) is OSError
         assert str(failure.value.__cause__) == "start failed after the fork"
         assert os.sched_getaffinity(0) == caller_never_pinned
@@ -1273,7 +1273,7 @@ class TestCpuPlacement:
 
         monkeypatch.setattr(os, "fork", second_fork_interrupted)
         with pytest.raises(KeyboardInterrupt):
-            parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 3, math.inf)
+            parareal._FineLoop(LINEAR, self.BOUNDARIES, 3, math.inf)
         assert len(started) == 1
         assert workers_exit() == [SIGNALLED]
         assert os.sched_getaffinity(0) == caller_never_pinned
@@ -1287,7 +1287,7 @@ class TestCpuPlacement:
             patch.setattr(os, "sched_setaffinity", cannot_pin)
             started = counting_forks(patch)
             with pytest.raises(IntegrationFailed, match="^cannot start fine worker 1: ") as failure:
-                parareal._FineLoop(LinearTestProblem(-1.0, (1.0,)), 4, 2, math.inf)
+                parareal._FineLoop(LINEAR, self.BOUNDARIES, 2, math.inf)
         assert type(failure.value.__cause__) is OSError
         assert str(failure.value.__cause__) == f"cannot pin process {started[0]}"
         assert os.sched_getaffinity(0) == caller_never_pinned

@@ -12,6 +12,7 @@ import dataclasses
 import os
 
 from parcoil import (
+    CoilProblem,
     LinearTestProblem,
     PararealConfig,
     StepCounters,
@@ -150,11 +151,11 @@ def test_linear_three_component_counts():
 
 def test_layer_boundaries_count_the_work(monkeypatch):
     # the layer boundaries are stepper.newton_jacobian, coil.coil_rhs and
-    # the fused coil.coil_rhs_and_jacobian, which counts as one of each: one
-    # Jacobian per counted Newton iteration, and a pinned number of rhs
+    # the fused CoilProblem.rhs_and_jacobian, which counts as one of each:
+    # one Jacobian per counted Newton iteration, and a pinned number of rhs
     # calls, on the sequential solve, Ĝ and a parareal run
     calls = collections.Counter()
-    jacobian, rhs, fused = stepper.newton_jacobian, coil.coil_rhs, coil.coil_rhs_and_jacobian
+    jacobian, rhs, fused = stepper.newton_jacobian, coil.coil_rhs, CoilProblem.rhs_and_jacobian
 
     def counting_jacobian(*args):
         calls["jacobian"] += 1
@@ -171,7 +172,7 @@ def test_layer_boundaries_count_the_work(monkeypatch):
 
     monkeypatch.setattr(stepper, "newton_jacobian", counting_jacobian)
     monkeypatch.setattr(coil, "coil_rhs", counting_rhs)
-    monkeypatch.setattr(coil, "coil_rhs_and_jacobian", counting_fused)
+    monkeypatch.setattr(CoilProblem, "rhs_and_jacobian", counting_fused)
     cfg = load_run_config(SHIPPED_COIL_CFG)
     problem = make_problem(cfg)
     u_0 = problem.initial_state()
