@@ -158,9 +158,8 @@ def max_temperature_deviation(traj, ref, problem, boundaries=()) -> tuple[list[f
 
     The boundary deviation also holds ``ref``'s own linear-interpolation
     error between its grid points, which the deviation at ``ref``'s times
-    does not, so it can exceed the largest of those: the shipped ``study``
-    grid's N = 24, 10 mK cell reads 13.93 mK at the boundaries against
-    12.66 mK at the reference's times.
+    does not, so it can exceed the largest of those (README's
+    ``boundary_dev_mK`` gives a shipped ``study`` cell where it does).
     """
     t_max = [problem.max_temperature(u) for u in traj.states]
     ref_t_max = [problem.max_temperature(u) for u in ref.states]

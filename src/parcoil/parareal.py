@@ -20,11 +20,14 @@ whose key changed, and deals them into cost-balanced batches on their
 last Newton counts.  This process solves the first batch, and up to P-1
 worker processes, forked with ``os.fork`` and fed through one pipe pair
 each, solve the rest (P fine solves at once; P = 1 starts no process).
-Each pipe carries a stream of pickles, one per batch and one per reply.
 A caller that asks for the trajectory's rows (``format_rows``) gets
-them from the same processes: after the last iteration each worker is
-sent the numbers of the windows whose final solve it ran, formats their
-rows while this process formats its own, and sends back the text.
+them from the same processes: after the last iteration each process is
+asked for the rows of the windows whose final solve it ran.  Every
+process, this one included, answers a request, a batch or a list of
+window numbers, by :func:`_answer`, and :meth:`_FineLoop._exchange` is
+the one round of requests: it sends each worker its request, answers
+this process's, then reads the replies in order.  Each pipe carries a
+stream of pickles, one per request and one per reply.
 Closing the loop signals the workers and does not wait for them: they
 are reaped after the run (see :func:`_reap`).  :class:`_FineLoop` alone
 decides P, from the fine work the coarse pass predicts, and pins its
@@ -244,24 +247,31 @@ def _join_windows(windows) -> list[list]:
     return runs
 
 
-def _format_windows(format_rows: RowFormat, windows) -> list[tuple[int, str]]:
-    """The rows of ``(j, trajectory)`` pairs, ascending ``j``, as :func:`_join_windows` joins them.
+def _answer(problem, format_rows: RowFormat, solved: dict, request):
+    """The reply to one fine-loop request, in any process; ``solved`` holds its last solves.
 
-    Each run of consecutive windows is formatted in one call, and comes
-    back as ``(its first window, its text)``, so that a process that holds
-    every window makes one call, as the sequential solve does.  An
-    exception in ``format_rows`` becomes an :class:`IntegrationFailed`
-    naming the windows and the exception, so that it reads the same from
-    any process.
+    A batch ``(k, tol, windows)`` is solved by :func:`_solve_batch`, and
+    each solve is recorded in ``solved``.  A list of window numbers asks
+    for the rows of those windows from their solves, joined by
+    :func:`_join_windows`: each run of consecutive windows is formatted in
+    one call, and comes back as ``(its first window, its text)``, so that a
+    process that holds every window makes one call, as the sequential solve
+    does.  An exception there becomes an :class:`IntegrationFailed` naming
+    the windows and the exception, so that it reads the same from any
+    process.
     """
-    runs = _join_windows(windows)
-    try:
-        return [(first, format_rows(times, states)) for first, _, times, states in runs]
-    except Exception as exc:
-        raise IntegrationFailed(
-            f"cannot format the rows of windows {[j for j, _ in windows]}: "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
+    if isinstance(request, list):
+        runs = _join_windows([(j, solved[j]) for j in request])
+        try:
+            return [(first, format_rows(times, states)) for first, _, times, states in runs]
+        except Exception as exc:
+            raise IntegrationFailed(
+                f"cannot format the rows of windows {request}: {type(exc).__name__}: {exc}"
+            ) from exc
+    k, tol, windows = request
+    results = _solve_batch(problem, tol, k, windows)
+    solved.update((j, traj) for j, traj, *_ in results)
+    return results
 
 
 def _send(pipe, message) -> None:
@@ -271,12 +281,8 @@ def _send(pipe, message) -> None:
 
 
 def _fine_worker(requests: int, replies: int, problem, format_rows, inherited) -> None:
-    """A forked worker's life: answer each request with its results or its exception.
+    """A forked worker's life: send back :func:`_answer`'s reply to each request, or its exception.
 
-    A request ``(k, tol, windows)`` is a batch to solve; the worker keeps
-    its last solve of each window it solved.  A list of window numbers
-    asks for the rows of those windows, from those solves, as
-    :func:`_format_windows` gives them.
     It first closes ``inherited``, the caller's pipe ends (holding one, it
     would see no EOF when the caller closes them), and it leaves by
     ``os._exit`` whatever happens, never into the caller's stack.  An
@@ -299,22 +305,14 @@ def _fine_worker(requests: int, replies: int, problem, format_rows, inherited) -
             except EOFError:  # the caller closed its end
                 code = 0
                 break
-            if isinstance(request, list):
-                try:
-                    reply = _format_windows(format_rows, [(j, solved[j]) for j in request])
-                except IntegrationFailed as exc:
-                    reply = exc
-                _send(replies, reply)
-                continue
-            k, tol, windows = request
             try:
-                reply = _solve_batch(problem, tol, k, windows)
-                solved.update((j, traj) for j, traj, *_ in reply)
+                reply = _answer(problem, format_rows, solved, request)
             except Exception as exc:
                 reply = exc
                 try:
                     pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-                except Exception:
+                except Exception:  # a rows request raises only IntegrationFailed, which loads
+                    k, _, windows = request
                     reply = IntegrationFailed(
                         f"fine propagator failed in windows {[j for j, *_ in windows]} "
                         f"during iteration {k}: {type(exc).__name__}: {exc}"
@@ -355,10 +353,10 @@ def _allowed_cpus() -> set[int] | None:
 
 
 # G, the least predicted fine Newton work per process at which a forked
-# worker stops losing (read at call time).  In P=1/P=2 sweeps of the
-# shipped ramp on the 2-CPU benchmark host, P=2 lost 11-51 % up to a
-# prediction of 546, tied at 996 and won 13-28 % from 1725 (README).
-# No larger P was measured, so a run forks every worker it may or none.
+# worker stops losing (read at call time), set between the predictions
+# where P=2 lost and won against P=1 on the shipped ramp (README, "Library
+# use", has the sweep).  No larger P was measured, so a run forks every
+# worker it may or none.
 _MIN_WORK_PER_PROCESS = 450.0
 
 
@@ -378,15 +376,11 @@ class _FineLoop:
     tolerance) that decides whether to re-solve it, its trajectory, its
     Newton count, the cost on which re-solves are dealt longest-first
     into batches (equal counts deal iteration 1 round-robin), and the
-    process that ran it, which keeps that trajectory too.
-    A worker is forked by ``os.fork``, so it inherits the problem and
-    ``format_rows``, and gets the tolerance with every batch; each worker
-    has its own pair of pipes, opened as buffered files that carry one
-    pickle per message.  No thread runs beside the caller, so nothing
-    waits for the GIL while the caller solves a batch itself.
-    :meth:`rows` asks each process for the rows of the windows it last
-    solved, formatted by ``format_rows``: only window numbers and text
-    cross the pipes.
+    process that ran it, which keeps that trajectory too (this one in
+    ``solved``, as a worker does).  A worker is forked by ``os.fork``, so
+    it inherits the problem and ``format_rows``; only batches, window
+    numbers, results and text cross the pipes.  No thread runs beside the
+    caller, so nothing waits for the GIL while the caller solves a batch.
     Workers ignore SIGINT.  Leaving the ``with`` block, normally or by any
     exception (Ctrl-C included), sends each worker SIGTERM and closes the
     pipes without waiting for the workers to exit; :func:`_reap` waits for
@@ -424,6 +418,7 @@ class _FineLoop:
         self.trajs: list[Trajectory | None] = [None] * n
         self.nr = [1] * n
         self.owners = [0] * n  # the process of each window's last solve: 0 this one, i worker i
+        self.solved: dict[int, Trajectory] = {}  # this process's last solve of each window
         self.pids: list[int] = []
         self.pipes: list = []  # this process's ends, as files: to, then from, each worker
         cpus = sorted(allowed) if p > 1 and len(allowed or ()) == p else [None] * p
@@ -481,13 +476,10 @@ class _FineLoop:
 
         Re-solves each window whose key (start bytes, ``tol``) changed and
         returns the iteration's Newton, rejected-step, wall and accepted-step
-        rows, zero elsewhere.  The workers get their batches first, then
-        this process solves the first batch.  A worker's exception is
-        re-raised here as the worker sent it: itself, or an
-        :class:`IntegrationFailed` naming it with its windows when it does
-        not pickle and load again.  A worker that died, before its reply or
-        part way through it, raises :class:`IntegrationFailed` naming the
-        windows whose results never came.
+        rows, zero elsewhere.  This process solves the first batch.  A
+        worker's exception is re-raised here as the worker sent it: itself,
+        or an :class:`IntegrationFailed` naming it with its windows when it
+        does not pickle and load again.
         """
         n = len(self.nr)
         nr_row, rejected_row, wall_row, accepted_row = [0] * n, [0] * n, [0.0] * n, [0] * n
@@ -501,12 +493,7 @@ class _FineLoop:
             return nr_row, rejected_row, wall_row, accepted_row
         costs = [self.nr[j - 1] for j, *_ in windows]
         batches = [[windows[i] for i in b] for b in _fine_batches(costs, len(self.pids) + 1)]
-        asked = [(i, [j for j, *_ in batch]) for i, batch in enumerate(batches[1:], 1)]
-        for i, batch in enumerate(batches[1:], 1):
-            self._ask(i, (k, tol, batch))
-        results = _solve_batch(self.problem, tol, k, batches[0])
-        for reply in self._replies(asked, k):
-            results += reply
+        results = self._exchange([(k, tol, batch) for batch in batches], k)
         self.keys = keys
         for owner, batch in enumerate(batches):
             for j, *_ in batch:
@@ -523,37 +510,34 @@ class _FineLoop:
         """The rows of the joined final trajectory, as ``format_rows`` writes them.
 
         Each window's rows come from the process that last solved it, as
-        :func:`_join_windows` joins them.  The workers get their window numbers
-        first, then this process formats its own windows.  A failure to
-        format, here or in a worker, raises :class:`IntegrationFailed`
-        naming that process's windows; a worker that died raises one
-        naming the windows whose rows never came.
+        :func:`_join_windows` joins them.
         """
         owned = [[] for _ in range(len(self.pids) + 1)]
         for j, owner in enumerate(self.owners, 1):
             owned[owner].append(j)
-        asked = [(i, js) for i, js in enumerate(owned[1:], 1) if js]
-        for i, js in asked:
-            self._ask(i, js)
-        texts = _format_windows(self.format_rows, [(j, self.trajs[j - 1]) for j in owned[0]])
-        for reply in self._replies(asked):
-            texts += reply
-        return "".join([text for _, text in sorted(texts)])
+        return "".join([text for _, text in sorted(self._exchange(owned))])
 
-    def _ask(self, i: int, request) -> None:
-        """Send ``request`` to worker ``i``; a dead worker is reported by :meth:`_replies`."""
-        with contextlib.suppress(OSError):
-            _send(self.pipes[2 * i - 2], request)
+    def _exchange(self, requests, k: int | None = None) -> list:
+        """The replies to ``requests``, one per process (``requests[i]`` for worker i), joined.
 
-    def _replies(self, asked, k: int | None = None) -> list:
-        """The reply of each worker ``i`` in ``asked``, ``(i, windows)`` pairs, in that order.
-
-        The first exception a worker sent is raised once every reply has
-        been read.  A worker that died, before its reply or part way
-        through it, raises :class:`IntegrationFailed` naming the windows
-        whose results, in iteration ``k``, or rows (``k`` None) never came.
+        ``k`` is the iteration of a round of batches, None for a round of
+        rows.  Each worker whose request names windows is sent it, then
+        this process answers ``requests[0]``, then the workers' replies are
+        read in order.  The first exception a worker sent is raised once
+        every reply has been read.  A worker that died, before its reply or
+        part way through it, raises :class:`IntegrationFailed` naming the
+        windows whose results, in iteration ``k``, or rows (``k`` None)
+        never came.
         """
-        replies, lost, failure = [], [], None
+        asked = []
+        for i, request in enumerate(requests[1:], 1):
+            js = request if k is None else [j for j, *_ in request[2]]
+            if js:
+                asked.append((i, js))
+                with contextlib.suppress(OSError):  # a dead worker is reported below
+                    _send(self.pipes[2 * i - 2], request)
+        replies = _answer(self.problem, self.format_rows, self.solved, requests[0])
+        lost, failure = [], None
         for i, js in asked:
             try:
                 reply = pickle.load(self.pipes[2 * i - 1])
@@ -563,7 +547,7 @@ class _FineLoop:
             if isinstance(reply, Exception):
                 failure = failure or reply
             else:
-                replies.append(reply)
+                replies += reply
         if lost and k is None:
             raise IntegrationFailed(
                 f"a fine worker process died before the rows of windows {sorted(lost)} came"

@@ -160,21 +160,23 @@ def log_fine_loop(monkeypatch):
     length of the text it sent.
     """
     solves, replies = [], []
-    solve, read = parareal._FineLoop.solve, parareal._FineLoop._replies
+    solve, exchange = parareal._FineLoop.solve, parareal._FineLoop._exchange
 
     def logged_solve(self, *args):
         rows = solve(self, *args)
         solves.append((list(self.owners), [nr > 0 for nr in rows[0]]))
         return rows
 
-    def logged_replies(self, asked, k=None):
-        got = read(self, asked, k)
-        if k is None:
-            replies.extend(sum(len(text) for _, text in texts) for texts in got)
+    def logged_exchange(self, requests, k=None):
+        got = exchange(self, requests, k)
+        if k is None:  # each text is its run's first window's, which one worker was asked for
+            replies.extend(
+                sum(len(text) for first, text in got if first in js) for js in requests[1:] if js
+            )
         return got
 
     monkeypatch.setattr(parareal._FineLoop, "solve", logged_solve)
-    monkeypatch.setattr(parareal._FineLoop, "_replies", logged_replies)
+    monkeypatch.setattr(parareal._FineLoop, "_exchange", logged_exchange)
     return solves, replies
 
 

@@ -978,6 +978,41 @@ class TestTrajectoryRows:
         assert workers_exit() == [SIGNALLED]
 
     @pytest.mark.usefixtures("forks_at_any_work")
+    def test_every_worker_is_sent_its_request_before_this_process_answers(self, monkeypatch):
+        # the order that makes F parallel: in each exchange, this process does
+        # its own share only after every asked worker has its request
+        owner, exchanges = os.getpid(), []  # per exchange: (iteration or None, workers asked, events)
+        send, answer, exchange = parareal._send, parareal._answer, parareal._FineLoop._exchange
+
+        def recording_send(pipe, message):
+            if os.getpid() == owner:
+                exchanges[-1][2].append("send")
+            return send(pipe, message)
+
+        def recording_answer(*args):
+            if os.getpid() == owner:
+                exchanges[-1][2].append("answer")
+            return answer(*args)
+
+        def recording_exchange(self, requests, k=None):
+            asked = sum(1 for r in requests[1:] if (r if k is None else r[2]))
+            exchanges.append((k, asked, []))
+            return exchange(self, requests, k)
+
+        monkeypatch.setattr(parareal, "_send", recording_send)
+        monkeypatch.setattr(parareal, "_answer", recording_answer)
+        monkeypatch.setattr(parareal._FineLoop, "_exchange", recording_exchange)
+        problem = LinearTestProblem(-1.0, (1.0,))
+        _, report = self.run(problem, 3)
+        assert report.processes == 3 and workers_exit() == [SIGNALLED] * 2
+        fine_calls = sum(any(row) for row in report.nr_f_per_window_per_iter)
+        assert [k for k, *_ in exchanges] == [*range(1, fine_calls + 1), None]
+        for k, asked, events in exchanges:
+            assert events == ["send"] * asked + ["answer"], k
+        # iteration 1 deals its four windows to all three processes, and the rows ask a worker
+        assert exchanges[0][1] == 2 and exchanges[-1][1] >= 1
+
+    @pytest.mark.usefixtures("forks_at_any_work")
     def test_a_failure_here_names_this_process_windows(self):
         def fails(times, states):
             raise ZeroDivisionError("no rows")
