@@ -49,8 +49,9 @@ class PararealReport:
     accepted (0 for a window not solved).  ``time_loop_open`` and
     ``time_loop_close`` are the wall times of opening the fine loop
     (forking its workers, after the adaptive coarse pass) and of closing
-    it; ``total_wall`` spans both.  ``processes`` is the number of
-    processes that ran the fine solves: this one and its forked workers.
+    it; ``total_wall`` spans both and leaves out the formatting of
+    ``trajectory_rows``.  ``processes`` is the number of processes that
+    ran the fine solves: this one and its forked workers.
     ``trajectory_rows`` is the formatted text of the trajectory's rows when
     the run was asked for it (``run_parareal``'s ``format_rows``), else None.
     """

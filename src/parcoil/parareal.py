@@ -17,9 +17,11 @@ and a concurrent fine solve.  The fine propagator F is one object,
 opened after the coarse pass: it keeps each window's last fine solve
 under a key (start bytes, tolerance), re-solves exactly the windows
 whose key changed, and deals them into cost-balanced batches on their
-last Newton counts.  This process solves the first batch, and up to P-1
-worker processes, forked with ``os.fork`` and fed through one pipe pair
-each, solve the rest (P fine solves at once; P = 1 starts no process).
+last Newton counts.  This process's ``solved`` holds every window's last
+fine trajectory, and a worker's ``solved`` holds its own.  This process
+solves the first batch, and up to P-1 worker processes, forked with
+``os.fork`` and fed through one pipe pair each, solve the rest (P fine
+solves at once; P = 1 starts no process).
 A caller that asks for the trajectory's rows (``format_rows``) gets
 them from the same processes: after the last iteration each process is
 asked for the rows of the windows whose final solve it ran.  Every
@@ -376,10 +378,11 @@ class _FineLoop:
     tolerance) that decides whether to re-solve it, its trajectory, its
     Newton count, the cost on which re-solves are dealt longest-first
     into batches (equal counts deal iteration 1 round-robin), and the
-    process that ran it, which keeps that trajectory too (this one in
-    ``solved``, as a worker does).  A worker is forked by ``os.fork``, so
-    it inherits the problem and ``format_rows``; only batches, window
-    numbers, results and text cross the pipes.  No thread runs beside the
+    process that ran it.  This process's ``solved`` holds every window's
+    last fine trajectory, and a worker's ``solved`` holds its own.  A
+    worker is forked by ``os.fork``, so it inherits the problem and
+    ``format_rows``; only batches, window numbers, results and text cross
+    the pipes.  No thread runs beside the
     caller, so nothing waits for the GIL while the caller solves a batch.
     Workers ignore SIGINT.  Leaving the ``with`` block, normally or by any
     exception (Ctrl-C included), sends each worker SIGTERM and closes the
@@ -415,10 +418,9 @@ class _FineLoop:
         self.boundaries = boundaries
         self.format_rows = format_rows
         self.keys: list[tuple[bytes, StepperTolerances] | None] = [None] * n
-        self.trajs: list[Trajectory | None] = [None] * n
         self.nr = [1] * n
         self.owners = [0] * n  # the process of each window's last solve: 0 this one, i worker i
-        self.solved: dict[int, Trajectory] = {}  # this process's last solve of each window
+        self.solved: dict[int, Trajectory] = {}  # every window's last fine trajectory
         self.pids: list[int] = []
         self.pipes: list = []  # this process's ends, as files: to, then from, each worker
         cpus = sorted(allowed) if p > 1 and len(allowed or ()) == p else [None] * p
@@ -467,7 +469,7 @@ class _FineLoop:
     def reused(self, j: int, u: State) -> State | None:
         """Window ``j``'s last fine result if that solve started at exactly ``u``, else None."""
         key = self.keys[j - 1]
-        return self.trajs[j - 1].terminal_state if key and key[0] == _bits(u) else None
+        return self.solved[j].terminal_state if key and key[0] == _bits(u) else None
 
     def solve(
         self, k: int, tol: StepperTolerances, starts
@@ -499,7 +501,7 @@ class _FineLoop:
             for j, *_ in batch:
                 self.owners[j - 1] = owner
         for j, traj, counters, wall in results:
-            self.trajs[j - 1] = traj
+            self.solved[j] = traj
             self.nr[j - 1] = nr_row[j - 1] = counters.nr_iterations
             rejected_row[j - 1] = counters.steps_rejected
             wall_row[j - 1] = wall
@@ -623,8 +625,7 @@ def run_parareal(
         u_bounds = [coarse_traj.states[i] for i in idx]  # U_j, with U_0 = u_0
         u_coarse = list(u_bounds)  # coarse results of the previous iteration
         err_per_iter: list[float] = []
-        fine_tol_t: list[float] = []
-        time_g, nr_g, time_f, nr_f, rejected_f, accepted_f = [], [], [], [], [], []
+        records = []  # per iteration: the sweep's Newton and wall rows, F's four rows, tol_t
 
         for k in range(1, cfg.k_max + 1):
             tol = cfg.first_fine_tol if k == 1 else cfg.fine_tol
@@ -647,22 +648,13 @@ def run_parareal(
                     )
                     g_nr[j - 1] = g_counters.nr_iterations
                     u_bounds[j] = parareal_update(
-                        fine.trajs[j - 1].terminal_state, traj.terminal_state, u_coarse[j]
+                        fine.solved[j].terminal_state, traj.terminal_state, u_coarse[j]
                     )
                     u_coarse[j] = traj.terminal_state
-            nr_g.append(g_nr)
-            time_g.append(g_wall)
+            records.append((g_nr, g_wall, *fine.solve(k, tol, u_bounds[:-1]), tol.tol_t))
 
-            f_nr, f_rejected, f_wall, f_accepted = fine.solve(k, tol, u_bounds[:-1])
-            nr_f.append(f_nr)
-            rejected_f.append(f_rejected)
-            time_f.append(f_wall)
-            accepted_f.append(f_accepted)
-            fine_tol_t.append(tol.tol_t)
-
-            err_per_iter.append(
-                pr_error(u_bounds[1:], [traj.terminal_state for traj in fine.trajs], problem)
-            )
+            fine_ends = [fine.solved[j].terminal_state for j in range(1, n + 1)]
+            err_per_iter.append(pr_error(u_bounds[1:], fine_ends, problem))
             if err_per_iter[-1] < cfg.tol_pr and tol == cfg.fine_tol:
                 break
         rows_start = time.perf_counter()
@@ -671,7 +663,8 @@ def run_parareal(
     time_loop_close = time.perf_counter() - close_start
 
     converged = err_per_iter[-1] < cfg.tol_pr
-    [[_, _, times, states]] = _join_windows(enumerate(fine.trajs, 1))
+    [[_, _, times, states]] = _join_windows(sorted(fine.solved.items()))
+    nr_g, time_g, nr_f, rejected_f, time_f, accepted_f, fine_tol_t = map(list, zip(*records))
     report = PararealReport(
         n_windows=n,
         m_coarse_steps=m,

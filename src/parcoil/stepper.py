@@ -17,11 +17,7 @@ Two propagator flavors drive it:
   every Parareal window, starts with an estimate of second order.  Each
   window still restarts at ``dt_init`` and must land on its end, costs
   that the sequential solve pays once, so the windows of a run take more
-  steps than one solve of the whole interval.  On the benchmark's
-  quench-coarse scenario (seed 0) the 32 windows solved from the final
-  boundary values accept 256 steps and reject 16, against 216 and 19 for
-  the sequential solve; on quench-fine's 16 windows, 3354 and 45 against
-  3338 and 37.
+  steps than one solve of the whole interval (README gives the counts).
 * :func:`fixed_integrate` replays linearized steps on a prescribed grid
   with no rejection and no tolerance, as required when a coarse sweep
   must reuse the time steps chosen by an earlier adaptive pass.

@@ -41,13 +41,15 @@ def test_command_path_imports_no_numpy_and_no_process_pool(tmp_path):
     cfg = os.path.join(REPO_ROOT, "configs", "ni_coil.cfg")
     src = os.path.join(REPO_ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # any warning is an error; one raised in a finalizer (a leaked file) goes to stderr
+    dev_mode = ["-X", "dev", "-W", "error"]
     proc = subprocess.run(
-        [sys.executable, "-c", COMMAND_PATH, cfg, str(tmp_path / "out")],
+        [sys.executable, *dev_mode, "-c", COMMAND_PATH, cfg, str(tmp_path / "out")],
         env=env,
         capture_output=True,
         text=True,
-        check=True,
     )
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "out" / "trajectory.csv").exists()
     assert (tmp_path / "out-par" / "trajectory.csv").exists()

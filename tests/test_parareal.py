@@ -644,9 +644,9 @@ class TestFineResults:
         solve = parareal._FineLoop.solve
 
         def recording_solve(self, k, tol, starts):
-            kept = list(self.trajs)
+            kept = dict(self.solved)
             rows = solve(self, k, tol, starts)
-            results.extend(traj for traj, old in zip(self.trajs, kept) if traj is not old)
+            results.extend(traj for j, traj in self.solved.items() if traj is not kept.get(j))
             return rows
 
         monkeypatch.setattr(parareal._FineLoop, "solve", recording_solve)
@@ -674,10 +674,10 @@ class TestFineLoopKeys:
         with parareal._FineLoop(problem, self.BOUNDARIES, size + 1, math.inf) as fine:
 
             def solve(k, tol, starts):
-                kept = list(fine.trajs)
+                kept = dict(fine.solved)
                 nr, rejected, wall, accepted = fine.solve(k, tol, starts)
                 rows.append((nr, rejected))
-                solved = [traj is not old for traj, old in zip(fine.trajs, kept)]
+                solved = [fine.solved[j] is not kept.get(j) for j in range(1, 5)]
                 assert solved == [x > 0 for x in nr] == [x > 0.0 for x in wall]
                 assert solved == [x > 0 for x in accepted]
                 return solved
@@ -695,7 +695,7 @@ class TestFineLoopKeys:
             want = adaptive_integrate(problem, 0.5, 0.75, (0.4,), LIN_FINE).terminal_state
             assert bits(fine.reused(3, (0.4,))) == bits(want)
             assert fine.reused(3, (0.5,)) is None
-            assert fine.reused(2, (0.0,)) == fine.trajs[1].terminal_state
+            assert fine.reused(2, (0.0,)) == fine.solved[2].terminal_state
             assert fine.reused(2, (-0.0,)) is None
         assert workers_exit() == [SIGNALLED] * size
         return rows
@@ -731,6 +731,38 @@ class TestFineBatches:
     def test_longest_first(self):
         # costs 5, 4 open the batches; 2 joins the lighter one, then 1 does
         assert _fine_batches([1, 5, 2, 4], 2) == [[1, 0], [3, 2]]
+
+
+class TestJoinWindows:
+    """Every process joins its own windows, and the runs merge into the one join of all windows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), steps=st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    def test_per_process_joins_concatenate_to_the_one_join(self, data, steps):
+        n, last = len(steps), sum(steps)
+        ends = [sum(steps[:j]) for j in range(n + 1)]  # each window's first and last point
+        points = st.lists(st.floats(-1e6, 1e6), min_size=last + 1, max_size=last + 1, unique=True)
+        times = sorted(data.draw(points, label="times"))
+        values = st.floats(allow_nan=False, allow_infinity=False)
+        states = [tuple(data.draw(st.lists(values, min_size=2, max_size=2))) for _ in times]
+        windows = [
+            (j, Trajectory(times[a : b + 1], states[a : b + 1]))
+            for j, (a, b) in enumerate(zip(ends, ends[1:]), 1)
+        ]
+        owners = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="owners")
+
+        runs = sorted(
+            run
+            for p in set(owners)
+            for run in parareal._join_windows([w for w, o in zip(windows, owners) if o == p])
+        )
+        [[first, final, all_times, all_states]] = parareal._join_windows(windows)
+        assert (first, final) == (1, n)
+        assert [run[0] for run in runs[1:]] == [run[1] + 1 for run in runs[:-1]]
+        joined_times = [t for run in runs for t in run[2]]
+        joined_states = [u for run in runs for u in run[3]]
+        assert bits(joined_times) == bits(all_times) == bits(times)
+        assert bits(joined_states) == bits(all_states) == bits(states)
 
 
 class DiesInWorker(LinearTestProblem):
@@ -928,7 +960,7 @@ class TestFineLoopFailures:
         for size in (0, 1):
             with parareal._FineLoop(problem, boundaries, size + 1, math.inf) as fine:
                 fine.solve(1, tiny_steps, starts)
-                solved.append(fine.trajs)
+                solved.append([fine.solved[j] for j in range(1, 5)])
         assert workers_exit() == [SIGNALLED]
         # windows 2 and 4 came back from the worker in one reply
         assert len(pickle.dumps([solved[1][1], solved[1][3]])) > 64 * 1024
